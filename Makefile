@@ -5,7 +5,7 @@ STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 ONIONLINT_BIN       ?= $(CURDIR)/bin/onionlint
 
-.PHONY: build test race vet onionlint staticcheck govulncheck lint
+.PHONY: build test race stress vet onionlint staticcheck govulncheck lint
 
 build:
 	go build ./...
@@ -15,6 +15,15 @@ test:
 
 race:
 	go test -race -shuffle=on ./...
+
+# The schedule-sensitive tests (shared-pool spill accounting), repeated
+# single-core, dual-core and oversubscribed. A cached `ok` would hide a
+# flake, hence -count. Must report 0 failures.
+stress:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=10 -run TestE15BoundedMemoryCompletes ./internal/bench || exit 1; \
+	done
 
 # onionlint is the repo's own invariant suite (see internal/analysis):
 # epoch bumps, budget charges, lock scope, error wrapping, context

@@ -1,10 +1,12 @@
 // Onionbench regenerates the experiment tables of DESIGN.md /
 // EXPERIMENTS.md: the Fig. 1 / Fig. 2 reproductions (E1, E2) and the
-// quantified claims (E3..E19).
+// quantified claims (E3..E11, E14..E18). E12, E13 and E19 were ratios
+// against executors that no longer exist; their numbers are frozen in
+// BENCH_PR2/3/10.json.
 //
 //	onionbench                         # run everything
 //	onionbench -exp E3                 # one experiment
-//	onionbench -exp E11,E12,E15,E19 -json  # machine-readable results (BENCH_*.json)
+//	onionbench -exp E11,E14,E15,E16,E17,E18 -json  # machine-readable results
 //	onionbench -list                   # list experiments
 package main
 
@@ -18,7 +20,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment ids, comma-separated (E1..E16); empty runs all")
+	exp := flag.String("exp", "", "experiment ids, comma-separated (E1..E11, E14..E18); empty runs all")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()

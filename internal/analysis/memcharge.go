@@ -16,10 +16,10 @@ import (
 // budget layer was built to make impossible.
 //
 // The check: in the executor files of a package whose path ends in
-// "query" (exec.go, pipeline.go, spill.go — the tuple execution path),
-// any `make` whose result type stores tuples (slices of kb.Value,
-// slices/maps of such slices) must sit in a function that also touches
-// the budget: calls (*mem.Budget).Reserve/MustReserve, or allocates
+// "query" (memChargeFiles: the per-step tuple executor, the batch
+// pipeline and their spill layers), any `make` whose result type stores
+// tuples (slices of kb.Value, slices/maps of such slices) must sit in a
+// function that also touches the budget: calls (*mem.Budget).Reserve/MustReserve, or allocates
 // through the tupleArena (whose blocks are charged on rotation). The
 // check is per-function, not per-path: a function that allocates hot
 // storage must at least participate in accounting.
@@ -30,9 +30,11 @@ var MemCharge = &Analyzer{
 	Run: runMemCharge,
 }
 
-// memChargeFiles are the tuple-execution files the contract covers —
-// the row-at-a-time path and the columnar batch path (whose column
-// vectors are tuple storage turned sideways).
+// memChargeFiles are the execution files the contract covers — the
+// per-step tuple executor (exec.go), the columnar batch pipeline
+// (batch.go, batchpipe.go — column vectors are tuple storage turned
+// sideways), its streaming projection (pipeline.go, projspill.go) and
+// the grace-hash spill layer (spill.go).
 var memChargeFiles = map[string]bool{
 	"exec.go":      true,
 	"pipeline.go":  true,

@@ -10,9 +10,9 @@ import (
 )
 
 // TestPlannedExecutionMatchesSequential is the determinism regression:
-// across every experiment query world, the planned paths — the slot-
-// tuple executor (inline and partitioned/streamed) and the retained PR 1
-// binding executor — must return byte-identical Result rows and row
+// across every experiment query world, the planned paths — the per-step
+// tuple executor (inline, and partitioned/streamed on shallow chains) and
+// the batch pipeline — must return byte-identical Result rows and row
 // ordering to the sequential reference, including on a plan-cache hit.
 func TestPlannedExecutionMatchesSequential(t *testing.T) {
 	type world struct {
@@ -76,9 +76,6 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 		{"pipelined-8", query.Options{Workers: 8}},        // cross-step pipeline on keyed chains
 		{"pipelined-8-cached", query.Options{Workers: 8}}, // second run hits the plan cache
 		{"pipelined-parts-3", query.Options{Workers: 8, Partitions: 3}},
-		{"barrier-pool-8", query.Options{Workers: 8, StepBarriers: true}}, // PR 2 per-step executor
-		{"compat-inline", query.Options{Workers: 1, CompatJoins: true}},
-		{"compat-pool-8", query.Options{Workers: 8, CompatJoins: true}},
 		// The tiny-budget leg: a 16KB cap forces every pipeline join
 		// partition into grace-hash spilling (and forces shallow chains
 		// onto the pipeline), yet rows must stay byte-identical.

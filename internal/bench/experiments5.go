@@ -2,9 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"time"
 
 	"repro/internal/articulation"
 	"repro/internal/kb"
@@ -13,18 +10,18 @@ import (
 	"repro/internal/rules"
 )
 
-// Parameters of the E13 deep-chain world: a 32-source federation whose
-// query is a chain of keyed joins, each conjunct fanning the frontier
-// out by chainDup values per instance — the shape where the per-step
-// materialisation barrier costs the most (the frontier regrows, gets
-// re-partitioned and re-indexed at every step).
+// Parameters of the deep-chain world (E15, and the frozen E13): a
+// 32-source federation whose query is a chain of keyed joins, each
+// conjunct fanning the frontier out by chainDup values per instance —
+// the shape where cross-step streaming matters most (without it the
+// frontier regrows, gets re-partitioned and re-indexed at every step).
 const (
 	chainSources   = 32
 	chainInstances = 80
 	chainDup       = 3
-	// chainWorkers forces a real pool for both E13 legs, so the
-	// comparison is barrier-vs-pipeline rather than pool-vs-inline and
-	// is meaningful on single-core CI runners too.
+	// chainWorkers forces a real pool, so the experiments on this world
+	// run the pipeline rather than the inline joins and are meaningful
+	// on single-core CI runners too.
 	chainWorkers = 8
 )
 
@@ -32,108 +29,11 @@ const (
 // order after the leading InstanceOf conjunct.
 var chainWorldPreds = []string{"L1", "L2", "L3", "L4", "L5"}
 
-// E13PipelineDepth compares the PR 2 per-step-barrier tuple executor
-// (Options{StepBarriers}) against the cross-step streaming pipeline as
-// the join chain deepens. Both legs run the same compiled plan, the same
-// partitioned hash joins and the same worker pool; the only difference
-// is whether each step's output is materialised, re-partitioned and
-// re-indexed before the next step (barrier) or re-hashed on the next
-// step's key slots at production time and streamed straight into its
-// partitions (pipeline). The sweep grows the WHERE chain one join at a
-// time, so the barrier count is the varied quantity.
-func E13PipelineDepth(depths []int) *Table {
-	if depths == nil {
-		depths = []int{3, 4, 5}
-	}
-	t := &Table{
-		ID:    "E13",
-		Title: "cross-step streaming — per-step join barriers vs. pipelined execution",
-		Columns: []string{"triples", "sources", "rows", "barrier ms", "pipeline ms",
-			"speedup", "partitions", "piped steps", "cancelled", "identical"},
-		Notes: []string{
-			fmt.Sprintf("%d sources, %d instances/source, %d values per (instance, predicate): the frontier widens %dx per join",
-				chainSources, chainInstances, chainDup, chainDup),
-			fmt.Sprintf("both legs forced to %d workers / %d partitions (GOMAXPROCS here: %d), so the barrier is the only variable",
-				chainWorkers, chainWorkers, runtime.GOMAXPROCS(0)),
-			"both legs run warm (plan cache hit) and report best-of-reps with a GC between runs; identical checks kind-strict cell-equal rows across barrier, pipeline and sequential",
-		},
-	}
-	const reps = 5
-	for _, nt := range depths {
-		eng, q := buildChainWorld(chainSources, chainInstances, nt, chainDup)
-		// Partitions pinned to the worker count: E13 tracks the barrier
-		// cost against PR 3/4 baselines, so the planner's adaptive
-		// per-step counts (E15's territory) are held out of this sweep.
-		barrier := query.Options{Workers: chainWorkers, Partitions: chainWorkers, StepBarriers: true}
-		pipe := query.Options{Workers: chainWorkers, Partitions: chainWorkers}
-
-		var resBar, resPipe *query.Result
-		var err error
-		// One cold run per leg compiles and caches the plan; the timed
-		// runs are the steady state a query-serving deployment lives in.
-		// Each leg reports its best of reps: on a shared/single-core
-		// runner the per-run jitter is GC and scheduler interference, and
-		// the minimum is the least-contaminated sample of the executor's
-		// own cost (a GC between runs keeps one leg's allocation debt out
-		// of the other's window).
-		if resBar, err = eng.ExecuteWith(q, barrier); err != nil {
-			panic(err)
-		}
-		dBar := time.Duration(math.MaxInt64)
-		for i := 0; i < reps; i++ {
-			runtime.GC()
-			d := timeIt(func() {
-				if resBar, err = eng.ExecuteWith(q, barrier); err != nil {
-					panic(err)
-				}
-			})
-			if d < dBar {
-				dBar = d
-			}
-		}
-		if resPipe, err = eng.ExecuteWith(q, pipe); err != nil {
-			panic(err)
-		}
-		dPipe := time.Duration(math.MaxInt64)
-		for i := 0; i < reps; i++ {
-			runtime.GC()
-			d := timeIt(func() {
-				if resPipe, err = eng.ExecuteWith(q, pipe); err != nil {
-					panic(err)
-				}
-			})
-			if d < dPipe {
-				dPipe = d
-			}
-		}
-		resSeq, err := eng.ExecuteWith(q, query.Options{Sequential: true})
-		if err != nil {
-			panic(err)
-		}
-		speedup := 0.0
-		if dPipe > 0 {
-			speedup = float64(dBar) / float64(dPipe)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", nt),
-			fmt.Sprintf("%d", chainSources),
-			fmt.Sprintf("%d", len(resPipe.Rows)),
-			ms(dBar), ms(dPipe),
-			fmt.Sprintf("%.2fx", speedup),
-			fmt.Sprintf("%d", resPipe.Stats.JoinPartitions),
-			fmt.Sprintf("%d", resPipe.Stats.PipelinedSteps),
-			fmt.Sprintf("%d", resPipe.Stats.ScansCancelled),
-			okMark(resBar.EqualRows(resPipe) && resSeq.EqualRows(resPipe)),
-		})
-	}
-	return t
-}
-
 // buildChainWorld makes an n-source federation where every instance
 // carries dup values under each of the first nt-1 chain predicates, and
 // a query chaining nt conjuncts on ?x — the frontier multiplies by dup
 // at every join step, so each step's output is substantially wider than
-// its scan input and the per-step barrier dominates the wall clock.
+// its scan input.
 // Returns the engine and the query.
 func buildChainWorld(n, instances, nt, dup int) (*query.Engine, query.Query) {
 	if n < 2 {

@@ -1,41 +1,41 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/query"
 )
 
-// TestE12TupleBeatsCompat locks the E12 shape at a reduced scale: rows
-// byte-identical across all three paths and the tuple executor ahead of
-// the PR 1 binding executor on the join-heaviest row. The full ≥2x
-// margin is reported by `onionbench -exp E12`; the test asserts the
-// direction with slack for CI timing noise.
+// TestE12TupleBeatsCompat keeps what is still true of the frozen E12
+// experiment on its world (1500 instances per source, 3 and 5 conjuncts):
+// the planned join executors return rows identical to the sequential
+// reference. The binding-map baseline it used to race was removed in
+// PR 24; the ratio is frozen in BENCH_PR2.json.
 func TestE12TupleBeatsCompat(t *testing.T) {
-	tab := E12JoinHeavy([]int{3, 5})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("E12 rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "ok" {
-			t.Errorf("E12 determinism check failed: %v", row)
+	for _, nt := range []int{3, 5} {
+		eng, q, _ := buildJoinWorld(2, 1500, nt)
+		want, err := eng.ExecuteWith(q, query.Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if raceEnabled {
-		t.Skip("timing shape under the race detector; byte-identity already checked")
-	}
-	last := tab.Rows[len(tab.Rows)-1]
-	sp := parseFloat(t, strings.TrimSuffix(last[6], "x"))
-	if sp <= 1.0 {
-		t.Errorf("tuple executor not faster on join-heavy query: %v", last)
+		if len(want.Rows) == 0 {
+			t.Fatalf("E12 world at %d triples produced no rows", nt)
+		}
+		for _, opts := range []query.Options{{Workers: 1}, {Workers: chainWorkers}} {
+			got, err := eng.ExecuteWith(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.EqualRows(got) {
+				t.Errorf("%d triples, %+v: diverged from sequential (%d vs %d rows)", nt, opts, len(got.Rows), len(want.Rows))
+			}
+		}
 	}
 }
 
 // Allocation-regression benchmarks: run with -benchmem (CI's bench smoke
-// does) to track the per-operation allocation drop of the slot-tuple
-// representation against the retained PR 1 baseline on the E11 fan-out
-// and E12 join-heavy worlds.
+// does) to track per-operation allocations of the planned executors on
+// the E11 fan-out and E12 join-heavy worlds.
 
 func benchWorldExec(b *testing.B, eng *query.Engine, q query.Query, opts query.Options) {
 	b.Helper()
@@ -56,80 +56,46 @@ func BenchmarkE11WorldTupleJoins(b *testing.B) {
 	benchWorldExec(b, eng, q, query.Options{})
 }
 
-func BenchmarkE11WorldCompatJoins(b *testing.B) {
-	eng, q, _ := buildFanoutWorld(8, 500)
-	benchWorldExec(b, eng, q, query.Options{CompatJoins: true})
-}
-
 func BenchmarkE12WorldTupleJoins(b *testing.B) {
 	eng, q, _ := buildJoinWorld(2, 500, 4)
 	benchWorldExec(b, eng, q, query.Options{})
 }
 
-func BenchmarkE12WorldCompatJoins(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, 500, 4)
-	benchWorldExec(b, eng, q, query.Options{CompatJoins: true})
-}
-
-// BenchmarkE12WorldPartitionedJoins exercises the streamed partitioned
-// join machinery (forced 4-way pool) so its costs are tracked even on
-// single-CPU runners.
-func BenchmarkE12WorldPartitionedJoins(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, 500, 4)
-	benchWorldExec(b, eng, q, query.Options{Workers: 4, StepBarriers: true})
-}
-
-// The E19 pair: the columnar batch executor vs. the row-at-a-time
-// pipeline it replaced as the default pipelined data plane, on the
-// scaled-up E19 join world — for -benchmem tracking and profiling.
-
-func BenchmarkE19WorldRowPipeline(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, e19Instances, 4)
-	benchWorldExec(b, eng, q, query.Options{Workers: chainWorkers, RowAtATime: true})
-}
-
+// BenchmarkE19WorldBatch tracks the columnar batch pipeline on the
+// scaled-up join world (E18's) — for -benchmem tracking and profiling.
 func BenchmarkE19WorldBatch(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, e19Instances, 4)
+	eng, q, _ := buildJoinWorld(2, e18Instances, 4)
 	benchWorldExec(b, eng, q, query.Options{Workers: chainWorkers})
 }
 
-// TestE13PipelineBeatsBarriers locks the E13 shape at a reduced scale:
-// rows cell-identical across barrier, pipeline and sequential, the
-// pipeline stats populated, and the cross-step pipeline ahead of the
-// per-step-barrier executor on the deepest chain. The full ≥1.3x margin
-// is reported by `onionbench -exp E13`; the test asserts the direction
-// with slack for CI timing noise.
+// TestE13PipelineBeatsBarriers keeps what is still true of the frozen
+// E13 experiment on its world (32 sources, 3 and 5 conjuncts, 8 workers
+// and 8 pinned partitions): rows identical to the sequential reference,
+// and the chain streams across every step. The forced per-step-barrier
+// leg it used to race was removed in PR 24; the ratio is frozen in
+// BENCH_PR3.json.
 func TestE13PipelineBeatsBarriers(t *testing.T) {
-	tab := E13PipelineDepth([]int{3, 5})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("E13 rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "ok" {
-			t.Errorf("E13 determinism check failed: %v", row)
+	for _, nt := range []int{3, 5} {
+		eng, q := buildChainWorld(chainSources, chainInstances, nt, chainDup)
+		want, err := eng.ExecuteWith(q, query.Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if row[7] == "0" {
-			t.Errorf("E13 pipeline did not stream across steps: %v", row)
+		got, err := eng.ExecuteWith(q, query.Options{Workers: chainWorkers, Partitions: chainWorkers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if raceEnabled {
-		t.Skip("timing shape under the race detector; cell-identity already checked")
-	}
-	last := tab.Rows[len(tab.Rows)-1]
-	sp := parseFloat(t, strings.TrimSuffix(last[5], "x"))
-	if sp <= 1.0 {
-		t.Errorf("pipeline not faster on deep chain: %v", last)
+		if len(want.Rows) == 0 || !want.EqualRows(got) {
+			t.Errorf("%d triples: pipeline diverged from sequential (%d vs %d rows)", nt, len(got.Rows), len(want.Rows))
+		}
+		if got.Stats.PipelinedSteps != nt-1 {
+			t.Errorf("%d triples: chain did not stream across every step: %+v", nt, got.Stats)
+		}
 	}
 }
 
-// Cross-step pipeline vs. per-step barriers on the deep-chain world —
-// the E13 pair for -benchmem tracking.
-
-func BenchmarkE13WorldStepBarriers(b *testing.B) {
-	eng, q := buildChainWorld(8, 60, 5, 2)
-	benchWorldExec(b, eng, q, query.Options{Workers: 4, StepBarriers: true})
-}
-
+// BenchmarkE13WorldPipelined tracks the cross-step pipeline on the
+// deep-chain world for -benchmem.
 func BenchmarkE13WorldPipelined(b *testing.B) {
 	eng, q := buildChainWorld(8, 60, 5, 2)
 	benchWorldExec(b, eng, q, query.Options{Workers: 4})

@@ -13,12 +13,12 @@ import (
 // selection bitmap instead of survivor copies, a []uint64 hash vector
 // filled one key column at a time, and budget accounting charged once
 // per batch (column capacity) instead of once per tuple. The tuple type
-// stays the row-at-a-time currency (spill runs, the RowAtATime pipeline,
-// the per-step executor); a colBatch is the same rows turned sideways.
+// stays the row-major currency of the spill runs and the per-step
+// executor; a colBatch is the same rows turned sideways.
 
 // batchRows is the row capacity of one column batch — scans fill batches
 // in runs of this size and every vectorized pass (hash, filter, scatter)
-// works over at most this many rows. 512 is the measured E19 sweet spot:
+// works over at most this many rows. 512 is the sweet spot PR 10 measured:
 // the vectorization win saturates well before that (the per-row loop
 // bodies are branch-light), fuller batches amortise the channel hop, and
 // a 1024-row capacity measured slower on the E13 chain world, where
@@ -53,11 +53,10 @@ func batchCost(width, rows int) int64 {
 	return int64(rows)*(int64(width)*valueBytes+8) + int64((rows+63)/64*8)
 }
 
-// colBatchPool recycles batch buffers across executions, like the row
-// pipeline's batchPool: steady-state streaming allocates no new columns
-// at all. Shapes vary by query (width) and by budget (row capacity), so
-// get re-allocates on a shape mismatch; a server answering a stable
-// query mix converges to perfect reuse.
+// colBatchPool recycles batch buffers across executions: steady-state
+// streaming allocates no new columns at all. Shapes vary by query (width)
+// and by budget (row capacity), so get re-allocates on a shape mismatch;
+// a server answering a stable query mix converges to perfect reuse.
 var colBatchPool sync.Pool
 
 // batchAlloc hands out colBatches for one execution. The budget is
@@ -139,29 +138,15 @@ func (b *colBatch) clearRow(i int) {
 	b.sel[i>>6] &^= 1 << uint(i&63)
 }
 
-// selected counts the rows that survived the selection mask.
-func (b *colBatch) selected() int {
-	if b.sel == nil {
-		return b.n
-	}
-	cnt := 0
-	for i := 0; i < b.n; i++ {
-		if b.live(i) {
-			cnt++
-		}
-	}
-	return cnt
-}
-
 // batchHashSeed starts every row's key-hash accumulation; hashCell folds
 // one key column's cell in. The batch path hashes values directly —
 // kind, canonical float bits, string bytes — instead of encoding the key
-// to rowkey bytes first (the row pipeline's appendSlotKey+hashKey), so a
-// batch hash pass touches each column once with no byte materialisation.
-// The two executors never mix hashes within one execution, so the
-// functions need not agree — but hashCell must respect the engine's join
-// equality (sameCell): equal cells hash equal, every NaN hashes in one
-// class, and +0/-0 may differ (they never join).
+// to rowkey bytes first (the per-step executor's appendSlotKey+hashKey),
+// so a batch hash pass touches each column once with no byte
+// materialisation. The two executors never mix hashes within one
+// execution, so the functions need not agree — but hashCell must respect
+// the engine's join equality (sameCell): equal cells hash equal, every
+// NaN hashes in one class, and +0/-0 may differ (they never join).
 const batchHashSeed = 0x9E3779B97F4A7C15
 
 // canonNaNBits is the one bit image all NaNs hash through, mirroring the
@@ -284,11 +269,11 @@ func (b *colBatch) copyRow(src *colBatch, i int, h uint64, slots []int) {
 }
 
 // rowTuple copies row i's listed slots into the scratch tuple — the
-// bridge to the row-at-a-time machinery the batch path shares with the
-// pipeline: spill runs encode tuples, and the grace-join completion
-// replays them. A scratch tuple is dedicated to one slot list, so the
-// slots outside it stay zero (the tuple executor's unbound-slot
-// convention) and the encoded wire bytes are deterministic.
+// bridge to the row-major spill machinery (spill.go): spill runs encode
+// tuples, and the grace-join completion replays them. A scratch tuple is
+// dedicated to one slot list, so the slots outside it stay zero (the
+// tuple executor's unbound-slot convention) and the encoded wire bytes
+// are deterministic.
 func (b *colBatch) rowTuple(i int, scratch tuple, slots []int) tuple {
 	for _, s := range slots {
 		scratch[s] = b.cols[s][i]
@@ -423,16 +408,6 @@ func (bs *buildStore) appendBatch(b *colBatch) {
 	for i := 0; i < b.n; i++ {
 		bs.link(base + int32(i))
 	}
-}
-
-// appendTuple adds one row-major row (the probe-replay and test paths).
-func (bs *buildStore) appendTuple(t tuple, h uint64) {
-	j := int32(len(bs.hashes))
-	for _, s := range bs.slots {
-		bs.cols[s] = append(bs.cols[s], t[s])
-	}
-	bs.hashes = append(bs.hashes, h)
-	bs.link(j)
 }
 
 func (bs *buildStore) rows() int { return len(bs.hashes) }

@@ -57,8 +57,7 @@ func batchEdgeEngine(t testing.TB, instances int) (*Engine, Query) {
 // column-batch capacity on both the full-capacity and budgeted-capacity
 // paths: one row short of a full batch, exactly full, one row over, and
 // several batches plus a remainder. Rows must stay byte-identical to
-// the sequential reference and to the pinned row-at-a-time pipeline at
-// every size.
+// the sequential reference at every size.
 func TestBatchBoundaryRowCounts(t *testing.T) {
 	for _, n := range []int{batchRows - 1, batchRows, batchRows + 1, 2*batchRows + 3} {
 		t.Run(fmt.Sprintf("rows-%d", n), func(t *testing.T) {
@@ -89,13 +88,6 @@ func TestBatchBoundaryRowCounts(t *testing.T) {
 			if !want.EqualRows(budgeted) {
 				t.Errorf("budgeted batch diverged: sequential %d rows, got %d", len(want.Rows), len(budgeted.Rows))
 			}
-			row, err := eng.ExecuteWith(q, Options{Workers: 4, RowAtATime: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !want.EqualRows(row) {
-				t.Errorf("row-at-a-time diverged: sequential %d rows, got %d", len(want.Rows), len(row.Rows))
-			}
 		})
 	}
 }
@@ -113,7 +105,7 @@ func TestBatchSelectionMaskAllZero(t *testing.T) {
 	}{
 		{"batch", Options{Workers: 4}},
 		{"batch-budgeted", Options{Workers: 4, MemoryLimit: 1 << 14}},
-		{"row", Options{Workers: 4, RowAtATime: true}},
+		{"inline", Options{Workers: 1}},
 	} {
 		got, err := eng.ExecuteWith(dead, leg.opts)
 		if err != nil {
@@ -155,7 +147,7 @@ func TestBatchEmptyStep(t *testing.T) {
 	}{
 		{"batch", Options{Workers: 4}},
 		{"batch-budgeted", Options{Workers: 4, MemoryLimit: 1 << 14}},
-		{"row", Options{Workers: 4, RowAtATime: true}},
+		{"inline", Options{Workers: 1}},
 	} {
 		got, err := eng.ExecuteWith(empty, leg.opts)
 		if err != nil {
@@ -171,8 +163,8 @@ func TestBatchEmptyStep(t *testing.T) {
 // executor matrix: on every bench world — join-heavy, deep-chain, and
 // the adversarial rowkey payloads — the batch plane must produce rows
 // byte-identical to the sequential reference under GOMAXPROCS 1, 2 and
-// 8, unbounded and under the 16KB budget, alongside the compat and
-// pinned row-at-a-time legs.
+// 8, unbounded and under the 16KB budget, alongside the inline and
+// pinned-partition legs.
 func TestBatchDeterminismAcrossProcs(t *testing.T) {
 	worlds := []struct {
 		name  string
@@ -201,11 +193,11 @@ func TestBatchDeterminismAcrossProcs(t *testing.T) {
 						opts Options
 					}{
 						{"default-workers", Options{}},
-						{"compat", Options{Workers: 4, CompatJoins: true}},
-						{"row-pipeline", Options{Workers: 4, RowAtATime: true}},
+						{"inline", Options{Workers: 1}},
 						{"batch", Options{Workers: 4}},
+						{"batch-parts-3", Options{Workers: 4, Partitions: 3}},
 						{"batch-16k", Options{Workers: 4, MemoryLimit: 1 << 14}},
-						{"row-16k", Options{Workers: 4, MemoryLimit: 1 << 14, RowAtATime: true}},
+						{"batch-16k-parts-1", Options{Workers: 4, Partitions: 1, MemoryLimit: 1 << 14}},
 					}
 					for _, leg := range legs {
 						got, err := eng.ExecuteWith(q, leg.opts)

@@ -12,13 +12,35 @@ import (
 	"repro/internal/query/mem"
 )
 
-// This file is the columnar batch executor: the default data plane for
-// every pipelined execution (plan.batches) unless Options{RowAtATime}
-// pins the PR 3 tuple-at-a-time pipeline. The topology is exactly
-// executePipelined's — one bounded scan pool, per-(step,partition) stage
-// workers wired by channels, streaming projection, ordered merge — but
-// the currency between stages is a colBatch (batch.go) instead of a
-// []tuple batch, and the three per-row hot loops run vectorized:
+// This file is the cross-step streaming pipeline on columnar batches: the
+// planned execution path whenever the worker pool has more than one
+// worker and the plan is a keyed join chain worth pipelining
+// (plan.pipelines). The per-step executor (exec.go) fully materialises
+// each join step's output before the next step's scans dispatch; here
+// every step runs concurrently instead:
+//
+//   - all steps' scans share one bounded worker pool, dispatched in step
+//     order, so a later step's sources scan while earlier joins probe;
+//   - each join step is a set of partition workers that build a hash
+//     table from the step's own scan output (routed by key hash) and
+//     probe it with the accumulated rows streamed from the previous
+//     step — no frontier is ever materialised between steps;
+//   - a step's probe output is re-hashed on the *next* step's key slots
+//     at production time (plan.nextKeySlots) and streamed straight into
+//     the next step's partition channels in batches;
+//   - when a step's output is provably empty the pipeline cancels:
+//     undispatched scans are skipped (the pipelined form of the per-step
+//     empty-join short-circuit) and the stages drain out.
+//
+// Partition counts are planner-derived per step (plan.stepPartCount:
+// estimate-proportional, skew-aware) unless Options{Partitions} pins a
+// global count. The final step's output never materialises either: each
+// last-stage partition dedups its probe output straight onto the SELECT
+// slots (the streaming projection, pipeline.go) and the executor merges
+// the sorted per-partition row sets.
+//
+// The currency between stages is a colBatch (batch.go), and the three
+// per-row hot loops run vectorized:
 //
 //   - hash computation is one pass per key column into the batch's
 //     []uint64 hash vector (hashKeys), with no rowkey byte
@@ -28,22 +50,29 @@ import (
 //   - filters clear bits in the batch's selection mask
 //     (applyFiltersVec) instead of copying survivors.
 //
-// The budget is charged once per batch at column capacity (batchAlloc)
-// instead of once per tuple/arena-block, and spilling reuses the row
-// pipeline's grace-hash machinery wholesale: batch rows bridge to the
-// rowkey wire format through a reusable scratch tuple (spillRun.add
-// encodes immediately and never retains its argument), and grace-join
-// emissions re-enter the columnar flow through batchOutput. Partitions
-// degrade hybrid: the already-reserved build prefix stays in memory and
-// only the overflow spills (Stats.HybridJoins).
+// Memory governance: the budget (internal/query/mem) is charged once per
+// batch at column capacity (batchAlloc), and every stage partition
+// charges a child reservation for its build store and pending probe
+// batches. A partition whose reservation runs out degrades in two steps:
+// first the pending probe queue overflows to a temp-file run (the build
+// store stays in memory and the run is replayed through it once
+// complete); if the build store itself cannot reserve, the partition
+// becomes a grace-hash join (spill.go) — hybrid: the already-reserved
+// build prefix stays in memory and only the overflow spills
+// (Stats.HybridJoins), recursively sub-partitioned until each piece joins
+// within budget. Batch rows bridge to the rowkey wire format through a
+// reusable scratch tuple (spillRun.add encodes immediately and never
+// retains its argument), and grace-join emissions re-enter the columnar
+// flow through batchOutput.
 //
-// Rows are byte-identical to every other executor. The batch hash
-// function differs from the row pipeline's (hashCell vs hashKey), so
-// rows land on different partitions — but a match pair routes to the
-// same partition under any key-hash function, every partition's row set
-// is deduped and sorted, and the final ordered merge normalises the
-// global order. JoinedRows/StepRows count post-filter emissions, which
-// are match-pair counts independent of partitioning and batching.
+// Rows, JoinedRows and the projection are byte-identical to every other
+// path, spilled or not: batch arrival order varies run to run, but the
+// row *set* per partition is fixed by the key hash (a match pair routes
+// to the same partition under any key-hash function), the spill wire
+// format round-trips kind-strictly, every partition's row set is deduped
+// and sorted, and the final ordered merge normalises the global order.
+// JoinedRows/StepRows count post-filter emissions, which are match-pair
+// counts independent of partitioning and batching.
 
 // batchRouter scatters selected batch rows toward one step's partition
 // channels, one local batch per destination, sending each as it fills.
@@ -409,9 +438,12 @@ func (o *batchOutput) flush() {
 }
 
 // executeBatched runs a keyed join chain on the columnar batch pipeline.
-// Caller guarantees are executePipelined's (plan.batches implies
-// plan.pipelines); cancellation, spill-error drain, deterministic stat
-// merges and the final ordered merge all mirror it line for line.
+// Callers guarantee (plan.pipelines): more than one worker, at least two
+// steps, and every step after the first has key slots (plan.chainKeyed).
+// A cancelled context rides the same machinery as the provably-empty
+// short-circuit: remaining scan dispatch is skipped, the stages drain,
+// and ctx.Err() is returned instead of the partial result. A spill I/O
+// failure drains the same way and surfaces as the returned error.
 func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, opts Options, bud *mem.Budget, res *Result) error {
 	st := &res.Stats
 	width := len(plan.slotNames)
@@ -469,16 +501,22 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		return stepSpans[si]
 	}
 
-	// Budget wiring matches the row pipeline: stage partitions' spillable
-	// retention (build stores, pending probe batches) reserves from a
-	// shared half-cap pool; the fixed working state — the batch pool's
-	// capacity charges, spill write buffers, projected rows — draws on
-	// the root via MustReserve.
+	// Budget wiring: every stage partition's spillable retention (build
+	// store + pending probe batches) reserves from one shared pool — half
+	// the cap — so memory fills first-come and only the overflow degrades
+	// to disk (the fleet-level hybrid: a 2x-over-cap workload spills
+	// roughly half its partitions, not all of them). The other half of
+	// the cap is headroom for the fixed working state charged via
+	// MustReserve (the batch pool's capacity charges, spill write
+	// buffers, the projected rows) and for the grace joins' finish-time
+	// chunk reservations, which draw on the root directly.
 	limit := opts.MemoryLimit
 	chanDepth := pipeChanDepth
 	poolLimit := int64(0)
 	if limit > 0 {
 		chanDepth = budgetedChanDepth
+		// Floor at one byte: a degenerate limit must yield a pool that
+		// refuses everything (spill-everything), not an unlimited one.
 		poolLimit = max(limit/2, 1)
 	}
 	spillPool := bud.Child(poolLimit)
@@ -504,6 +542,10 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		scanCh[si] = mkChans(parts[si])
 	}
 
+	// cancel fires when some step's output is provably empty (the final
+	// result is empty regardless of the remaining scans) or when a spill
+	// I/O error makes the result unreachable: dispatch stops and the
+	// stages drain.
 	cancel := make(chan struct{})
 	var cancelOnce sync.Once
 	cancelFn := func() { cancelOnce.Do(func() { close(cancel) }) }
@@ -517,6 +559,10 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		cancelFn()
 	}
 
+	// Per-(step, scan) private stats, merged in (step, source) order
+	// after the pipeline drains, so the work counters are deterministic
+	// under any scheduling (modulo cancellation, which is timing-
+	// dependent by nature and only ever skips work).
 	taskStats := make([][]Stats, n)
 	liveTasks := make([][]int, n)
 	total := 0
@@ -532,6 +578,10 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		total += len(liveTasks[si])
 	}
 
+	// stepOut[si] counts the rows step si emitted downstream (step 0:
+	// scan output after filters; stages: probe output after filters).
+	// stepDur[si] is the step's wall-clock from pipeline start to its
+	// completion, stamped by the step's closer (Stats.StepDurNs).
 	stepOut := make([]int64, n)
 	stepDur := make([]int64, n)
 	// Per-stage-partition counters, merged in (step, partition) order.
@@ -559,6 +609,9 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	// accumulation is still deterministic whatever the scheduling.
 	var filterInTot, filterKeptTot int64
 
+	// Scan worker pool, shared by every step's scans, dispatched in step
+	// order: step 0 feeds upCh[1] directly (hashed on step 1's keys);
+	// step si>=1 feeds its own build side scanCh[si].
 	scanWg := make([]sync.WaitGroup, n)
 	for si := range plan.steps {
 		scanWg[si].Add(len(liveTasks[si]))
@@ -629,9 +682,14 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 				case jobs <- scanJob{si, j}:
 					dispatched++
 				case <-cancel:
+					// Provably-empty output upstream (or a spill error):
+					// skip this and every remaining scan, releasing the
+					// per-step completion counts so the stages drain.
 					cancelled++
 					scanWg[si].Done()
 				case <-ctx.Done():
+					// Deadline/cancellation: same drain path; the caller
+					// discards the partial result and reports ctx.Err().
 					cancelled++
 					scanWg[si].Done()
 				}
@@ -639,6 +697,11 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		}
 	}()
 
+	// Per-step closers: a step's scan side closes when its scans finish
+	// (or are skipped). Step 0's "scan side" is stage 1's probe side.
+	// Closers also stamp the step's duration and close its trace span;
+	// closersWg gives the final stat merge a happens-before edge on
+	// those writes.
 	var closersWg sync.WaitGroup
 	closersWg.Add(n)
 	go func() {
@@ -666,8 +729,10 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	}
 
 	// Join stages: one partition worker per (step, partition), building a
-	// columnar store from the scan side while buffering (or spilling)
-	// early probe batches. Degradation is hybrid from the start: a failed
+	// columnar store from the scan side while *always* staying ready to
+	// buffer (or spill) early probe batches — the select keeps every
+	// producer unblocked, so the shared scan pool can never wedge behind a
+	// stage. Degradation is hybrid from the start: a failed
 	// build reservation freezes the already-reserved prefix in memory and
 	// routes only the overflow to disk — every overflowed probe row is
 	// written to the probe run (before any probing, so the encoded bytes
@@ -776,12 +841,22 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						alloc.put(b)
 						return
 					}
-					cost := int64(b.n) * tc
-					if partBud.Reserve(cost) {
+					// A parked batch is spillable retention, not fixed working
+					// state: move its capacity charge from the root (taken at
+					// alloc.get) into the partition's pool reservation, so a
+					// pending batch is accounted once and alloc.put later
+					// releases nothing.
+					if cost := b.cost; partBud.Reserve(cost) {
+						bud.Release(cost)
+						b.cost = 0
 						pendCharged += cost
 						pending = append(pending, b)
 						return
 					}
+					// Pending overflow: the build store stays in memory; probe
+					// rows overflow to a run replayed once the build side is
+					// complete. Counts as a spilled partition — it is writing
+					// rows to disk.
 					if err := sp.ensureProbe(); err != nil {
 						fail(err)
 						alloc.put(b)
@@ -880,6 +955,8 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						alloc.put(b)
 					}
 					pending = nil
+					partBud.Release(pendCharged)
+					pendCharged = 0
 					if probeSpilled {
 						var spillSpan *obs.Span
 						if partSpan != nil {
@@ -987,6 +1064,8 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 			}(si, p)
 		}
 	}
+	// Per-stage closers: when stage si finishes, its downstream probe
+	// side closes; an empty stage output cancels remaining scan work.
 	for si := 1; si < n; si++ {
 		go func(si int) {
 			defer closersWg.Done()
@@ -1018,6 +1097,8 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		return pipeErr
 	}
 
+	// Deterministic stat merge: task stats in (step, source) order, then
+	// the per-partition counters in (step, partition) order.
 	for si := range plan.steps {
 		for j := range taskStats[si] {
 			st.accrue(taskStats[si][j])
@@ -1061,6 +1142,10 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		st.SelectivityPct = 100
 	}
 
+	// The streaming projection's ordered merge: every partition's rows
+	// arrive deduplicated and sorted; the merge drops cross-partition
+	// duplicates and yields the deterministic global order shared by all
+	// execution paths.
 	st.JoinedRows = int(stepOut[n-1])
 	res.Rows = mergeSortedKeyed(projParts, bud)
 	return nil

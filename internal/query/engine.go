@@ -61,8 +61,8 @@ type Stats struct {
 	StreamedBatches int
 	// PipelinedSteps counts join steps that received their probe input
 	// streamed from the previous step instead of from a materialised
-	// frontier — the cross-step pipeline (0 on the sequential, compat
-	// and per-step-barrier executions).
+	// frontier — the cross-step pipeline (0 on the sequential and
+	// per-step executions).
 	PipelinedSteps int
 	// StepPartitions records each join step's hash-partition count in
 	// join order (0 for the leading scan step and for inline joins; nil
@@ -79,16 +79,19 @@ type Stats struct {
 	// memory budget (internal/query/mem): build tables, pending probe
 	// queues, arena blocks, projection dedup sets and spill buffers.
 	// Reported whether or not Options{MemoryLimit} caps it (0 on the
-	// sequential and compat reference paths, which do not account).
+	// sequential reference path, which does not account).
 	BytesReserved int64
 	// SpilledPartitions counts join partitions that spilled tuples to
 	// disk under Options{MemoryLimit} — a pending probe queue
 	// overflowing to a run (build table still in memory), or the full
 	// grace-hash degrade when the build table itself could not reserve.
-	// Whether a given partition crosses its reservation can depend on
-	// arrival interleaving, so the count is timing-influenced — but it
-	// is always > 0 when the limit genuinely undercuts the build
-	// footprint, and always 0 without a limit.
+	// Deterministic: 0 without a limit; > 0 whenever one join step's
+	// build side alone exceeds the shared pool (MemoryLimit/2), since a
+	// step's partitions hold their build rows concurrently; equal to
+	// the step's partition count when every partition's build side
+	// does. Which partitions lose a reservation otherwise is decided by
+	// arrival order in the first-come pool, so between those bounds the
+	// count varies run to run.
 	SpilledPartitions int
 	// SpillRuns counts temp-file runs the grace-hash joins created
 	// (build + probe sides, including recursive sub-partitioning).
@@ -117,8 +120,13 @@ type Stats struct {
 	SelectivityPct float64
 	// HybridJoins counts join partitions that degraded as hybrid
 	// grace-hash joins: the build prefix already reserved stayed in
-	// memory and only the overflow spilled to runs. A subset of
-	// SpilledPartitions, and timing-influenced the same way.
+	// memory and only the overflow spilled to runs. Deterministic: 0
+	// without a limit; never above SpilledPartitions; > 0 when every
+	// partition's build side exceeds the pool and the limit covers the
+	// probe side plus the batch pool's fixed state, so the first build
+	// batch always reserves (TestHybridGraceJoin's world). Otherwise a
+	// partition keeps a prefix only if a build batch lands before early
+	// probe batches fill the pool — a race, and the count can be 0.
 	HybridJoins int
 	// ProjectionSpills counts last-stage partitions whose streaming
 	// projection dedup set could not reserve and degraded to sorted
@@ -128,8 +136,8 @@ type Stats struct {
 	// StepRows records each planned step's emitted row count in join
 	// order, after the filters that first apply at that step — the
 	// actuals EXPLAIN ANALYZE reports against the planner estimates.
-	// Deterministic; nil on the Sequential and CompatJoins reference
-	// paths, which do not run the slot executor's step machinery.
+	// Deterministic; nil on the Sequential reference path, which does not
+	// run the planned executors' step machinery.
 	StepRows []int
 	// StepDurNs records each planned step's wall-clock duration in
 	// nanoseconds, in join order. On the pipelined path all steps run
@@ -552,18 +560,12 @@ func (e *Engine) compileView(name string, t Triple, stats *Stats) scanView {
 	return v
 }
 
-// scanSource evaluates the triple in one source (sequential path:
-// expansion and full scan in one step).
+// scanSource evaluates the triple in one source on the sequential
+// reference path: expansion and an unindexed full scan in one step,
+// materialising binding-map rows. The planned executors consume scanMatch
+// directly with a tuple or batch emitter.
 func (e *Engine) scanSource(name string, src *Source, t Triple, stats *Stats) ([]binding, error) {
 	v := e.compileView(name, t, stats)
-	return e.scanWithView(name, src, t, v, stats, false), nil
-}
-
-// scanWithView evaluates the triple in one source against a precompiled
-// view, materialising binding-map rows — the row representation of the
-// sequential reference path and the PR 1 compat executor. The slot-based
-// executor consumes scanMatch directly with a tuple emitter instead.
-func (e *Engine) scanWithView(name string, src *Source, t Triple, v scanView, stats *Stats, indexed bool) []binding {
 	// bindVar records a variable binding, enforcing equality when the
 	// triple repeats a variable (e.g. "?x Likes ?x").
 	bindVar := func(b binding, t Term, val kb.Value) bool {
@@ -577,7 +579,7 @@ func (e *Engine) scanWithView(name string, src *Source, t Triple, v scanView, st
 		return true
 	}
 	var rows []binding
-	e.scanMatch(name, src, t, v, stats, indexed, func(s, p, o kb.Value) bool {
+	e.scanMatch(name, src, t, v, stats, false, func(s, p, o kb.Value) bool {
 		b := binding{}
 		if !bindVar(b, t.S, s) || !bindVar(b, t.P, p) || !bindVar(b, t.O, o) {
 			return false
@@ -585,7 +587,7 @@ func (e *Engine) scanWithView(name string, src *Source, t Triple, v scanView, st
 		rows = append(rows, b)
 		return true
 	})
-	return rows
+	return rows, nil
 }
 
 // scanMatch is the matching core shared by every execution path: it walks
@@ -973,7 +975,8 @@ func sharedVars(left, right []binding) []string {
 // kind-strict and framing-safe, so a term literally named "\x01unbound"
 // or payloads containing '\x00' cannot falsely join (the seed joined
 // Format() strings with raw separators and an in-band unbound sentinel).
-// All three executors therefore agree on join equality exactly.
+// The reference path therefore agrees with the planned executors on
+// join equality exactly.
 func joinKey(b binding, vars []string) string {
 	var buf []byte
 	for _, v := range vars {

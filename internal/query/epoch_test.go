@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -140,6 +141,42 @@ func TestInvalidateCacheStillForcesFlush(t *testing.T) {
 	}
 }
 
+// TestInvalidateCacheDropsFactQuals regresses the documented use of
+// InvalidateCache — swap a Source's KB pointer in place, then flush: the
+// fact-ordinal qualification cache must go with the other per-source
+// indexes, or indexed scans keep emitting the old store's subjects by
+// ordinal while the sequential reference reads the new store.
+func TestInvalidateCacheDropsFactQuals(t *testing.T) {
+	eng, q := projWideEngine(t, 8)
+	if _, err := eng.ExecuteWith(q, Options{Workers: 1}); err != nil { // builds factQIdx
+		t.Fatal(err)
+	}
+	swapped := kb.New("pw1")
+	for k := 0; k < 8; k++ {
+		inst := fmt.Sprintf("swapped%c", 'A'+k)
+		swapped.MustAdd(inst, "InstanceOf", kb.Term("Item"))
+		swapped.MustAdd(inst, "P", kb.Number(float64(k)))
+	}
+	eng.sources["pw1"].KB = swapped
+	eng.InvalidateCache()
+	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasRow(want, "pw1.swappedA", "0") {
+		t.Fatalf("sequential does not read the swapped store: %v", want.Rows)
+	}
+	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 16}} {
+		got, err := eng.ExecuteWith(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.EqualRows(got) {
+			t.Errorf("%+v: planned rows after KB swap + InvalidateCache diverged from sequential:\n got %v\nwant %v", opts, got.Rows, want.Rows)
+		}
+	}
+}
+
 // TestExecuteCtxCancellation checks every executor path returns the
 // context error instead of a partial result, both when cancelled before
 // the call and when the deadline expires mid-execution.
@@ -152,8 +189,7 @@ func TestExecuteCtxCancellation(t *testing.T) {
 		{Sequential: true},
 		{Workers: 1},
 		{Workers: 4},
-		{Workers: 4, StepBarriers: true},
-		{Workers: 4, CompatJoins: true},
+		{Workers: 4, MemoryLimit: 1 << 16},
 	}
 	for _, opts := range modes {
 		if _, err := eng.ExecuteCtx(cancelled, q, opts); !errors.Is(err, context.Canceled) {

@@ -52,9 +52,10 @@ func joinHeavyEngine(t testing.TB, instances int) (*Engine, Query) {
 	return eng, q
 }
 
-// TestTupleExecutorMatchesReferences checks the three execution paths —
-// sequential reference, PR 1 compat joins, slot-tuple joins (inline and
-// partitioned/streamed) — against each other on the join-heavy world.
+// TestTupleExecutorMatchesReferences checks the planned executors — the
+// per-step tuple joins (inline, and partitioned/streamed through the
+// shallow gate) and the batch pipeline — against the sequential reference
+// on the join-heavy world.
 func TestTupleExecutorMatchesReferences(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 300)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -69,15 +70,10 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 		opts Options
 	}{
 		{"tuple-inline", Options{Workers: 1}},
-		{"tuple-barrier-pool", Options{Workers: 4, StepBarriers: true}},
 		{"pipelined", Options{Workers: 4}},
 		{"pipelined-cached", Options{Workers: 4}},
 		{"pipelined-parts-3", Options{Workers: 4, Partitions: 3}},
-		{"row-pipeline", Options{Workers: 4, RowAtATime: true}},
-		{"row-pipeline-parts-3", Options{Workers: 4, Partitions: 3, RowAtATime: true}},
 		{"batch-16k-budget", Options{Workers: 4, MemoryLimit: 1 << 14}},
-		{"compat-inline", Options{Workers: 1, CompatJoins: true}},
-		{"compat-pool", Options{Workers: 4, CompatJoins: true}},
 	}
 	for _, m := range modes {
 		got, err := eng.ExecuteWith(q, m.opts)
@@ -110,28 +106,40 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 	if got.Stats.PipelinedSteps == 0 {
 		t.Errorf("pooled chain did not pipeline: %+v", got.Stats)
 	}
-	// The default pipelined run executes on the columnar batch plane;
-	// Options{RowAtATime} must pin the tuple plane on the same pool.
+	// The pipelined run executes on the columnar batch plane.
 	if got.Stats.Batches == 0 || got.Stats.BatchRows == 0 {
 		t.Errorf("default pipeline did not batch: %+v", got.Stats)
 	}
-	rowLeg, err := eng.ExecuteWith(q, Options{Workers: 4, RowAtATime: true})
+	// A pooled chain under the shallow gate (two keyed joins, a summed
+	// estimate below shallowPipelineMinEst, no limit) runs the per-step
+	// executor's partitioned streamed join instead: it must partition and
+	// stream within each step, never across steps, with the same rows.
+	small, _ := joinHeavyEngine(t, 40)
+	sq := MustParse(`SELECT ?x ?p ?q WHERE ?x InstanceOf Item . ?x Price ?p . ?x Qty ?q . FILTER ?p > 60`)
+	sWant, err := small.ExecuteWith(sq, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rowLeg.Stats.Batches != 0 || rowLeg.Stats.BatchRows != 0 {
-		t.Errorf("RowAtATime run reported column batches: %+v", rowLeg.Stats)
+	if len(sWant.Rows) == 0 {
+		t.Fatalf("shallow world produced no rows")
 	}
-	// So must the per-step barrier run — within each step.
-	barrier, err := eng.ExecuteWith(q, Options{Workers: 4, StepBarriers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if barrier.Stats.JoinPartitions < 1 || barrier.Stats.StreamedBatches == 0 {
-		t.Errorf("barrier run did not partition/stream within steps: %+v", barrier.Stats)
-	}
-	if barrier.Stats.PipelinedSteps != 0 {
-		t.Errorf("barrier run claims pipelining: %+v", barrier.Stats)
+	for _, opts := range []Options{{Workers: 4}, {Workers: 4, Partitions: 3}} {
+		streamed, err := small.ExecuteWith(sq, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sWant.EqualRows(streamed) || streamed.Stats.JoinedRows != sWant.Stats.JoinedRows {
+			t.Errorf("%+v: per-step streamed join diverged: sequential %d rows, got %d", opts, len(sWant.Rows), len(streamed.Rows))
+		}
+		if streamed.Stats.PipelinedSteps != 0 || streamed.Stats.Batches != 0 {
+			t.Errorf("%+v: shallow chain ran the batch pipeline: %+v", opts, streamed.Stats)
+		}
+		if streamed.Stats.JoinPartitions < 1 || streamed.Stats.StreamedBatches == 0 {
+			t.Errorf("%+v: per-step run did not partition/stream within steps: %+v", opts, streamed.Stats)
+		}
+		if opts.Partitions > 0 && streamed.Stats.JoinPartitions != opts.Partitions {
+			t.Errorf("%+v: per-step JoinPartitions = %d", opts, streamed.Stats.JoinPartitions)
+		}
 	}
 	// An explicit global Partitions override still pins every step.
 	pinned, err := eng.ExecuteWith(q, Options{Workers: 4, Partitions: 4})
@@ -163,7 +171,7 @@ func TestTupleCrossProduct(t *testing.T) {
 	if len(want.Rows) == 0 {
 		t.Fatalf("cross product empty")
 	}
-	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {CompatJoins: true}} {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 4}} {
 		got, err := eng.ExecuteWith(q, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -257,9 +265,9 @@ func TestPerRowJoinAllocs(t *testing.T) {
 }
 
 // TestPerRowBatchAllocs pins the batch plane's amortized allocation
-// rate below the row-at-a-time pipeline's measured ~8 per joined row:
-// columns, hash vectors and selection masks are allocated per batch and
-// pooled, so the per-row count must drop well under the PR 2 bound.
+// rate per joined row: columns, hash vectors and selection masks are
+// allocated per batch and pooled, so the per-row count must stay well
+// under the per-step tuple path's bound (TestPerRowJoinAllocs).
 func TestPerRowBatchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting under -short")
@@ -293,8 +301,8 @@ func TestPerRowBatchAllocs(t *testing.T) {
 }
 
 // TestNaNJoinMatchesReference regresses the NaN join contract: the
-// reference paths key joins on Format(), where every NaN renders "NaN"
-// and therefore joins, so the tuple path must join NaN with NaN too —
+// reference path keys joins on Format(), where every NaN renders "NaN"
+// and therefore joins, so the planned paths must join NaN with NaN too —
 // on every executor, with identical rows.
 func TestNaNJoinMatchesReference(t *testing.T) {
 	eng, _ := joinHeavyEngine(t, 4)
@@ -316,7 +324,7 @@ func TestNaNJoinMatchesReference(t *testing.T) {
 	if !foundNaN {
 		t.Fatalf("sequential reference did not join NaN prices: %v", want.Rows)
 	}
-	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {CompatJoins: true}} {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 14}} {
 		got, err := eng.ExecuteWith(q, opts)
 		if err != nil {
 			t.Fatal(err)

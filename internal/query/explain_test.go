@@ -125,7 +125,7 @@ func TestExplainShowsPipelineEdges(t *testing.T) {
 		t.Fatalf("last step StreamsInto = %d, want -1", got)
 	}
 	out := plan.String()
-	for _, want := range []string{"cross-step pipeline", "hash-partitioned 3 ways", "~> streams into step 2 on {"} {
+	for _, want := range []string{"exec: columnar batches; cross-step pipeline", "hash-partitioned 3 ways", "~> streams into step 2 on {"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("pipelined plan output missing %q:\n%s", want, out)
 		}
@@ -140,6 +140,9 @@ func TestExplainShowsPipelineEdges(t *testing.T) {
 	}
 	if shallow.Pipelined || shallow.Triples[0].StreamsInto != -1 {
 		t.Fatalf("shallow low-estimate chain should not pipeline: %+v", shallow.Triples[0])
+	}
+	if out := shallow.String(); !strings.Contains(out, "exec: slot tuples") || strings.Contains(out, "columnar batches") {
+		t.Fatalf("shallow plan does not name the per-step tuple executor:\n%s", out)
 	}
 
 	// A single-worker engine over the same plan shape stays inline.

@@ -1,159 +1,32 @@
 package query
 
 import (
-	"context"
-	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/kb"
-	"repro/internal/obs"
 	"repro/internal/query/mem"
 )
 
-// pipeBatch is how many tuples a pipeline producer accumulates per
-// partition before streaming the batch downstream. Larger than the
-// scan-side streamBatch: cross-step traffic carries the whole frontier,
-// so fewer, fuller batches cut channel and select overhead, and the
-// batch pool makes their buffers free to recycle. Budgeted executions
-// use the smaller batch and channel depth so the accounted in-flight
-// volume stays well under the cap.
+// This file holds the pieces of the cross-step pipeline that are not
+// columnar: the channel depths, the per-step filter split, the streaming
+// projection of the last stage and the ordered merge of its partitions.
+// The pipeline itself is executeBatched (batchpipe.go).
+
+// pipeChanDepth is the buffer of every partition channel between
+// pipeline stages; budgeted executions use the smaller depth so the
+// accounted in-flight volume stays well under the cap. The small buffer
+// absorbs producer/consumer jitter; stage workers always keep consuming
+// (select over both inputs), so bounded buffers cannot deadlock the
+// pipeline — they only apply backpressure upstream.
 const (
-	pipeBatch         = 256
-	budgetedPipeBatch = 48
 	pipeChanDepth     = 4
 	budgetedChanDepth = 2
 )
 
-// batchPool recycles batch buffers between pipeline producers and
-// consumers. A consumer returns a batch as soon as it has indexed or
-// probed it (only the buffer arrays are recycled — the tuple values they
-// point at live in arenas), so steady-state streaming allocates no new
-// buffers at all instead of one tups+hashes pair per batch. The pool
-// holds pointers, so Put itself never allocates a box.
-var batchPool sync.Pool
-
-func getBatch() *streamedBatch {
-	if b, ok := batchPool.Get().(*streamedBatch); ok {
-		return b
-	}
-	//lint:onion-ignore pool-recycled fixed-size buffer shared across queries; in-flight retention is charged per batch by the router (partRouter MustReserve at route/flush)
-	return &streamedBatch{tups: make([]tuple, 0, pipeBatch), hashes: make([]uint64, 0, pipeBatch)}
-}
-
-func putBatch(b *streamedBatch) {
-	b.tups = b.tups[:0]
-	b.hashes = b.hashes[:0]
-	batchPool.Put(b)
-}
-
-// This file is the cross-step streaming pipeline: the default planned
-// execution path when the worker pool has more than one worker and the
-// plan is a keyed join chain. The per-step executor (exec.go) fully
-// materialises each join step's output before the next step's scans
-// dispatch; here every step runs concurrently instead:
-//
-//   - all steps' scans share one bounded worker pool, dispatched in step
-//     order, so a later step's sources scan while earlier joins probe;
-//   - each join step is a set of partition workers that build a hash
-//     table from the step's own scan output (routed by key hash) and
-//     probe it with the accumulated tuples streamed from the previous
-//     step — no frontier is ever materialised between steps;
-//   - a step's probe output is re-hashed on the *next* step's key slots
-//     at production time (plan.nextKeySlots) and streamed straight into
-//     the next step's partition channels in batches;
-//   - when a step's output is provably empty the pipeline cancels:
-//     undispatched scans are skipped (the pipelined form of the per-step
-//     empty-join short-circuit) and the stages drain out.
-//
-// Partition counts are planner-derived per step (plan.stepPartCount:
-// estimate-proportional, skew-aware) unless Options{Partitions} pins a
-// global count. The final step's output never materialises either: each
-// last-stage partition dedups its probe output straight onto the SELECT
-// slots (the streaming projection) and the executor merges the sorted
-// per-partition row sets.
-//
-// Memory governance: every stage partition charges a child reservation
-// of the per-query budget (internal/query/mem) for its build table and
-// pending probe queue. A partition whose reservation runs out degrades
-// in two steps: first the pending probe queue overflows to a temp-file
-// run (the build table stays in memory and the run is replayed through
-// it once complete); if the build table itself cannot reserve, the
-// partition becomes a grace-hash join (spill.go) — both sides spill to
-// runs, recursively sub-partitioned until each piece joins within
-// budget. Rows, JoinedRows and the projection are byte-identical to
-// every other path, spilled or not: tuple arrival order varies run to
-// run, but the row *set* per partition is fixed by the key hash, the
-// spill wire format round-trips kind-strictly, and the final ordered
-// merge normalises order.
-
-// partRouter batches tuples toward one step's partition channels,
-// hashing each tuple once on the consuming step's key slots. The hash
-// travels with the batch, so the consumer indexes or probes without
-// re-encoding keys; in-flight batch bytes are charged to the root budget
-// at send and released by the consumer at receipt.
-type partRouter struct {
-	chans     []chan *streamedBatch
-	slots     []int
-	local     []*streamedBatch
-	buf       []byte
-	root      *mem.Budget
-	tc        int64
-	batchSize int
-	// batches and count are per-owner totals, merged deterministically
-	// after the owning goroutine finishes.
-	batches int
-	count   int64
-}
-
-func newPartRouter(chans []chan *streamedBatch, slots []int, root *mem.Budget, tc int64, batchSize int) *partRouter {
-	return &partRouter{chans: chans, slots: slots, local: make([]*streamedBatch, len(chans)),
-		root: root, tc: tc, batchSize: batchSize}
-}
-
-func (rt *partRouter) send(t tuple) {
-	rt.buf = appendSlotKey(rt.buf[:0], t, rt.slots)
-	rt.sendHashed(t, hashKey(rt.buf))
-}
-
-// sendHashed routes a tuple whose key hash is already known — the
-// aligned-chain fast path, where a stage forwards probe output under its
-// incoming hash (same key slots downstream, so the same partition) and
-// never re-encodes the key.
-func (rt *partRouter) sendHashed(t tuple, h uint64) {
-	p := int(h % uint64(len(rt.chans)))
-	lb := rt.local[p]
-	if lb == nil {
-		lb = getBatch()
-		rt.local[p] = lb
-	}
-	lb.tups = append(lb.tups, t)
-	lb.hashes = append(lb.hashes, h)
-	rt.count++
-	if len(lb.tups) >= rt.batchSize {
-		rt.root.MustReserve(int64(len(lb.tups)) * rt.tc)
-		rt.chans[p] <- lb
-		rt.local[p] = nil
-		rt.batches++
-	}
-}
-
-func (rt *partRouter) flush() {
-	for p, b := range rt.local {
-		if b != nil && len(b.tups) > 0 {
-			rt.root.MustReserve(int64(len(b.tups)) * rt.tc)
-			rt.chans[p] <- b
-			rt.local[p] = nil
-			rt.batches++
-		}
-	}
-}
-
 // stepFilterSets splits the query's filters by the step after which they
 // first apply (every variable bound), in join order — the pipelined
-// equivalent of applyTupleFilters' as-soon-as-bound rule, applied
-// per-tuple as rows stream between steps.
+// equivalent of applyTupleFilters' as-soon-as-bound rule, applied on the
+// selection mask as batches stream between steps.
 func stepFilterSets(q Query, plan *execPlan) [][]Filter {
 	sets := make([][]Filter, len(plan.steps))
 	bound := make(map[string]bool)
@@ -170,28 +43,6 @@ func stepFilterSets(q Query, plan *execPlan) [][]Filter {
 		}
 	}
 	return sets
-}
-
-// passFilters applies one step's filter set to a single tuple.
-func passFilters(t tuple, fs []Filter, plan *execPlan) bool {
-	for _, f := range fs {
-		if !f.Accepts(t[plan.slotOf[f.Var]]) {
-			return false
-		}
-	}
-	return true
-}
-
-// makePartChans builds one step's partition channels. The small buffer
-// absorbs producer/consumer jitter; stage workers always keep consuming
-// (select over both inputs), so bounded buffers cannot deadlock the
-// pipeline — they only apply backpressure upstream.
-func makePartChans(parts, depth int) []chan *streamedBatch {
-	chs := make([]chan *streamedBatch, parts)
-	for p := range chs {
-		chs[p] = make(chan *streamedBatch, depth)
-	}
-	return chs
 }
 
 // stageProj is one last-stage partition's streaming projection: probe
@@ -224,12 +75,12 @@ type stageProj struct {
 // projKeysPool recycles projection dedup sets across partitions and
 // executions: a cleared map keeps its buckets, so a steady query mix
 // dedups into already-grown tables. Live entries are charged per row
-// (MustReserve in add); an idle pooled map holds no entries.
+// (addBatchRow's ensure); an idle pooled map holds no entries.
 var projKeysPool sync.Pool
 
 // newStageProj builds one partition's projection. pool, when non-nil,
 // is the spillable reservation pool the dedup set draws on (the
-// limit-governed executors pass their spill pool; unbounded executions
+// limit-governed pipeline passes its spill pool; unbounded executions
 // pass nil and the set charges the root as un-spillable state).
 func newStageProj(q Query, plan *execPlan, bud, pool *mem.Budget, dir string) *stageProj {
 	sel := make([]int, len(q.Select))
@@ -248,29 +99,8 @@ func newStageProj(q Query, plan *execPlan, bud, pool *mem.Budget, dir string) *s
 	return pp
 }
 
-func (pp *stageProj) add(t tuple) {
-	pp.buf = pp.buf[:0]
-	for _, s := range pp.sel {
-		pp.buf = appendValueKey(pp.buf, t[s])
-	}
-	if _, dup := pp.keys[string(pp.buf)]; dup {
-		return
-	}
-	key := string(pp.buf)
-	// Charge before inserting: a rotation inside ensure flushes the
-	// buffered set to a run, and the new row belongs to the next set.
-	pp.ensure(projRowCost(key, len(pp.sel)))
-	pp.keys[key] = struct{}{}
-	out := make([]kb.Value, len(pp.sel))
-	for i, s := range pp.sel {
-		out[i] = t[s]
-	}
-	pp.rows = append(pp.rows, keyedRow{key, out})
-}
-
-// addBatchRow is add for a columnar batch row (the batch executor's
-// last stage): same key encoding, same dedup, same charge — only the
-// cell source differs.
+// addBatchRow projects row i of a columnar batch: encode the SELECT cells
+// as the row key, drop duplicates, charge and keep the rest.
 func (pp *stageProj) addBatchRow(b *colBatch, i int) {
 	pp.buf = pp.buf[:0]
 	for _, s := range pp.sel {
@@ -280,6 +110,8 @@ func (pp *stageProj) addBatchRow(b *colBatch, i int) {
 		return
 	}
 	key := string(pp.buf)
+	// Charge before inserting: a rotation inside ensure flushes the
+	// buffered set to a run, and the new row belongs to the next set.
 	pp.ensure(projRowCost(key, len(pp.sel)))
 	pp.keys[key] = struct{}{}
 	out := make([]kb.Value, len(pp.sel))
@@ -380,683 +212,3 @@ func mergeSortedKeyed(groups [][]keyedRow, bud *mem.Budget) [][]kb.Value {
 // mergeHeapMin is the group count at which mergeSortedKeyed switches
 // from a linear head scan to the heap.
 const mergeHeapMin = 8
-
-// executePipelined runs a keyed join chain as a cross-step streaming
-// pipeline. Callers guarantee: more than one worker, at least two steps,
-// and every step after the first has key slots (plan.chainKeyed). A
-// cancelled context rides the same machinery as the provably-empty
-// short-circuit: remaining scan dispatch is skipped, the stages drain,
-// and ctx.Err() is returned instead of the partial result. A spill I/O
-// failure drains the same way and surfaces as the returned error.
-func (e *Engine) executePipelined(ctx context.Context, q Query, plan *execPlan, opts Options, bud *mem.Budget, res *Result) error {
-	st := &res.Stats
-	width := len(plan.slotNames)
-	workers := resolveWorkers(opts)
-	n := len(plan.steps)
-	filters := stepFilterSets(q, plan)
-	tc := tupleCost(width)
-	pipeT0 := time.Now()
-
-	// Per-step planner-derived partition counts (or the global override).
-	parts := make([]int, n)
-	totalParts := 0
-	for si := 1; si < n; si++ {
-		parts[si] = plan.stepPartCount(si, opts, workers)
-		totalParts += parts[si]
-	}
-	if opts.Partitions == 0 {
-		st.AdaptivePartitions = n - 1
-	}
-
-	// Tracing: one span per step, opened up front — every stage runs
-	// concurrently from pipeline start, so span offsets reflect the real
-	// overlap. Scan and partition sub-spans hang off these; stepSpan
-	// returns nil when tracing is off, and every recording site guards
-	// its argument computation behind that nil.
-	var stepSpans []*obs.Span
-	if opts.Trace != nil {
-		stepSpans = make([]*obs.Span, n)
-		for si := range plan.steps {
-			s := opts.Trace.Child("step " + strconv.Itoa(si+1) + ": " + plan.steps[si].triple.String())
-			s.SetInt("est_rows", int64(plan.steps[si].est))
-			if si > 0 {
-				s.SetInt("partitions", int64(parts[si]))
-			}
-			stepSpans[si] = s
-		}
-	}
-	stepSpan := func(si int) *obs.Span {
-		if stepSpans == nil {
-			return nil
-		}
-		return stepSpans[si]
-	}
-
-	// Budget wiring: every stage partition's spillable retention (build
-	// table + pending probe queue) reserves from one shared pool — half
-	// the cap — so memory fills first-come and only the overflow
-	// degrades to disk (the fleet-level hybrid: a 2x-over-cap workload
-	// spills roughly half its partitions, not all of them). The other
-	// half of the cap is headroom for the fixed working state charged
-	// via MustReserve (arena blocks, in-flight batches, spill write
-	// buffers, the projected rows) and for the grace joins' finish-time
-	// chunk reservations, which draw on the root directly.
-	limit := opts.MemoryLimit
-	batchSize, chanDepth := pipeBatch, pipeChanDepth
-	poolLimit := int64(0)
-	if limit > 0 {
-		batchSize, chanDepth = budgetedPipeBatch, budgetedChanDepth
-		// Floor at one byte: a degenerate limit must yield a pool that
-		// refuses everything (spill-everything), not an unlimited one.
-		poolLimit = max(limit/2, 1)
-	}
-	spillPool := bud.Child(poolLimit)
-	// The last stage's projection dedup sets draw on the same pool —
-	// but only under a limit; unbounded executions keep the historical
-	// root accounting and never rotate.
-	var projPool *mem.Budget
-	if limit > 0 {
-		projPool = spillPool
-	}
-
-	// Wiring: stage si (1..n-1) builds from scanCh[si] and probes
-	// upCh[si]; both carry hashes on steps[si].keySlots. Stage si routes
-	// its output into upCh[si+1] hashed on steps[si].nextKeySlots.
-	upCh := make([][]chan *streamedBatch, n)
-	scanCh := make([][]chan *streamedBatch, n)
-	for si := 1; si < n; si++ {
-		upCh[si] = makePartChans(parts[si], chanDepth)
-		scanCh[si] = makePartChans(parts[si], chanDepth)
-	}
-
-	// cancel fires when some step's output is provably empty (the final
-	// result is empty regardless of the remaining scans) or when a spill
-	// I/O error makes the result unreachable: dispatch stops and the
-	// stages drain.
-	cancel := make(chan struct{})
-	var cancelOnce sync.Once
-	cancelFn := func() { cancelOnce.Do(func() { close(cancel) }) }
-	var errOnce sync.Once
-	var pipeErr error
-	setErr := func(err error) {
-		if err == nil {
-			return
-		}
-		errOnce.Do(func() { pipeErr = err })
-		cancelFn()
-	}
-
-	// Per-(step, scan) private stats, merged in (step, source) order
-	// after the pipeline drains, so the work counters are deterministic
-	// under any scheduling (modulo cancellation, which is timing-
-	// dependent by nature and only ever skips work).
-	taskStats := make([][]Stats, n)
-	liveTasks := make([][]int, n)
-	total := 0
-	for si := range plan.steps {
-		stp := &plan.steps[si]
-		st.SourceScans += len(stp.scans)
-		taskStats[si] = make([]Stats, len(stp.scans))
-		for j, sc := range stp.scans {
-			if !sc.view.skip {
-				liveTasks[si] = append(liveTasks[si], j)
-			}
-		}
-		total += len(liveTasks[si])
-	}
-
-	// stepOut[si] counts the tuples step si emitted downstream (step 0:
-	// scan output after filters; stages: probe output after filters).
-	stepOut := make([]int64, n)
-	// stepDur[si] is the step's wall-clock from pipeline start to its
-	// completion, stamped by the step's closer (Stats.StepDurNs).
-	stepDur := make([]int64, n)
-	// Per-stage-partition counters, merged in (step, partition) order
-	// afterwards.
-	stageBatches := make([][]int, n)
-	stageSpilled := make([][]int, n)
-	stageHybrid := make([][]int, n)
-	stageRuns := make([][]int, n)
-	stageBytes := make([][]int64, n)
-	for si := 1; si < n; si++ {
-		stageBatches[si] = make([]int, parts[si])
-		stageSpilled[si] = make([]int, parts[si])
-		stageHybrid[si] = make([]int, parts[si])
-		stageRuns[si] = make([]int, parts[si])
-		stageBytes[si] = make([]int64, parts[si])
-	}
-	// Last-stage projection spill counters (one slot per partition).
-	projSpills := make([]int, parts[n-1])
-	projRunCnt := make([]int, parts[n-1])
-	projRunBytes := make([]int64, parts[n-1])
-
-	// Scan worker pool, shared by every step's scans, dispatched in step
-	// order: step 0 feeds upCh[1] directly (hashed on step 1's keys);
-	// step si>=1 feeds its own build side scanCh[si].
-	scanWg := make([]sync.WaitGroup, n)
-	for si := range plan.steps {
-		scanWg[si].Add(len(liveTasks[si]))
-	}
-	runScan := func(si, j int) {
-		defer scanWg[si].Done()
-		stp := &plan.steps[si]
-		sc := stp.scans[j]
-		ts := &taskStats[si][j]
-		var ss *obs.Span
-		if sp := stepSpan(si); sp != nil {
-			ss = sp.Child("scan " + sc.name)
-			defer func() {
-				ss.SetInt("rows", int64(ts.EdgeRows+ts.FactRows))
-				ss.End()
-			}()
-		}
-		arena := newArena(width, bud)
-		defer arena.close()
-		var rt *partRouter
-		if si == 0 {
-			rt = newPartRouter(upCh[1], stp.nextKeySlots, bud, tc, batchSize)
-		} else {
-			rt = newPartRouter(scanCh[si], stp.keySlots, bud, tc, batchSize)
-		}
-		sink := func(t tuple) {
-			if si == 0 && !passFilters(t, filters[0], plan) {
-				return
-			}
-			rt.send(t)
-		}
-		e.scanMatch(sc.name, sc.src, stp.triple, sc.view, ts, true, tupleEmit(stp, arena, sink))
-		rt.flush()
-		ts.StreamedBatches += rt.batches
-		if si == 0 {
-			atomic.AddInt64(&stepOut[0], rt.count)
-		}
-	}
-
-	poolSize := workers
-	if poolSize > total {
-		poolSize = total
-	}
-	if poolSize > st.Workers {
-		st.Workers = poolSize
-	}
-	type scanJob struct{ si, j int }
-	jobs := make(chan scanJob)
-	var poolWg sync.WaitGroup
-	for w := 0; w < poolSize; w++ {
-		poolWg.Add(1)
-		go func() {
-			defer poolWg.Done()
-			for jb := range jobs {
-				runScan(jb.si, jb.j)
-			}
-		}()
-	}
-	dispatcherDone := make(chan struct{})
-	var dispatched, cancelled int
-	go func() {
-		defer close(dispatcherDone)
-		defer close(jobs)
-		for si := 0; si < n; si++ {
-			for _, j := range liveTasks[si] {
-				select {
-				case jobs <- scanJob{si, j}:
-					dispatched++
-				case <-cancel:
-					// Provably-empty output upstream (or a spill error):
-					// skip this and every remaining scan, releasing the
-					// per-step completion counts so the stages drain.
-					cancelled++
-					scanWg[si].Done()
-				case <-ctx.Done():
-					// Deadline/cancellation: same drain path as the
-					// empty short-circuit; the caller discards the
-					// partial result and reports ctx.Err().
-					cancelled++
-					scanWg[si].Done()
-				}
-			}
-		}
-	}()
-
-	// Per-step closers: a step's scan side closes when its scans finish
-	// (or are skipped). Step 0's "scan side" is stage 1's probe side.
-	// Closers also stamp the step's duration and close its trace span;
-	// closersWg gives the final stat merge a happens-before edge on
-	// those writes.
-	var closersWg sync.WaitGroup
-	closersWg.Add(n)
-	go func() {
-		defer closersWg.Done()
-		scanWg[0].Wait()
-		stepDur[0] = time.Since(pipeT0).Nanoseconds()
-		if sp := stepSpan(0); sp != nil {
-			sp.SetInt("rows", atomic.LoadInt64(&stepOut[0]))
-			sp.End()
-		}
-		for _, ch := range upCh[1] {
-			close(ch)
-		}
-		if atomic.LoadInt64(&stepOut[0]) == 0 {
-			cancelFn()
-		}
-	}()
-	for si := 1; si < n; si++ {
-		go func(si int) {
-			scanWg[si].Wait()
-			for _, ch := range scanCh[si] {
-				close(ch)
-			}
-		}(si)
-	}
-
-	// Join stages: one partition worker per (step, partition). Each
-	// builds from its scan-side channel while *always* staying ready to
-	// buffer early probe-side batches — the select keeps every producer
-	// unblocked, so the shared scan pool can never wedge behind a stage.
-	// Retention (build table, pending queue) charges the partition's
-	// child budget; a failed reservation degrades the partition (probe
-	// overflow run first, grace-hash spill when the build side cannot
-	// reserve). Build degradation is hybrid, like the batch executor's:
-	// the already-reserved build prefix stays resident and frozen, only
-	// rows from the failure on go to disk, and the completion replays
-	// the probe run against the frozen half before the grace join covers
-	// the spilled half — the two match sets are disjoint because every
-	// build row lives on exactly one side.
-	projParts := make([][]keyedRow, parts[n-1]) // last stage's sorted projected rows
-	stageWg := make([]sync.WaitGroup, n)
-	for si := 1; si < n; si++ {
-		stageWg[si].Add(parts[si])
-		for p := 0; p < parts[si]; p++ {
-			go func(si, p int) {
-				defer stageWg[si].Done()
-				stp := &plan.steps[si]
-				var partSpan, buildSpan *obs.Span
-				if ssp := stepSpan(si); ssp != nil {
-					partSpan = ssp.Child("part " + strconv.Itoa(p))
-					buildSpan = partSpan.Child("build")
-				}
-				partBud := spillPool.Child(0)
-				build := make(map[uint64][]tuple)
-				var pending []*streamedBatch
-				var buildCharged, pendCharged int64
-				sp := &spillPart{dir: opts.SpillDir, width: width, bud: partBud, io: bud}
-				buildSpilled, probeSpilled, hybrid := false, false, false
-				var spillErr error
-				fail := func(err error) {
-					if err != nil && spillErr == nil {
-						spillErr = err
-						setErr(err)
-					}
-				}
-				writeProbeBatch := func(b *streamedBatch) {
-					for i := range b.tups {
-						if err := sp.probe.add(b.tups[i], b.hashes[i]); err != nil {
-							fail(err)
-							return
-						}
-					}
-				}
-				degradeBuild := func() {
-					if buildSpilled || spillErr != nil {
-						return
-					}
-					if err := sp.ensureBuild(); err != nil {
-						fail(err)
-						return
-					}
-					if err := sp.ensureProbe(); err != nil {
-						fail(err)
-						return
-					}
-					buildSpilled = true
-					stageSpilled[si][p] = 1
-					// Hybrid grace: the reserved build prefix stays resident
-					// and frozen; only rows from here on go to disk. Pending
-					// probe batches go to the probe run before any probing,
-					// so the encoded bytes predate any in-place merge.
-					if len(build) > 0 {
-						hybrid = true
-						stageHybrid[si][p] = 1
-					}
-					for _, b := range pending {
-						if spillErr == nil {
-							writeProbeBatch(b)
-						}
-						putBatch(b)
-					}
-					pending = nil
-					partBud.Release(pendCharged)
-					pendCharged = 0
-				}
-				takeBuild := func(b *streamedBatch) {
-					defer putBatch(b)
-					bud.Release(int64(len(b.tups)) * tc) // in-flight charge
-					if spillErr != nil {
-						return
-					}
-					cost := int64(len(b.tups)) * tc
-					if !buildSpilled && partBud.Reserve(cost) {
-						buildCharged += cost
-						for i, r := range b.tups {
-							build[b.hashes[i]] = append(build[b.hashes[i]], r)
-						}
-						return
-					}
-					degradeBuild()
-					if spillErr != nil {
-						return
-					}
-					for i := range b.tups {
-						if err := sp.build.add(b.tups[i], b.hashes[i]); err != nil {
-							fail(err)
-							return
-						}
-					}
-				}
-				takeProbeEarly := func(b *streamedBatch) {
-					bud.Release(int64(len(b.tups)) * tc)
-					if spillErr != nil {
-						putBatch(b)
-						return
-					}
-					if buildSpilled {
-						writeProbeBatch(b)
-						putBatch(b)
-						return
-					}
-					cost := int64(len(b.tups)) * tc
-					if partBud.Reserve(cost) {
-						pendCharged += cost
-						pending = append(pending, b)
-						return
-					}
-					// Pending overflow: the build table stays in memory;
-					// probe tuples overflow to a run replayed once the
-					// build side is complete. Counts as a spilled
-					// partition — it is writing tuples to disk.
-					if err := sp.ensureProbe(); err != nil {
-						fail(err)
-						putBatch(b)
-						return
-					}
-					probeSpilled = true
-					stageSpilled[si][p] = 1
-					writeProbeBatch(b)
-					putBatch(b)
-				}
-				sc, up := scanCh[si][p], upCh[si][p]
-				for sc != nil {
-					select {
-					case b, ok := <-sc:
-						if !ok {
-							sc = nil
-							continue
-						}
-						takeBuild(b)
-					case b, ok := <-up:
-						if !ok {
-							up = nil
-							continue
-						}
-						takeProbeEarly(b)
-					}
-				}
-				// Build side complete. In-memory partitions probe the
-				// buffered batches, replay any probe-overflow run, then
-				// stream from upstream; grace-hash partitions keep
-				// spilling the probe side and join from disk at the end.
-				if buildSpan != nil {
-					buildSpan.SetAttr("spilled", strconv.FormatBool(buildSpilled))
-					buildSpan.SetAttr("hybrid", strconv.FormatBool(hybrid))
-					buildSpan.End()
-				}
-				var probeSpan *obs.Span
-				if partSpan != nil {
-					probeSpan = partSpan.Child("probe")
-				}
-				arena := newArena(width, bud)
-				defer arena.close()
-				var rt *partRouter
-				if si+1 < n {
-					rt = newPartRouter(upCh[si+1], stp.nextKeySlots, bud, tc, batchSize)
-				}
-				var proj *stageProj
-				if rt == nil {
-					proj = newStageProj(q, plan, bud, projPool, opts.SpillDir)
-				}
-				var emitted int64
-				emit := func(m tuple, h uint64) {
-					if !passFilters(m, filters[si], plan) {
-						return
-					}
-					emitted++
-					switch {
-					case rt == nil:
-						proj.add(m)
-					case stp.alignedNext:
-						// Same key slots downstream: the merged tuple
-						// keeps the probe tuple's key values, so its
-						// downstream hash is the incoming hash.
-						rt.sendHashed(m, h)
-					default:
-						rt.send(m)
-					}
-				}
-				probeOne := func(l tuple, h uint64) {
-					// A probe tuple is exclusively owned by its batch (or
-					// its decode arena) and dead once probed, so its first
-					// match merges in place (overlay the new slots on l);
-					// only additional matches pay an arena copy.
-					var first tuple
-					for _, r := range build[h] {
-						if !keySlotsEqual(l, r, stp.keySlots) {
-							continue
-						}
-						if first == nil {
-							first = r
-							continue
-						}
-						emit(mergeTuple(arena, l, r, stp.newSlots), h)
-					}
-					if first != nil {
-						for _, s := range stp.newSlots {
-							l[s] = first[s]
-						}
-						emit(l, h)
-					}
-				}
-				probe := func(b *streamedBatch) {
-					if len(build) == 0 {
-						return // drain only; nothing can join
-					}
-					for i, l := range b.tups {
-						probeOne(l, b.hashes[i])
-					}
-				}
-				if spillErr == nil && !buildSpilled {
-					for _, b := range pending {
-						probe(b)
-						putBatch(b)
-					}
-					pending = nil
-					if probeSpilled {
-						var spillSpan *obs.Span
-						if partSpan != nil {
-							spillSpan = partSpan.Child("spill")
-						}
-						decodeArena := &tupleArena{width: width, blockTuples: spillDecodeBlock}
-						fail(sp.probe.replay(width, decodeArena, func(t tuple, h uint64) error {
-							if len(build) > 0 {
-								probeOne(t, h)
-							}
-							return nil
-						}))
-						sp.probe.close()
-						sp.probe = nil
-						if spillSpan != nil {
-							spillSpan.SetInt("runs", int64(sp.runs))
-							spillSpan.SetInt("bytes", sp.bytes)
-							spillSpan.End()
-						}
-					}
-					if up != nil {
-						for b := range up {
-							bud.Release(int64(len(b.tups)) * tc)
-							if spillErr == nil {
-								probe(b)
-							}
-							putBatch(b)
-						}
-					}
-				} else {
-					if up != nil {
-						for b := range up {
-							bud.Release(int64(len(b.tups)) * tc)
-							if spillErr == nil && buildSpilled {
-								writeProbeBatch(b)
-							}
-							putBatch(b)
-						}
-					}
-					if spillErr == nil && buildSpilled {
-						// Grace-hash completion: the spilled half of the
-						// build side joins from disk, sub-partition by
-						// sub-partition within budget.
-						var spillSpan *obs.Span
-						if partSpan != nil {
-							spillSpan = partSpan.Child("spill")
-						}
-						if hybrid {
-							// The frozen prefix's matches first: the probe
-							// run is re-readable, so the grace join streams
-							// it again afterwards for the disk half.
-							decodeArena := &tupleArena{width: width, blockTuples: spillDecodeBlock}
-							fail(sp.probe.replay(width, decodeArena, func(t tuple, h uint64) error {
-								probeOne(t, h)
-								return nil
-							}))
-						}
-						if spillErr == nil {
-							fail(sp.join(stp, func(l tuple, h uint64, rs []tuple) {
-								first := rs[0]
-								for _, r := range rs[1:] {
-									emit(mergeTuple(arena, l, r, stp.newSlots), h)
-								}
-								for _, s := range stp.newSlots {
-									l[s] = first[s]
-								}
-								emit(l, h)
-							}))
-						}
-						if spillSpan != nil {
-							spillSpan.SetInt("runs", int64(sp.runs))
-							spillSpan.SetInt("bytes", sp.bytes)
-							spillSpan.End()
-						}
-					}
-				}
-				sp.close()
-				stageRuns[si][p] = sp.runs
-				stageBytes[si][p] = sp.bytes
-				partBud.Release(buildCharged + pendCharged)
-				if rt != nil {
-					rt.flush()
-					stageBatches[si][p] = rt.batches
-				} else {
-					rows, perr := proj.finish()
-					fail(perr)
-					projParts[p] = rows
-					if proj.spilled {
-						projSpills[p] = 1
-						projRunCnt[p] = len(proj.runs)
-						projRunBytes[p] = proj.bytes
-					}
-				}
-				if probeSpan != nil {
-					probeSpan.SetInt("rows", emitted)
-					probeSpan.End()
-				}
-				partSpan.End()
-				atomic.AddInt64(&stepOut[si], emitted)
-			}(si, p)
-		}
-	}
-	// Per-stage closers: when stage si finishes, its downstream probe
-	// side closes; an empty stage output cancels remaining scan work.
-	for si := 1; si < n; si++ {
-		go func(si int) {
-			defer closersWg.Done()
-			stageWg[si].Wait()
-			stepDur[si] = time.Since(pipeT0).Nanoseconds()
-			if sp := stepSpan(si); sp != nil {
-				sp.SetInt("rows", atomic.LoadInt64(&stepOut[si]))
-				sp.End()
-			}
-			if si+1 < n {
-				for _, ch := range upCh[si+1] {
-					close(ch)
-				}
-			}
-			if atomic.LoadInt64(&stepOut[si]) == 0 {
-				cancelFn()
-			}
-		}(si)
-	}
-
-	stageWg[n-1].Wait()
-	poolWg.Wait()
-	<-dispatcherDone
-	closersWg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if pipeErr != nil {
-		return pipeErr
-	}
-
-	// Deterministic stat merge: task stats in (step, source) order, then
-	// the per-partition counters in (step, partition) order.
-	for si := range plan.steps {
-		for j := range taskStats[si] {
-			st.accrue(taskStats[si][j])
-		}
-	}
-	for si := 1; si < n; si++ {
-		for p := 0; p < parts[si]; p++ {
-			st.StreamedBatches += stageBatches[si][p]
-			st.SpilledPartitions += stageSpilled[si][p]
-			st.HybridJoins += stageHybrid[si][p]
-			st.SpillRuns += stageRuns[si][p]
-			st.SpilledBytes += stageBytes[si][p]
-		}
-	}
-	for p := 0; p < parts[n-1]; p++ {
-		st.ProjectionSpills += projSpills[p]
-		st.SpillRuns += projRunCnt[p]
-		st.SpilledBytes += projRunBytes[p]
-	}
-	st.StepRows = make([]int, n)
-	st.StepDurNs = make([]int64, n)
-	for si := 0; si < n; si++ {
-		st.StepRows[si] = int(stepOut[si])
-		st.StepDurNs[si] = stepDur[si]
-	}
-	st.ParallelScans += dispatched
-	st.ScansCancelled += cancelled
-	st.PipelinedSteps = n - 1
-	for si := 1; si < n; si++ {
-		if st.JoinPartitions < parts[si] {
-			st.JoinPartitions = parts[si]
-		}
-	}
-	st.StepPartitions = make([]int, n)
-	copy(st.StepPartitions[1:], parts[1:])
-
-	// The streaming projection's ordered merge: every partition's rows
-	// arrive deduplicated and sorted; the merge drops cross-partition
-	// duplicates and yields the deterministic global order shared by all
-	// execution paths.
-	st.JoinedRows = int(stepOut[n-1])
-	res.Rows = mergeSortedKeyed(projParts, bud)
-	return nil
-}

@@ -63,9 +63,9 @@ func deepChainEngine(t testing.TB, instances, dup int) (*Engine, Query) {
 }
 
 // TestPipelinedExecutorMatchesReferences checks the cross-step pipeline
-// against the other three executors on the deep-chain world: byte-
-// identical rows under default and decoupled partition counts, and the
-// pipeline stats populated.
+// against the sequential reference and the inline tuple executor on the
+// deep-chain world: byte-identical rows under default and decoupled
+// partition counts, and the pipeline stats populated.
 func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 	eng, q := deepChainEngine(t, 60, 2)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -79,15 +79,11 @@ func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"compat", Options{Workers: 4, CompatJoins: true}},
 		{"tuple-inline", Options{Workers: 1}},
-		{"tuple-barrier", Options{Workers: 4, StepBarriers: true}},
 		{"pipelined", Options{Workers: 4}},
 		{"pipelined-cached", Options{Workers: 4}},
 		{"pipelined-parts-2", Options{Workers: 4, Partitions: 2}},
 		{"pipelined-parts-7", Options{Workers: 3, Partitions: 7}},
-		{"row-pipeline", Options{Workers: 4, RowAtATime: true}},
-		{"row-pipeline-parts-7", Options{Workers: 3, Partitions: 7, RowAtATime: true}},
 		{"batch-16k-budget", Options{Workers: 4, MemoryLimit: 1 << 14}},
 	}
 	for _, m := range modes {
@@ -119,19 +115,6 @@ func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 	}
 	if got.Stats.StreamedBatches == 0 {
 		t.Errorf("no batches streamed: %+v", got.Stats)
-	}
-
-	// The per-step barrier path must not report pipelining, and the
-	// partition option must still apply to its per-step joins.
-	barrier, err := eng.ExecuteWith(q, Options{Workers: 4, Partitions: 3, StepBarriers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if barrier.Stats.PipelinedSteps != 0 {
-		t.Errorf("barrier run reported pipelined steps: %+v", barrier.Stats)
-	}
-	if barrier.Stats.JoinPartitions != 3 {
-		t.Errorf("barrier JoinPartitions = %d, want 3", barrier.Stats.JoinPartitions)
 	}
 }
 

@@ -159,18 +159,19 @@ func adversarialEngine(t testing.TB) *Engine {
 }
 
 // advModes are the executor configurations the adversarial regressions
-// run under: sequential reference, compat joins, per-step tuple path,
-// and the cross-step pipeline (default and decoupled partitions).
+// run under: sequential reference, the per-step tuple path (inline, and
+// pooled — tiny worlds stay under the shallow gate), and the batch
+// pipeline, which a memory limit forces on any keyed chain.
 var advModes = []struct {
 	name string
 	opts Options
 }{
 	{"sequential", Options{Sequential: true}},
-	{"compat", Options{Workers: 1, CompatJoins: true}},
 	{"tuple-inline", Options{Workers: 1}},
-	{"tuple-barrier", Options{Workers: 4, StepBarriers: true}},
-	{"pipelined", Options{Workers: 4}},
-	{"pipelined-parts-3", Options{Workers: 4, Partitions: 3}},
+	{"pooled", Options{Workers: 4}},
+	{"pooled-parts-3", Options{Workers: 4, Partitions: 3}},
+	{"batch-16k", Options{Workers: 4, MemoryLimit: 1 << 14}},
+	{"batch-16k-parts-3", Options{Workers: 4, Partitions: 3, MemoryLimit: 1 << 14}},
 }
 
 // TestProjectionFramingSafe regresses the dedup/sort collapse: two
@@ -197,7 +198,7 @@ func TestProjectionFramingSafe(t *testing.T) {
 	}
 }
 
-// TestJoinFramingSafe regresses the sequential/compat joinKey false
+// TestJoinFramingSafe regresses the binding-map joinKey false
 // join: rows that only encode identically under the seed's separator
 // scheme must not join — the correct answer is empty on every path.
 func TestJoinFramingSafe(t *testing.T) {
@@ -250,7 +251,7 @@ func TestKindCollidingProjection(t *testing.T) {
 	}
 	res := &Result{Vars: []string{"v"}}
 	plan := &execPlan{slotOf: map[string]int{"v": 0}, slotNames: []string{"v"}}
-	projectTuples(res, [][]tuple{rows}, Query{Select: []string{"v"}}, plan, nil)
+	projectTuples(res, rows, Query{Select: []string{"v"}}, plan, nil)
 	if len(res.Rows) != 3 {
 		t.Fatalf("kind-colliding rows deduped to %d, want 3: %v", len(res.Rows), res.Rows)
 	}

@@ -255,19 +255,6 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 			t.Errorf("seed %d: JoinedRows = %d, want %d", seed,
 				spilled.Stats.JoinedRows, want.Stats.JoinedRows)
 		}
-		// The default spilled leg above runs on the batch plane; the
-		// pinned tuple plane must spill to the same rows.
-		rowSpilled, err := eng.ExecuteWith(q, Options{Workers: 4, MemoryLimit: 1 << 12, RowAtATime: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rowSpilled.Stats.SpilledPartitions == 0 {
-			t.Fatalf("seed %d: row-at-a-time 4KB budget did not spill: %+v", seed, rowSpilled.Stats)
-		}
-		if !want.EqualRows(rowSpilled) {
-			t.Errorf("seed %d: row-at-a-time spilled rows diverged: sequential %d rows, spilled %d rows",
-				seed, len(want.Rows), len(rowSpilled.Rows))
-		}
 	}
 }
 
@@ -542,7 +529,7 @@ func projWideEngine(t testing.TB, instances int) (*Engine, Query) {
 // spillable projection: under a cap the distinct answer set cannot fit,
 // the dedup sets must rotate to sorted runs (Stats.ProjectionSpills)
 // and the merged-back rows must stay byte-identical to the sequential
-// reference — on both the row-at-a-time and the columnar executor.
+// reference, under planner-sized and pinned partition counts.
 func TestProjectionSpillMatchesInMemory(t *testing.T) {
 	eng, q := projWideEngine(t, 4000)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -567,7 +554,7 @@ func TestProjectionSpillMatchesInMemory(t *testing.T) {
 		opts Options
 	}{
 		{"batch", Options{Workers: 4, MemoryLimit: 1 << 19}},
-		{"row", Options{Workers: 4, MemoryLimit: 1 << 19, RowAtATime: true}},
+		{"batch-parts-2", Options{Workers: 4, Partitions: 2, MemoryLimit: 1 << 19}},
 	} {
 		got, err := eng.ExecuteWith(q, leg.opts)
 		if err != nil {
@@ -590,34 +577,100 @@ func TestProjectionSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestHybridGraceJoin locks the hybrid degradation on both executors: at
-// a cap that lets build tables partially reserve before the pool runs
-// out, degraded partitions keep their frozen in-memory prefix
-// (Stats.HybridJoins) and the completion — frozen-half replay plus
-// grace-hash over the spilled half — still yields byte-identical rows.
+// hybridEngine builds the two-source world where hybrid degradation is a
+// function of (plan, limit) rather than of arrival order: one join stage
+// whose probe side is a handful of rows (rare `InstanceOf Rare` subjects
+// per source — the only InstanceOf facts, so the planner scans them
+// first) and whose build side (facts `P` rows per source) overflows any
+// small pool. Every instance answers with one row per rare subject.
+func hybridEngine(t testing.TB, rare, facts int) (*Engine, Query) {
+	t.Helper()
+	sources := make(map[string]*Source, 2)
+	var onts []*ontology.Ontology
+	for i := 1; i <= 2; i++ {
+		name := fmt.Sprintf("hy%d", i)
+		o := ontology.New(name)
+		o.MustAddTerm("Rare")
+		o.MustAddTerm("P")
+		o.MustRelate("Rare", ontology.AttributeOf, "P")
+		store := kb.New(name)
+		for k := 0; k < facts; k++ {
+			inst := fmt.Sprintf("%sI%d", name, k)
+			if k < rare {
+				store.MustAdd(inst, "InstanceOf", kb.Term("Rare"))
+			}
+			store.MustAdd(inst, "P", kb.Number(float64(i*1000000+k)))
+		}
+		sources[name] = &Source{Ont: o, KB: store}
+		onts = append(onts, o)
+	}
+	set := rules.NewSet(rules.MustParse("hy1.Rare => hy2.Rare"))
+	res, err := articulation.Generate("hyart", onts[0], onts[1], set, articulation.Options{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(res.Art, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, MustParse("SELECT ?x ?v WHERE ?x InstanceOf Rare . ?x P ?v")
+}
+
+// TestHybridGraceJoin locks the hybrid degradation: degraded partitions
+// keep their frozen in-memory prefix (Stats.HybridJoins) and the
+// completion — frozen-half replay plus grace-hash over the spilled half —
+// still yields byte-identical rows.
+//
+// HybridJoins > 0 is asserted only where it cannot race: on hybridEngine
+// under a 256 KB limit (128 KB pool), where two facts fixed by (plan,
+// limit) hold under any schedule.
+//
+//  1. The first build batch to arrive anywhere reserves. All that can be
+//     charged before it is the probe side parked in the pool (at most
+//     `rare` batches per source scan, < 20 KB) and the batch pool's fixed
+//     state at the root (staging, routed and in-flight batches: < 140 KB
+//     for 2 scan workers over 8 partitions, < 32 KB for one partition),
+//     so neither the pool nor the root can refuse a 32-row batch.
+//  2. Every partition's build side alone exceeds the pool (16 000 rows of
+//     88 bytes over at most 8 partitions), so the partition that kept
+//     that first batch is refused later and degrades with a resident
+//     prefix — and every partition spills.
+//
+// The deep-chain world at 64 KB keeps the assertions that hold under any
+// schedule there: one stage's build side alone exceeds the pool, so
+// something spills, and hybrid partitions are a subset of the spilled
+// ones. How many keep a prefix depends on whether early probe batches
+// fill the pool before a build batch lands.
 func TestHybridGraceJoin(t *testing.T) {
-	eng, q := deepChainEngine(t, 60, 2)
+	eng, q := hybridEngine(t, 4, 8000)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(want.Rows) != 8 {
+		t.Fatalf("hybrid world produced %d rows, want 8", len(want.Rows))
 	}
 	for _, leg := range []struct {
 		name string
 		opts Options
 	}{
-		{"batch", Options{Workers: 4, MemoryLimit: 1 << 16}},
-		{"row", Options{Workers: 4, MemoryLimit: 1 << 16, RowAtATime: true}},
+		{"batch", Options{Workers: 2, MemoryLimit: 1 << 18}},
+		{"batch-parts-1", Options{Workers: 4, Partitions: 1, MemoryLimit: 1 << 18}},
 	} {
 		got, err := eng.ExecuteWith(q, leg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
-		if got.Stats.SpilledPartitions == 0 {
-			t.Fatalf("%s: expected spilling at 64KB: %+v", leg.name, got.Stats)
+		if parts := got.Stats.JoinPartitions; parts > 8 || got.Stats.SpilledPartitions != parts {
+			t.Fatalf("%s: want every one of at most 8 partitions spilled: %+v", leg.name, got.Stats)
 		}
 		if got.Stats.HybridJoins == 0 {
 			t.Fatalf("%s: no partition degraded hybrid (frozen prefix kept): %+v",
 				leg.name, got.Stats)
+		}
+		if got.Stats.HybridJoins > got.Stats.SpilledPartitions {
+			t.Errorf("%s: HybridJoins %d > SpilledPartitions %d", leg.name,
+				got.Stats.HybridJoins, got.Stats.SpilledPartitions)
 		}
 		if !want.EqualRows(got) {
 			t.Errorf("%s: hybrid rows diverged: sequential %d rows, got %d",
@@ -627,5 +680,30 @@ func TestHybridGraceJoin(t *testing.T) {
 			t.Errorf("%s: JoinedRows = %d, want %d", leg.name,
 				got.Stats.JoinedRows, want.Stats.JoinedRows)
 		}
+	}
+
+	deep, dq := deepChainEngine(t, 60, 2)
+	dwant, err := deep.ExecuteWith(dq, Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := deep.ExecuteWith(dq, Options{Workers: 4, MemoryLimit: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.SpilledPartitions == 0 {
+		t.Fatalf("deep chain: expected spilling at 64KB: %+v", got.Stats)
+	}
+	if got.Stats.HybridJoins > got.Stats.SpilledPartitions {
+		t.Errorf("deep chain: HybridJoins %d > SpilledPartitions %d",
+			got.Stats.HybridJoins, got.Stats.SpilledPartitions)
+	}
+	if !dwant.EqualRows(got) {
+		t.Errorf("deep chain: hybrid rows diverged: sequential %d rows, got %d",
+			len(dwant.Rows), len(got.Rows))
+	}
+	if got.Stats.JoinedRows != dwant.Stats.JoinedRows {
+		t.Errorf("deep chain: JoinedRows = %d, want %d",
+			got.Stats.JoinedRows, dwant.Stats.JoinedRows)
 	}
 }
