@@ -9,29 +9,28 @@ import (
 // MemCharge enforces the PR 5 memory-governance contract in the query
 // executor: tuple storage — the memory that grows with the join
 // frontier, not with any constant — is only allocated by code that
-// charges the per-query mem.Budget, either directly
-// (Reserve/MustReserve) or through a budget-carrying arena. An
+// charges the per-query mem.Budget, directly (Reserve/MustReserve) or
+// through the projection's charge helper (stageProj.ensure). An
 // unbudgeted allocation of tuple storage is invisible to the admission
 // governor and to Options{MemoryLimit}: exactly the class of bug the
 // budget layer was built to make impossible.
 //
 // The check: in the executor files of a package whose path ends in
-// "query" (memChargeFiles: the per-step tuple executor, the batch
-// pipeline and their spill layers), any `make` whose result type stores
-// tuples (slices of kb.Value, slices/maps of such slices) must sit in a
-// function that also touches the budget: calls (*mem.Budget).Reserve/MustReserve, or allocates
-// through the tupleArena (whose blocks are charged on rotation). The
-// check is per-function, not per-path: a function that allocates hot
-// storage must at least participate in accounting.
+// "query" (memChargeFiles: the batch pipeline, its streaming projection
+// and the spill layers), any `make` whose result type stores tuples
+// (slices of kb.Value, slices/maps of such slices) must sit in a
+// function that also charges the budget. The check is per-function, not
+// per-path: a function that allocates hot storage must at least
+// participate in accounting.
 var MemCharge = &Analyzer{
 	Name: "memcharge",
 	Doc: "executor/pipeline/spill allocations of tuple storage must be reachable from a " +
-		"mem.Budget charge or a budget-carrying arena (PR 5 memory-governance contract)",
+		"mem.Budget charge (PR 5 memory-governance contract)",
 	Run: runMemCharge,
 }
 
 // memChargeFiles are the execution files the contract covers — the
-// per-step tuple executor (exec.go), the columnar batch pipeline
+// executor entry and spill tuples (exec.go), the columnar batch pipeline
 // (batch.go, batchpipe.go — column vectors are tuple storage turned
 // sideways), its streaming projection (pipeline.go, projspill.go) and
 // the grace-hash spill layer (spill.go).
@@ -69,8 +68,7 @@ func runMemCharge(pass *Pass) error {
 				if isBuiltin(pkg.Info, call, "make") && tupleStorage(pkg.Info.Types[call].Type) {
 					hotAllocs = append(hotAllocs, call)
 				}
-				if isBudgetCharge(pkg.Info, call) || isArenaUse(pkg.Info, call) ||
-					isProjCharge(pkg.Info, call) {
+				if isBudgetCharge(pkg.Info, call) || isProjCharge(pkg.Info, call) {
 					charges = true
 				}
 				return true
@@ -81,7 +79,7 @@ func runMemCharge(pass *Pass) error {
 			for _, call := range hotAllocs {
 				pass.Reportf(call.Pos(),
 					"%s allocates tuple storage (%s) but never charges the query memory budget; "+
-						"reserve it (mem.Budget.Reserve/MustReserve) or allocate through a budget-carrying arena (PR 5 contract)",
+						"reserve it with mem.Budget.Reserve/MustReserve (PR 5 contract)",
 					fd.Name.Name, types.TypeString(pkg.Info.Types[call].Type, types.RelativeTo(pkg.Types)))
 			}
 		}
@@ -135,21 +133,4 @@ func isProjCharge(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	return typeIs(sig.Recv().Type(), "query", "stageProj")
-}
-
-// isArenaUse matches tuple allocation routed through the budget-carrying
-// arena: newArena itself or any tupleArena method.
-func isArenaUse(info *types.Info, call *ast.CallExpr) bool {
-	f := calleeOf(info, call)
-	if f == nil {
-		return false
-	}
-	if f.Name() == "newArena" {
-		return true
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return typeIs(sig.Recv().Type(), "query", "tupleArena")
 }

@@ -40,7 +40,7 @@ func newBatchCharged(bud *mem.Budget, width, rows int) *colBatch {
 // stageProj stubs the streaming projection and its charge helper:
 // ensure reserves a projected row's retention (or rotates the dedup set
 // to a spill run), so the analyzer accepts it as a charge site
-// alongside Reserve/MustReserve and the arena.
+// alongside Reserve/MustReserve.
 type stageProj struct {
 	bud  *mem.Budget
 	rows [][]kb.Value

@@ -38,28 +38,6 @@ func gatherReserve(bud *mem.Budget, n int) ([][]kb.Value, error) {
 	return make([][]kb.Value, 0, n), nil
 }
 
-// tupleArena is the budget-carrying allocator: its own methods charge,
-// and callers that allocate through it are conforming.
-type tupleArena struct {
-	bud *mem.Budget
-}
-
-func newArena(bud *mem.Budget) *tupleArena { return &tupleArena{bud: bud} }
-
-func (a *tupleArena) alloc(n int) []kb.Value {
-	a.bud.MustReserve(int64(n) * 16)
-	return make([]kb.Value, n)
-}
-
-// viaArena routes its allocation through the arena: conforming.
-func viaArena(a *tupleArena, rows [][]kb.Value) [][]kb.Value {
-	out := make([][]kb.Value, 0, len(rows)) // covered: the arena call below charges
-	for range rows {
-		out = append(out, a.alloc(2))
-	}
-	return out
-}
-
 // counts allocates non-tuple storage: outside the contract.
 func counts(n int) []int {
 	return make([]int, n)

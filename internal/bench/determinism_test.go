@@ -10,10 +10,11 @@ import (
 )
 
 // TestPlannedExecutionMatchesSequential is the determinism regression:
-// across every experiment query world, the planned paths — the per-step
-// tuple executor (inline, and partitioned/streamed on shallow chains) and
-// the batch pipeline — must return byte-identical Result rows and row
-// ordering to the sequential reference, including on a plan-cache hit.
+// across every experiment query world, the planned executor (the batch
+// pipeline) must return byte-identical Result rows and row ordering to
+// the sequential reference — at one scan worker and on a pool, with
+// pinned partitions, under a tiny budget, and on a plan-cache hit —
+// for single-step plans and join chains alike.
 func TestPlannedExecutionMatchesSequential(t *testing.T) {
 	type world struct {
 		name string
@@ -72,13 +73,14 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 		name string
 		opts query.Options
 	}{
-		{"inline", query.Options{Workers: 1}},
+		{"one-worker", query.Options{Workers: 1}},
+		{"one-worker-tinybudget", query.Options{Workers: 1, MemoryLimit: 1 << 14}},
 		{"pipelined-8", query.Options{Workers: 8}},        // cross-step pipeline on keyed chains
 		{"pipelined-8-cached", query.Options{Workers: 8}}, // second run hits the plan cache
 		{"pipelined-parts-3", query.Options{Workers: 8, Partitions: 3}},
 		// The tiny-budget leg: a 16KB cap forces every pipeline join
-		// partition into grace-hash spilling (and forces shallow chains
-		// onto the pipeline), yet rows must stay byte-identical.
+		// partition into grace-hash spilling, yet rows must stay
+		// byte-identical.
 		{"pipelined-8-tinybudget", query.Options{Workers: 8, MemoryLimit: 1 << 14}},
 	}
 	for _, w := range worlds {

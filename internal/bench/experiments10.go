@@ -72,11 +72,10 @@ func E18ObservabilityOverhead(triples []int) *Table {
 	defer debug.SetGCPercent(prevGC)
 	for _, nt := range triples {
 		eng, q, _ := buildJoinWorld(2, e18Instances, nt)
-		// One worker pins the inline per-step executor: no goroutine
-		// scheduling in the measured region, so the comparison sees the
-		// instrumentation, not the scheduler. It is also the path where
-		// per-row overhead would be most visible — nothing runs in
-		// parallel to absorb it.
+		// One scan worker keeps scheduling in the measured region to a
+		// minimum, so the comparison sees the instrumentation, not the
+		// scheduler. It is also where per-row overhead would be most
+		// visible — the least runs in parallel to absorb it.
 		opts := query.Options{Workers: 1}
 
 		// Warm the plan cache — and the allocator, scan indexes and CPU

@@ -19,9 +19,9 @@ const (
 	chainSources   = 32
 	chainInstances = 80
 	chainDup       = 3
-	// chainWorkers forces a real pool, so the experiments on this world
-	// run the pipeline rather than the inline joins and are meaningful
-	// on single-core CI runners too.
+	// chainWorkers forces a real scan pool, so the experiments on this
+	// world overlap their scans and are meaningful on single-core CI
+	// runners too.
 	chainWorkers = 8
 )
 

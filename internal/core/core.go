@@ -671,11 +671,10 @@ func (s *System) Query(artName, text string) (*query.Result, error) {
 }
 
 // QueryWith is Query with explicit execution options (worker-pool size
-// and join partitioning — with more than one worker, keyed join chains
-// run as a cross-step streaming pipeline whose per-step partition
-// counts the planner derives from its estimates — plus a MemoryLimit
-// under which pipeline joins degrade to grace-hash spilling, and the
-// per-step barrier, sequential-reference and compat-join paths). The
+// and join partitioning — every planned query runs as a cross-step
+// streaming pipeline whose per-step partition counts the planner derives
+// from its estimates — plus a MemoryLimit under which joins degrade to
+// grace-hash spilling, and the sequential reference path). The
 // returned Result's Stats carry the execution counters, including
 // JoinPartitions, StreamedBatches, PipelinedSteps and StepPartitions
 // from the partitioned scan→join pipeline and BytesReserved,

@@ -8,13 +8,13 @@ import (
 	"repro/internal/query/mem"
 )
 
-// This file is the columnar batch layer under the batch executor
+// This file is the columnar batch layer under the executor
 // (batchpipe.go): per-slot value vectors in fixed-capacity batches, a
 // selection bitmap instead of survivor copies, a []uint64 hash vector
 // filled one key column at a time, and budget accounting charged once
-// per batch (column capacity) instead of once per tuple. The tuple type
-// stays the row-major currency of the spill runs and the per-step
-// executor; a colBatch is the same rows turned sideways.
+// per batch (column capacity) instead of once per row. The tuple type
+// stays the row-major currency of the spill runs; a colBatch is the same
+// rows turned sideways.
 
 // batchRows is the row capacity of one column batch — scans fill batches
 // in runs of this size and every vectorized pass (hash, filter, scatter)
@@ -139,14 +139,13 @@ func (b *colBatch) clearRow(i int) {
 }
 
 // batchHashSeed starts every row's key-hash accumulation; hashCell folds
-// one key column's cell in. The batch path hashes values directly —
-// kind, canonical float bits, string bytes — instead of encoding the key
-// to rowkey bytes first (the per-step executor's appendSlotKey+hashKey),
-// so a batch hash pass touches each column once with no byte
-// materialisation. The two executors never mix hashes within one
-// execution, so the functions need not agree — but hashCell must respect
-// the engine's join equality (sameCell): equal cells hash equal, every
-// NaN hashes in one class, and +0/-0 may differ (they never join).
+// one key column's cell in. Values are hashed directly — kind, canonical
+// float bits, string bytes — instead of encoding the key to rowkey bytes
+// first, so a hash pass touches each column once with no byte
+// materialisation. hashCell must respect the engine's join equality
+// (sameCell): equal cells hash equal, every NaN hashes in one class, and
+// +0/-0 may differ (they never join). A keyless (cross-product) step
+// hashes every row to the seed itself.
 const batchHashSeed = 0x9E3779B97F4A7C15
 
 // canonNaNBits is the one bit image all NaNs hash through, mirroring the
@@ -272,8 +271,7 @@ func (b *colBatch) copyRow(src *colBatch, i int, h uint64, slots []int) {
 // bridge to the row-major spill machinery (spill.go): spill runs encode
 // tuples, and the grace-join completion replays them. A scratch tuple is
 // dedicated to one slot list, so the slots outside it stay zero (the
-// tuple executor's unbound-slot convention) and the encoded wire bytes
-// are deterministic.
+// unbound-slot convention) and the encoded wire bytes are deterministic.
 func (b *colBatch) rowTuple(i int, scratch tuple, slots []int) tuple {
 	for _, s := range slots {
 		scratch[s] = b.cols[s][i]

@@ -14,9 +14,7 @@ import (
 // batchEdgeEngine builds a two-source world whose join output size is
 // directly controlled by the instance count: every instance carries one
 // P value and one P2 value (both its own index), so the three-conjunct
-// chain yields exactly instances rows per source — deep and big enough
-// that the planner picks the streaming pipeline (and with it the batch
-// plane) rather than the shallow-chain fast path. The ontology also
+// chain yields exactly instances rows per source. The ontology also
 // declares a Q attribute with zero facts behind it, for the empty-batch
 // tests.
 func batchEdgeEngine(t testing.TB, instances int) (*Engine, Query) {
@@ -105,7 +103,7 @@ func TestBatchSelectionMaskAllZero(t *testing.T) {
 	}{
 		{"batch", Options{Workers: 4}},
 		{"batch-budgeted", Options{Workers: 4, MemoryLimit: 1 << 14}},
-		{"inline", Options{Workers: 1}},
+		{"one-worker", Options{Workers: 1}},
 	} {
 		got, err := eng.ExecuteWith(dead, leg.opts)
 		if err != nil {
@@ -147,7 +145,7 @@ func TestBatchEmptyStep(t *testing.T) {
 	}{
 		{"batch", Options{Workers: 4}},
 		{"batch-budgeted", Options{Workers: 4, MemoryLimit: 1 << 14}},
-		{"inline", Options{Workers: 1}},
+		{"one-worker", Options{Workers: 1}},
 	} {
 		got, err := eng.ExecuteWith(empty, leg.opts)
 		if err != nil {
@@ -163,7 +161,7 @@ func TestBatchEmptyStep(t *testing.T) {
 // executor matrix: on every bench world — join-heavy, deep-chain, and
 // the adversarial rowkey payloads — the batch plane must produce rows
 // byte-identical to the sequential reference under GOMAXPROCS 1, 2 and
-// 8, unbounded and under the 16KB budget, alongside the inline and
+// 8, unbounded and under the 16KB budget, alongside the one-worker and
 // pinned-partition legs.
 func TestBatchDeterminismAcrossProcs(t *testing.T) {
 	worlds := []struct {
@@ -193,7 +191,7 @@ func TestBatchDeterminismAcrossProcs(t *testing.T) {
 						opts Options
 					}{
 						{"default-workers", Options{}},
-						{"inline", Options{Workers: 1}},
+						{"one-worker", Options{Workers: 1}},
 						{"batch", Options{Workers: 4}},
 						{"batch-parts-3", Options{Workers: 4, Partitions: 3}},
 						{"batch-16k", Options{Workers: 4, MemoryLimit: 1 << 14}},

@@ -12,12 +12,9 @@ import (
 	"repro/internal/query/mem"
 )
 
-// This file is the cross-step streaming pipeline on columnar batches: the
-// planned execution path whenever the worker pool has more than one
-// worker and the plan is a keyed join chain worth pipelining
-// (plan.pipelines). The per-step executor (exec.go) fully materialises
-// each join step's output before the next step's scans dispatch; here
-// every step runs concurrently instead:
+// This file is the cross-step streaming pipeline on columnar batches —
+// the one planned executor: every compiled plan runs here, whatever its
+// shape or worker count. Every step runs concurrently:
 //
 //   - all steps' scans share one bounded worker pool, dispatched in step
 //     order, so a later step's sources scan while earlier joins probe;
@@ -29,15 +26,20 @@ import (
 //     at production time (plan.nextKeySlots) and streamed straight into
 //     the next step's partition channels in batches;
 //   - when a step's output is provably empty the pipeline cancels:
-//     undispatched scans are skipped (the pipelined form of the per-step
-//     empty-join short-circuit) and the stages drain out.
+//     undispatched scans are skipped (the empty-join short-circuit) and
+//     the stages drain out.
 //
 // Partition counts are planner-derived per step (plan.stepPartCount:
 // estimate-proportional, skew-aware) unless Options{Partitions} pins a
 // global count. The final step's output never materialises either: each
 // last-stage partition dedups its probe output straight onto the SELECT
 // slots (the streaming projection, pipeline.go) and the executor merges
-// the sorted per-partition row sets.
+// the sorted per-partition row sets. A single-step plan has no join
+// stage: each scan task projects its own rows and the executor merges
+// the tasks' row sets the same way. A disconnected (keyless) step needs
+// no special case: every row hashes to batchHashSeed, so the step lands
+// in one partition, and keysEqualAt over zero key slots matches every
+// pair — a cross product.
 //
 // The currency between stages is a colBatch (batch.go), and the three
 // per-row hot loops run vectorized:
@@ -65,12 +67,13 @@ import (
 // retains its argument), and grace-join emissions re-enter the columnar
 // flow through batchOutput.
 //
-// Rows, JoinedRows and the projection are byte-identical to every other
-// path, spilled or not: batch arrival order varies run to run, but the
-// row *set* per partition is fixed by the key hash (a match pair routes
-// to the same partition under any key-hash function), the spill wire
-// format round-trips kind-strictly, every partition's row set is deduped
-// and sorted, and the final ordered merge normalises the global order.
+// Rows, JoinedRows and the projection are byte-identical to the
+// Sequential reference, spilled or not: batch arrival order varies run
+// to run, but the row *set* per partition is fixed by the key hash (a
+// match pair routes to the same partition under any key-hash function),
+// the spill wire format round-trips kind-strictly, every partition's row
+// set is deduped and sorted, and the final ordered merge normalises the
+// global order.
 // JoinedRows/StepRows count post-filter emissions, which are match-pair
 // counts independent of partitioning and batching.
 
@@ -134,13 +137,15 @@ func (rt *batchRouter) flush() {
 // batchScanSink accumulates one scan task's accepted rows in a staging
 // batch and flushes it through the vectorized passes: step-0 filters on
 // the selection mask, one hash pass over the routing key columns, then a
-// scatter of the selected rows to the consuming step's partitions.
+// scatter of the selected rows to the consuming step's partitions — or,
+// on a single-step plan, straight into the task's projection.
 type batchScanSink struct {
 	plan    *execPlan
 	filters []Filter // step-0 filter set; nil on build-side scans
 	slots   []int    // routing key slots (hash target)
 	staging *colBatch
-	rt      *batchRouter
+	rt      *batchRouter // nil on a single-step plan
+	proj    *stageProj   // non-nil on a single-step plan
 
 	batches              int
 	rows                 int64
@@ -159,13 +164,20 @@ func (snk *batchScanSink) flush() {
 		snk.filterIn += int64(b.n)
 		b.applyFiltersVec(snk.filters, snk.plan)
 	}
-	b.hashKeys(snk.slots)
+	if snk.rt != nil {
+		b.hashKeys(snk.slots)
+	}
 	kept := int64(0)
 	for i := 0; i < b.n; i++ {
-		if b.live(i) {
-			snk.rt.route(b, i, b.hashes[i])
-			kept++
+		if !b.live(i) {
+			continue
 		}
+		if snk.rt != nil {
+			snk.rt.route(b, i, b.hashes[i])
+		} else {
+			snk.proj.addBatchRow(b, i)
+		}
+		kept++
 	}
 	if len(snk.filters) > 0 {
 		snk.filterKept += kept
@@ -176,11 +188,13 @@ func (snk *batchScanSink) flush() {
 }
 
 // batchEmit adapts scanMatch's (s, p, o) callback into columnar row
-// construction — tupleEmit's exact semantics (first-occurrence positions
-// write their slot, repeats enforce equality, the report gates the scan
-// row counters) writing straight into the staging batch's columns. A
-// rejected row never advances n, so its partial writes are overwritten
-// by the next row (which writes a superset of the same slots).
+// construction: variable positions write their slot on first occurrence
+// and enforce equality on repeats ("?x Likes ?x"), constant positions
+// were already matched by the scan view, and the report gates the scan
+// row counters. Rows are written straight into the staging batch's
+// columns; a rejected row never advances n, so its partial writes are
+// overwritten by the next row (which writes a superset of the same
+// slots).
 func batchEmit(stp *planStep, snk *batchScanSink) func(s, p, o kb.Value) bool {
 	return func(s, p, o kb.Value) bool {
 		b := snk.staging
@@ -437,13 +451,13 @@ func (o *batchOutput) flush() {
 	b.sel = nil
 }
 
-// executeBatched runs a keyed join chain on the columnar batch pipeline.
-// Callers guarantee (plan.pipelines): more than one worker, at least two
-// steps, and every step after the first has key slots (plan.chainKeyed).
-// A cancelled context rides the same machinery as the provably-empty
-// short-circuit: remaining scan dispatch is skipped, the stages drain,
-// and ctx.Err() is returned instead of the partial result. A spill I/O
-// failure drains the same way and surfaces as the returned error.
+// executeBatched runs a compiled plan on the columnar batch pipeline —
+// any plan: one step or a chain, keyed joins or cross products, one scan
+// worker or a pool. A cancelled context rides the same machinery as the
+// provably-empty short-circuit: remaining scan dispatch is skipped, the
+// stages drain, and ctx.Err() is returned instead of the partial result.
+// A spill I/O failure drains the same way and surfaces as the returned
+// error.
 func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, opts Options, bud *mem.Budget, res *Result) error {
 	st := &res.Stats
 	width := len(plan.slotNames)
@@ -456,9 +470,9 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 
 	// Copy lists: which slots a row actually carries at each point in
 	// the chain. Columns outside a row's list are never copied, spilled
-	// or read — the batch equivalent of the tuple executor's "unbound
-	// slots are never read" invariant, and most of the win over copying
-	// full-width rows at every stage boundary.
+	// or read — which slots are bound is a plan-level property — and this
+	// is most of the win over copying full-width rows at every stage
+	// boundary.
 	boundAfter := make([][]int, n) // slots bound once step si has run
 	scanRowSlots := make([][]int, n)
 	{
@@ -601,17 +615,35 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		stageRuns[si] = make([]int, parts[si])
 		stageBytes[si] = make([]int64, parts[si])
 	}
-	// Last-stage projection spill counters (one slot per partition).
-	projSpills := make([]int, parts[n-1])
-	projRunCnt := make([]int, parts[n-1])
-	projRunBytes := make([]int64, parts[n-1])
+	// The projected row sets the final merge combines, with their spill
+	// counters: one per last-stage partition, or — on a single-step plan,
+	// which has no join stage — one per scan task.
+	projN := len(plan.steps[0].scans)
+	if n > 1 {
+		projN = parts[n-1]
+	}
+	projParts := make([][]keyedRow, projN)
+	projSpills := make([]int, projN)
+	projRunCnt := make([]int, projN)
+	projRunBytes := make([]int64, projN)
+	finishProj := func(i int, pp *stageProj) {
+		rows, err := pp.finish()
+		setErr(err)
+		projParts[i] = rows
+		if pp.spilled {
+			projSpills[i] = 1
+			projRunCnt[i] = len(pp.runs)
+			projRunBytes[i] = pp.bytes
+		}
+	}
 	// Filter-pass totals for Stats.SelectivityPct. Plain sums, so atomic
 	// accumulation is still deterministic whatever the scheduling.
 	var filterInTot, filterKeptTot int64
 
 	// Scan worker pool, shared by every step's scans, dispatched in step
-	// order: step 0 feeds upCh[1] directly (hashed on step 1's keys);
-	// step si>=1 feeds its own build side scanCh[si].
+	// order: step 0 feeds upCh[1] directly (hashed on step 1's keys), or
+	// its task's own projection when it is the only step; step si>=1
+	// feeds its own build side scanCh[si].
 	scanWg := make([]sync.WaitGroup, n)
 	for si := range plan.steps {
 		scanWg[si].Add(len(liveTasks[si]))
@@ -630,19 +662,27 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 			}()
 		}
 		snk := &batchScanSink{plan: plan, staging: alloc.get()}
-		if si == 0 {
+		switch {
+		case n == 1:
+			snk.filters = filters[0]
+			snk.proj = newStageProj(q, plan, bud, projPool, opts.SpillDir)
+		case si == 0:
 			snk.filters = filters[0]
 			snk.slots = stp.nextKeySlots
 			snk.rt = newBatchRouter(upCh[1], alloc, boundAfter[0])
-		} else {
+		default:
 			snk.slots = stp.keySlots
 			snk.rt = newBatchRouter(scanCh[si], alloc, scanRowSlots[si])
 		}
 		e.scanMatch(sc.name, sc.src, stp.triple, sc.view, ts, true, batchEmit(stp, snk))
 		snk.flush()
-		snk.rt.flush()
 		alloc.put(snk.staging)
-		ts.StreamedBatches += snk.rt.batches
+		if snk.rt != nil {
+			snk.rt.flush()
+			ts.StreamedBatches += snk.rt.batches
+		} else {
+			finishProj(j, snk.proj)
+		}
 		ts.Batches += snk.batches
 		ts.BatchRows += int(snk.rows)
 		atomic.AddInt64(&filterInTot, snk.filterIn)
@@ -712,8 +752,10 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 			sp.SetInt("rows", atomic.LoadInt64(&stepOut[0]))
 			sp.End()
 		}
-		for _, ch := range upCh[1] {
-			close(ch)
+		if n > 1 {
+			for _, ch := range upCh[1] {
+				close(ch)
+			}
 		}
 		if atomic.LoadInt64(&stepOut[0]) == 0 {
 			cancelFn()
@@ -740,7 +782,6 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	// frozen prefix and grace-joins against the spilled build rows; the
 	// two match sets are disjoint because every build row lives on
 	// exactly one side.
-	projParts := make([][]keyedRow, parts[n-1])
 	stageWg := make([]sync.WaitGroup, n)
 	for si := 1; si < n; si++ {
 		stageWg[si].Add(parts[si])
@@ -962,7 +1003,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						if partSpan != nil {
 							spillSpan = partSpan.Child("spill")
 						}
-						decodeArena := &tupleArena{width: width, blockTuples: spillDecodeBlock}
+						decodeArena := &tupleArena{width: width}
 						fail(sp.probe.replay(width, decodeArena, func(t tuple, h uint64) error {
 							if bs.rows() > 0 {
 								probeTuple(t, h)
@@ -1005,7 +1046,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 							// before the disk half grace-joins — the probe
 							// run is re-readable, so the grace join streams
 							// it again afterwards.
-							decodeArena := &tupleArena{width: width, blockTuples: spillDecodeBlock}
+							decodeArena := &tupleArena{width: width}
 							fail(sp.probe.replay(width, decodeArena, func(t tuple, h uint64) error {
 								probeTuple(t, h)
 								return nil
@@ -1039,14 +1080,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 					o.rt.flush()
 					stageStream[si][p] = o.rt.batches
 				} else {
-					rows, perr := o.proj.finish()
-					fail(perr)
-					projParts[p] = rows
-					if o.proj.spilled {
-						projSpills[p] = 1
-						projRunCnt[p] = len(o.proj.runs)
-						projRunBytes[p] = o.proj.bytes
-					}
+					finishProj(p, o.proj)
 				}
 				if o.out != nil {
 					alloc.put(o.out)
@@ -1115,7 +1149,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 			st.SpilledBytes += stageBytes[si][p]
 		}
 	}
-	for p := 0; p < parts[n-1]; p++ {
+	for p := range projParts {
 		st.ProjectionSpills += projSpills[p]
 		st.SpillRuns += projRunCnt[p]
 		st.SpilledBytes += projRunBytes[p]
@@ -1145,8 +1179,12 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	// The streaming projection's ordered merge: every partition's rows
 	// arrive deduplicated and sorted; the merge drops cross-partition
 	// duplicates and yields the deterministic global order shared by all
-	// execution paths.
+	// execution paths. The project span times it (a nil Trace records
+	// nothing and allocates nothing).
 	st.JoinedRows = int(stepOut[n-1])
+	ps := opts.Trace.Child("project")
 	res.Rows = mergeSortedKeyed(projParts, bud)
+	ps.SetInt("rows", int64(len(res.Rows)))
+	ps.End()
 	return nil
 }

@@ -46,27 +46,24 @@ type Stats struct {
 	// their textual position (selectivity-ordered joins).
 	ReorderedTriples int
 	// ParallelScans counts per-source scans dispatched to the worker
-	// pool (0 when the execution ran inline).
+	// pool (0 on the Sequential reference path).
 	ParallelScans int
-	// Workers is the scan worker-pool size the execution used (1 =
-	// inline, no goroutines).
+	// Workers is the scan worker-pool size the execution used (1 on the
+	// Sequential reference path).
 	Workers int
-	// JoinPartitions is the number of hash partitions the partitioned
-	// joins ran with (the maximum across steps; 0 when every join ran
-	// inline).
+	// JoinPartitions is the number of hash partitions the joins ran with
+	// (the maximum across steps; 0 on a single-step plan).
 	JoinPartitions int
-	// StreamedBatches counts tuple batches streamed into the partitioned
-	// joins — from scans, and on the pipelined path also from step to
-	// step (0 on inline and non-streaming executions).
+	// StreamedBatches counts column batches streamed into the joins —
+	// from scans and from step to step (0 on a single-step plan).
 	StreamedBatches int
 	// PipelinedSteps counts join steps that received their probe input
-	// streamed from the previous step instead of from a materialised
-	// frontier — the cross-step pipeline (0 on the sequential and
-	// per-step executions).
+	// streamed from the previous step — every join step of a planned
+	// execution (0 on the Sequential reference path).
 	PipelinedSteps int
-	// StepPartitions records each join step's hash-partition count in
-	// join order (0 for the leading scan step and for inline joins; nil
-	// when no join partitioned). The counts decouple from Workers via
+	// StepPartitions records each step's hash-partition count in join
+	// order (0 for the leading scan step; nil on the Sequential
+	// reference path). The counts decouple from Workers via
 	// Options{Partitions}.
 	StepPartitions []int
 	// ScansCancelled counts source scans whose dispatch was skipped
@@ -98,14 +95,14 @@ type Stats struct {
 	SpillRuns int
 	// AdaptivePartitions counts join steps whose hash-partition count
 	// was derived from the planner's scan estimates (0 when
-	// Options{Partitions} pins a global count or no join partitioned).
+	// Options{Partitions} pins a global count or the plan has one step).
 	AdaptivePartitions int
 	// SpilledBytes counts bytes written to grace-hash spill runs
 	// (record framing included, recursion included). Deterministic for
 	// a given spilled-partition set; 0 without a memory limit.
 	SpilledBytes int64
-	// Batches counts the column batches the batch executor produced
-	// (scan-side and stage-output batches; 0 on every other path).
+	// Batches counts the column batches the planned executor produced
+	// (scan-side and stage-output batches; 0 on the Sequential path).
 	// Deterministic: batch boundaries are fixed by per-producer row
 	// counts and the batch capacity, not by scheduling.
 	Batches int
@@ -971,7 +968,7 @@ func sharedVars(left, right []binding) []string {
 }
 
 // joinKey encodes a row's join key on the shared variables with the same
-// collision-free encoding the tuple executor hashes on (appendValueKey):
+// collision-free encoding the planned path keys on (appendValueKey):
 // kind-strict and framing-safe, so a term literally named "\x01unbound"
 // or payloads containing '\x00' cannot falsely join (the seed joined
 // Format() strings with raw separators and an in-band unbound sentinel).

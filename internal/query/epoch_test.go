@@ -214,73 +214,3 @@ func TestExecuteCtxCancellation(t *testing.T) {
 		}
 	}
 }
-
-// TestShallowChainCostChoice locks the shallow-chain fast path: at one
-// or two keyed joins the executor is chosen by the planner's scan
-// estimate — tiny worlds run the per-step executor, scan-heavy worlds
-// still pipeline — and deeper chains always pipeline. Rows are identical
-// either way.
-func TestShallowChainCostChoice(t *testing.T) {
-	opts := Options{Workers: 4}
-
-	// Tiny world, one keyed join: below break-even, per-step executor.
-	small := paperEngine(t)
-	q2 := MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p")
-	res, err := small.ExecuteCtx(context.Background(), q2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PipelinedSteps != 0 {
-		t.Fatalf("tiny shallow chain pipelined: %+v", res.Stats)
-	}
-	seq, err := small.ExecuteWith(q2, Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.EqualRows(res) {
-		t.Fatalf("shallow fast path diverged from sequential")
-	}
-
-	// Scan-heavy world, same two-triple shape: the estimate clears the
-	// gate and the chain pipelines again.
-	big, bq := shallowHeavyEngine(t, 3000)
-	bres, err := big.ExecuteCtx(context.Background(), bq, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bres.Stats.PipelinedSteps == 0 {
-		t.Fatalf("scan-heavy shallow chain did not pipeline: %+v", bres.Stats)
-	}
-
-	// Depth beyond the gate pipelines regardless of estimates.
-	deep, dq := deepChainEngine(t, 8, 1)
-	dres, err := deep.ExecuteCtx(context.Background(), dq, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dres.Stats.PipelinedSteps == 0 {
-		t.Fatalf("deep chain did not pipeline: %+v", dres.Stats)
-	}
-
-	// A memory budget bypasses the shallow gate: only the pipeline can
-	// degrade to grace-hash spilling, so the tiny world pipelines when a
-	// limit is set — with identical rows.
-	capped, err := small.ExecuteWith(q2, Options{Workers: 4, MemoryLimit: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.Stats.PipelinedSteps == 0 {
-		t.Fatalf("budgeted shallow chain did not pipeline: %+v", capped.Stats)
-	}
-	if !seq.EqualRows(capped) {
-		t.Fatalf("budgeted shallow chain diverged from sequential")
-	}
-}
-
-// shallowHeavyEngine builds a two-source, two-triple world whose scan
-// volume clears the shallow pipeline gate.
-func shallowHeavyEngine(t testing.TB, instances int) (*Engine, Query) {
-	t.Helper()
-	eng, _ := joinHeavyEngine(t, instances)
-	return eng, MustParse("SELECT ?x ?p WHERE ?x InstanceOf Item . ?x Price ?p")
-}

@@ -14,7 +14,7 @@ import (
 
 // joinHeavyEngine builds a two-source world where every instance matches
 // every conjunct of the returned query, so the join frontier stays at
-// full width through every step — the shape that stresses the tuple join
+// full width through every step — the shape that stresses the join
 // machinery rather than scan selectivity.
 func joinHeavyEngine(t testing.TB, instances int) (*Engine, Query) {
 	t.Helper()
@@ -52,10 +52,9 @@ func joinHeavyEngine(t testing.TB, instances int) (*Engine, Query) {
 	return eng, q
 }
 
-// TestTupleExecutorMatchesReferences checks the planned executors — the
-// per-step tuple joins (inline, and partitioned/streamed through the
-// shallow gate) and the batch pipeline — against the sequential reference
-// on the join-heavy world.
+// TestTupleExecutorMatchesReferences checks the planned executor — at
+// one scan worker, on a pool, with pinned partitions and under a 16KB
+// budget — against the sequential reference on the join-heavy world.
 func TestTupleExecutorMatchesReferences(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 300)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -69,7 +68,7 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"tuple-inline", Options{Workers: 1}},
+		{"one-worker", Options{Workers: 1}},
 		{"pipelined", Options{Workers: 4}},
 		{"pipelined-cached", Options{Workers: 4}},
 		{"pipelined-parts-3", Options{Workers: 4, Partitions: 3}},
@@ -110,37 +109,6 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 	if got.Stats.Batches == 0 || got.Stats.BatchRows == 0 {
 		t.Errorf("default pipeline did not batch: %+v", got.Stats)
 	}
-	// A pooled chain under the shallow gate (two keyed joins, a summed
-	// estimate below shallowPipelineMinEst, no limit) runs the per-step
-	// executor's partitioned streamed join instead: it must partition and
-	// stream within each step, never across steps, with the same rows.
-	small, _ := joinHeavyEngine(t, 40)
-	sq := MustParse(`SELECT ?x ?p ?q WHERE ?x InstanceOf Item . ?x Price ?p . ?x Qty ?q . FILTER ?p > 60`)
-	sWant, err := small.ExecuteWith(sq, Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sWant.Rows) == 0 {
-		t.Fatalf("shallow world produced no rows")
-	}
-	for _, opts := range []Options{{Workers: 4}, {Workers: 4, Partitions: 3}} {
-		streamed, err := small.ExecuteWith(sq, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sWant.EqualRows(streamed) || streamed.Stats.JoinedRows != sWant.Stats.JoinedRows {
-			t.Errorf("%+v: per-step streamed join diverged: sequential %d rows, got %d", opts, len(sWant.Rows), len(streamed.Rows))
-		}
-		if streamed.Stats.PipelinedSteps != 0 || streamed.Stats.Batches != 0 {
-			t.Errorf("%+v: shallow chain ran the batch pipeline: %+v", opts, streamed.Stats)
-		}
-		if streamed.Stats.JoinPartitions < 1 || streamed.Stats.StreamedBatches == 0 {
-			t.Errorf("%+v: per-step run did not partition/stream within steps: %+v", opts, streamed.Stats)
-		}
-		if opts.Partitions > 0 && streamed.Stats.JoinPartitions != opts.Partitions {
-			t.Errorf("%+v: per-step JoinPartitions = %d", opts, streamed.Stats.JoinPartitions)
-		}
-	}
 	// An explicit global Partitions override still pins every step.
 	pinned, err := eng.ExecuteWith(q, Options{Workers: 4, Partitions: 4})
 	if err != nil {
@@ -149,35 +117,38 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 	if pinned.Stats.JoinPartitions != 4 || pinned.Stats.AdaptivePartitions != 0 {
 		t.Errorf("Partitions override not honoured: %+v", pinned.Stats)
 	}
-	// And the inline run must not report phantom partitions.
-	inline, err := eng.ExecuteWith(q, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inline.Stats.JoinPartitions != 0 || inline.Stats.StreamedBatches != 0 {
-		t.Errorf("inline run reported partition stats: %+v", inline.Stats)
-	}
 }
 
-// TestTupleCrossProduct covers the disconnected-conjunct path (no shared
-// slots between steps) on all executors.
+// TestTupleCrossProduct covers disconnected conjuncts (no shared slots
+// between steps): a keyless step hashes every row alike, so the cross
+// product runs as an ordinary join partition — at one scan worker and on
+// a pool, unbounded and under a 16KB budget, for a single cross step and
+// for a chain mixing keyed and keyless steps.
 func TestTupleCrossProduct(t *testing.T) {
 	eng, _ := joinHeavyEngine(t, 10)
-	q := MustParse(`SELECT ?x ?y WHERE ?x InstanceOf Item . ?y Price 51`)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Rows) == 0 {
-		t.Fatalf("cross product empty")
-	}
-	for _, opts := range []Options{{Workers: 1}, {Workers: 4}} {
-		got, err := eng.ExecuteWith(q, opts)
+	for _, q := range []Query{
+		MustParse(`SELECT ?x ?y WHERE ?x InstanceOf Item . ?y Price 51`),
+		MustParse(`SELECT ?x ?y ?q ?z WHERE ?x InstanceOf Item . ?y Price 51 . ?y Qty ?q . ?z Qty 2`),
+	} {
+		want, err := eng.ExecuteWith(q, Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.EqualRows(got) {
-			t.Errorf("opts %+v diverged on cross product", opts)
+		if len(want.Rows) == 0 {
+			t.Fatalf("cross product empty: %s", q)
+		}
+		for _, opts := range []Options{
+			{Workers: 1}, {Workers: 4},
+			{Workers: 1, MemoryLimit: 1 << 14}, {Workers: 4, MemoryLimit: 1 << 14},
+		} {
+			got, err := eng.ExecuteWith(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.EqualRows(got) || got.Stats.JoinedRows != want.Stats.JoinedRows {
+				t.Errorf("opts %+v diverged on %s: sequential %d rows, got %d",
+					opts, q, len(want.Rows), len(got.Rows))
+			}
 		}
 	}
 }
@@ -228,75 +199,41 @@ func TestPartitionedJoinRaceHammer(t *testing.T) {
 	}
 }
 
-// TestPerRowJoinAllocs bounds the per-joined-row allocation cost of the
-// inline tuple path — the regression guard for the slot/tuple
-// representation. The binding-map representation it replaced spent
-// several map allocations per row; the tuple path amortises row storage
-// through arenas and must stay under a small constant per row (dedup
-// keys, output rows and map growth dominate).
-func TestPerRowJoinAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation accounting under -short")
-	}
-	eng, q := joinHeavyEngine(t, 200)
-	opts := Options{Workers: 1}
-	res, err := eng.ExecuteWith(q, opts) // warm plan cache and edge indexes
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Stats.JoinedRows
-	if rows == 0 {
-		t.Fatalf("no joined rows")
-	}
-	avg := testing.AllocsPerRun(3, func() {
-		if _, err := eng.ExecuteWith(q, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perRow := avg / float64(rows)
-	// Measured ~8 allocs per joined row for the whole execution (arena
-	// blocks, projection keys and output rows, hash-map growth) versus
-	// ~64 for the binding-map representation on the same world. The
-	// bound leaves headroom for runtime changes while still catching any
-	// return to per-row maps or string join keys.
-	if perRow > 15 {
-		t.Errorf("per-row join allocations = %.2f (total %.0f over %d rows), want <= 15", perRow, avg, rows)
-	}
-}
-
-// TestPerRowBatchAllocs pins the batch plane's amortized allocation
-// rate per joined row: columns, hash vectors and selection masks are
-// allocated per batch and pooled, so the per-row count must stay well
-// under the per-step tuple path's bound (TestPerRowJoinAllocs).
+// TestPerRowBatchAllocs pins the executor's amortized allocation rate
+// per joined row, on a pool and at one scan worker: columns, hash
+// vectors and selection masks are allocated per batch and pooled, so
+// the per-row count stays a small constant.
 func TestPerRowBatchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting under -short")
 	}
 	eng, q := joinHeavyEngine(t, 300)
-	opts := Options{Workers: 4}
-	res, err := eng.ExecuteWith(q, opts) // warm plan cache, edge indexes and batch pools
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Stats.JoinedRows
-	if rows == 0 {
-		t.Fatalf("no joined rows")
-	}
-	if res.Stats.Batches == 0 {
-		t.Fatalf("batch path not engaged: %+v", res.Stats)
-	}
-	avg := testing.AllocsPerRun(3, func() {
-		if _, err := eng.ExecuteWith(q, opts); err != nil {
+	for _, opts := range []Options{{Workers: 4}, {Workers: 1}} {
+		res, err := eng.ExecuteWith(q, opts) // warm plan cache, edge indexes and batch pools
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	perRow := avg / float64(rows)
-	// Measured ~2.7 allocs per joined row for the whole execution
-	// (pooled column batches, projection keys, worker machinery). The
-	// bound leaves headroom for runtime changes while failing on any
-	// return to per-row column or hash-vector allocation.
-	if perRow > 8 {
-		t.Errorf("per-row batch allocations = %.2f (total %.0f over %d rows), want <= 8", perRow, avg, rows)
+		rows := res.Stats.JoinedRows
+		if rows == 0 {
+			t.Fatalf("no joined rows")
+		}
+		if res.Stats.Batches == 0 {
+			t.Fatalf("%+v: batch path not engaged: %+v", opts, res.Stats)
+		}
+		avg := testing.AllocsPerRun(3, func() {
+			if _, err := eng.ExecuteWith(q, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perRow := avg / float64(rows)
+		// Measured ~2.7 allocs per joined row for the whole execution
+		// (pooled column batches, projection keys, worker machinery). The
+		// bound leaves headroom for runtime changes while failing on any
+		// return to per-row column or hash-vector allocation.
+		if perRow > 8 {
+			t.Errorf("%+v: per-row batch allocations = %.2f (total %.0f over %d rows), want <= 8",
+				opts, perRow, avg, rows)
+		}
 	}
 }
 
@@ -335,33 +272,8 @@ func TestNaNJoinMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAppendSlotKeyKindStrict locks the join-key encoding: values that
-// format identically but differ in kind must produce different keys, and
-// length prefixes must keep adjacent payloads unambiguous.
-func TestAppendSlotKeyKindStrict(t *testing.T) {
-	mk := func(vals ...kb.Value) string {
-		return string(appendSlotKey(nil, tuple(vals), []int{0, 1}[:len(vals)]))
-	}
-	if mk(kb.Term("3000")) == mk(kb.Number(3000)) {
-		t.Errorf("kind-blind join key: Term(3000) == Number(3000)")
-	}
-	if mk(kb.Term("3000")) == mk(kb.String("3000")) {
-		t.Errorf("kind-blind join key: Term(3000) == String(3000)")
-	}
-	// Shifting bytes across the field boundary must change the key.
-	if mk(kb.Term("ab"), kb.Term("c")) == mk(kb.Term("a"), kb.Term("bc")) {
-		t.Errorf("ambiguous field framing in join key")
-	}
-	if mk(kb.Term("a\x00b"), kb.Term("c")) == mk(kb.Term("a"), kb.Term("b\x00c")) {
-		t.Errorf("NUL-containing payloads collide")
-	}
-	if mk(kb.Number(1), kb.Number(2)) == mk(kb.Number(2), kb.Number(1)) {
-		t.Errorf("number order ignored in join key")
-	}
-}
-
-// TestTupleArenaReuse checks that an abandoned row (repeated-variable
-// rejection) does not leak stale slots into the next committed row.
+// TestTupleArenaReuse checks that an abandoned row (a decode that never
+// committed) does not leak stale slots into the next committed row.
 func TestTupleArenaReuse(t *testing.T) {
 	a := &tupleArena{width: 2}
 	first := a.next()

@@ -39,22 +39,21 @@ type TriplePlan struct {
 	// NewVars are the variables this step binds first.
 	NewVars []string
 	// StreamsInto is the join-order position of the step this step's
-	// output streams into on the pipelined path (-1 for the last step
-	// and on non-pipelined plans), and StreamKeyVars are the downstream
-	// key variables the output is re-hashed on at production time.
+	// output streams into (-1 for the last step), and StreamKeyVars are
+	// the downstream key variables the output is re-hashed on at
+	// production time.
 	StreamsInto   int
 	StreamKeyVars []string
 	// Partitions is the hash-partition count this step's join runs with
 	// under the engine's default options: planner-derived from the scan
 	// estimates (skew-aware) unless Options{Partitions} pins a global
-	// count (0 for the leading scan step and when joins run inline).
+	// count (0 for the leading scan step).
 	Partitions int
 	// ActualRows and ActualNs are the step's measured row output (after
 	// the filters that first apply at it) and wall-clock duration, set
 	// only when the enclosing Plan is Analyzed. Rows are deterministic;
-	// durations are wall-clock, and on the pipelined path every step
-	// runs concurrently from execution start, so step durations overlap
-	// rather than sum.
+	// durations are wall-clock, and every step runs concurrently from
+	// execution start, so step durations overlap rather than sum.
 	ActualRows int
 	ActualNs   int64
 }
@@ -74,27 +73,20 @@ type Plan struct {
 	Workers int
 	// Partitions is the widest hash-partition count across the join
 	// steps (each step's own count is in its TriplePlan.Partitions;
-	// Options{Partitions} pins them all; 0 when joins run inline).
+	// Options{Partitions} pins them all; 0 on a single-step plan).
 	Partitions int
 	// MemoryLimit is the engine default options' execution budget in
 	// bytes (0 = unlimited): joins that cannot reserve within it degrade
-	// to grace-hash spilling on the pipelined path.
+	// to grace-hash spilling.
 	MemoryLimit int64
-	// Pipelined reports that the engine's default options execute this
-	// plan on the columnar batch pipeline: every step's probe output
-	// streams straight into the next step's partitions while later
-	// steps' sources are still scanning, as per-slot value vectors with
-	// hash, filter and scatter passes vectorized per batch. False means
-	// the per-step tuple executor runs it.
-	Pipelined bool
 	// Triples are the WHERE conjuncts in execution (join) order.
 	Triples []TriplePlan
 	// Analyzed is true when the plan came from ExplainAnalyze: the query
 	// actually ran, and ActualRows/ActualNs (whole query) plus each
 	// TriplePlan's actuals record what the execution measured against
 	// the planner's estimates. Per-step actuals are populated on the
-	// slot-executor paths (StepRows); the Sequential reference path
-	// reports only the totals.
+	// planned path (StepRows); the Sequential reference path reports
+	// only the totals.
 	Analyzed   bool
 	ActualRows int
 	ActualNs   int64
@@ -117,16 +109,8 @@ func (p *Plan) String() string {
 		}
 		fmt.Fprintf(&b, "  slots: %s\n", strings.Join(parts, " "))
 	}
-	switch {
-	case p.Pipelined:
-		fmt.Fprintf(&b, "  exec: columnar batches; cross-step pipeline — %d scan workers, joins hash-partitioned %d ways, vectorized hash/filter/probe over slot columns\n",
-			p.Workers, p.Partitions)
-	case p.Workers > 1:
-		fmt.Fprintf(&b, "  exec: slot tuples; keyed joins hash-partitioned %d ways across %d workers, scan output streamed in batches, per-step barriers\n",
-			p.Partitions, p.Workers)
-	default:
-		b.WriteString("  exec: slot tuples; keyed joins inline (single worker)\n")
-	}
+	fmt.Fprintf(&b, "  exec: columnar batches; cross-step pipeline — %d scan workers, joins hash-partitioned %d ways, vectorized hash/filter/probe over slot columns\n",
+		p.Workers, p.Partitions)
 	if p.MemoryLimit > 0 {
 		fmt.Fprintf(&b, "  memory: budget %d bytes — joins degrade to grace-hash spill at their reservation\n", p.MemoryLimit)
 	}
@@ -186,7 +170,6 @@ func (e *Engine) Explain(q Query) (*Plan, error) {
 		Workers:     workers,
 		MemoryLimit: e.opts.MemoryLimit,
 	}
-	plan.Pipelined = ep.pipelines(e.opts, workers)
 	for i, stp := range ep.steps {
 		tp := TriplePlan{
 			Triple:      stp.triple.String(),
@@ -196,16 +179,13 @@ func (e *Engine) Explain(q Query) (*Plan, error) {
 			NewVars:     slotVars(ep, stp.newSlots),
 			StreamsInto: -1,
 		}
-		// Per-step planner-derived partition counts, as the engine's
-		// default options would execute them (keyed steps only; joins
-		// run inline on a single worker).
-		if workers > 1 && i > 0 && len(stp.keySlots) > 0 {
+		// Per-step partition counts from the function the executor
+		// calls, under the engine's default options.
+		if i > 0 {
 			tp.Partitions = ep.stepPartCount(i, e.opts, workers)
-			if plan.Partitions < tp.Partitions {
-				plan.Partitions = tp.Partitions
-			}
+			plan.Partitions = max(plan.Partitions, tp.Partitions)
 		}
-		if plan.Pipelined && i+1 < len(ep.steps) {
+		if i+1 < len(ep.steps) {
 			tp.StreamsInto = i + 1
 			tp.StreamKeyVars = slotVars(ep, stp.nextKeySlots)
 		}
@@ -232,8 +212,8 @@ func (e *Engine) Explain(q Query) (*Plan, error) {
 // ExplainAnalyze executes the query under opts and returns its plan
 // annotated with the execution's measured actuals (EXPLAIN ANALYZE):
 // the whole-query row count and wall time on the Plan, and — on the
-// slot-executor paths, which record Stats.StepRows/StepDurNs — each
-// step's emitted rows and duration next to the planner's estimates.
+// planned path, which records Stats.StepRows/StepDurNs — each step's
+// emitted rows and duration next to the planner's estimates.
 // The executed Result is returned alongside so callers get the rows,
 // full Stats and (when opts.Trace is set) the span tree in one call.
 func (e *Engine) ExplainAnalyze(ctx context.Context, q Query, opts Options) (*Plan, *Result, error) {
@@ -252,7 +232,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q Query, opts Options) (*Pl
 	st := &res.Stats
 	// Per-step actuals only when the executed path produced them and
 	// the step count matches the explained plan (it always does for the
-	// planned paths — both come from the same cached plan).
+	// planned path — both come from the same cached plan).
 	if len(st.StepRows) == len(plan.Triples) && len(st.StepDurNs) == len(plan.Triples) {
 		for i := range plan.Triples {
 			plan.Triples[i].ActualRows = st.StepRows[i]

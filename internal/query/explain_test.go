@@ -69,35 +69,34 @@ func TestExplainString(t *testing.T) {
 			t.Fatalf("plan output missing %q:\n%s", want, out)
 		}
 	}
-	// The refreshed output names the slot assignment and the join wiring.
-	for _, want := range []string{"slots: ?x=s0 ?p=s1", "exec: slot tuples", "join key"} {
+	// The refreshed output names the slot assignment, the executor and
+	// the join wiring — the batch pipeline on this two-triple plan too.
+	for _, want := range []string{"slots: ?x=s0 ?p=s1", "exec: columnar batches; cross-step pipeline", "join key", "~> streams into step 2 on {?x}"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("plan output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "slot tuples") {
+		t.Fatalf("plan output names a removed executor:\n%s", out)
+	}
 	if plan.String() != out {
 		t.Fatalf("plan rendering unstable")
 	}
-	// The exec line matches the pool the engine's options resolve to:
-	// partition/pipeline wording only when the pool is real.
+	// The exec line carries the pool and partition counts the engine's
+	// options resolve to.
 	pooled := *plan
 	pooled.Workers = 4
 	pooled.Partitions = 4
-	if !strings.Contains(pooled.String(), "hash-partitioned 4 ways across 4 workers") {
+	if !strings.Contains(pooled.String(), "4 scan workers, joins hash-partitioned 4 ways") {
 		t.Fatalf("pooled plan missing partition wording:\n%s", pooled.String())
-	}
-	inline := *plan
-	inline.Workers = 1
-	if !strings.Contains(inline.String(), "inline (single worker)") {
-		t.Fatalf("inline plan missing inline wording:\n%s", inline.String())
 	}
 }
 
-// TestExplainShowsPipelineEdges checks that an engine defaulting to a
-// real pool explains the cross-step pipeline: the exec header names the
-// pipeline and every non-final step carries a streams-into edge with the
-// downstream key variables. The chain must be deeper than the shallow
-// fast path's gate (two keyed joins) to pipeline on a tiny world.
+// TestExplainShowsPipelineEdges checks that Explain describes the one
+// executor: the exec header names the pipeline and every non-final step
+// carries a streams-into edge with the downstream key variables — on a
+// deep chain, on the Fig. 2 two-triple plan, and on a one-worker engine,
+// with partition counts from the executor's own stepPartCount.
 func TestExplainShowsPipelineEdges(t *testing.T) {
 	res, carrier, factory := paperPieces(t)
 	e, err := NewEngineWith(res.Art, map[string]*Source{
@@ -112,8 +111,8 @@ func TestExplainShowsPipelineEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Pipelined || plan.Partitions != 3 {
-		t.Fatalf("pipelined=%v partitions=%d, want pipelined with 3 partitions", plan.Pipelined, plan.Partitions)
+	if plan.Partitions != 3 {
+		t.Fatalf("partitions=%d, want 3", plan.Partitions)
 	}
 	if got := plan.Triples[0].StreamsInto; got != 1 {
 		t.Fatalf("first step StreamsInto = %d, want 1", got)
@@ -131,34 +130,31 @@ func TestExplainShowsPipelineEdges(t *testing.T) {
 		}
 	}
 
-	// A shallow chain (one keyed join) over the same tiny world falls
-	// back to the per-step executor: the planner's scan estimate is far
-	// below the pipeline's break-even volume.
-	shallow, err := e.Explain(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shallow.Pipelined || shallow.Triples[0].StreamsInto != -1 {
-		t.Fatalf("shallow low-estimate chain should not pipeline: %+v", shallow.Triples[0])
-	}
-	if out := shallow.String(); !strings.Contains(out, "exec: slot tuples") || strings.Contains(out, "columnar batches") {
-		t.Fatalf("shallow plan does not name the per-step tuple executor:\n%s", out)
-	}
-
-	// A single-worker engine over the same plan shape stays inline.
-	seq, err := NewEngineWith(res.Art, map[string]*Source{
+	// The Fig. 2 two-triple plan streams too, at any worker count, with
+	// the per-step partition count the executor computes.
+	one, err := NewEngineWith(res.Art, map[string]*Source{
 		"carrier": {Ont: carrier},
 		"factory": {Ont: factory},
 	}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := seq.Explain(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Pipelined || p2.Triples[0].StreamsInto != -1 {
-		t.Fatalf("inline plan claims pipelining: %+v", p2.Triples[0])
+	for _, eng := range []*Engine{e, one} {
+		p2, err := eng.Explain(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p2.Triples[0].StreamsInto != 1 || p2.Triples[1].StreamsInto != -1 {
+			t.Fatalf("workers %d: two-triple plan edges %+v", p2.Workers, p2.Triples)
+		}
+		ep, _ := eng.cachedPlan(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
+		if want := ep.stepPartCount(1, eng.opts, p2.Workers); p2.Triples[1].Partitions != want || p2.Partitions != want {
+			t.Fatalf("workers %d: partitions %d/%d, want stepPartCount %d",
+				p2.Workers, p2.Triples[1].Partitions, p2.Partitions, want)
+		}
+		if out := p2.String(); !strings.Contains(out, "exec: columnar batches; cross-step pipeline") {
+			t.Fatalf("workers %d: two-triple plan does not name the pipeline:\n%s", p2.Workers, out)
+		}
 	}
 }
 

@@ -24,9 +24,9 @@ const (
 )
 
 // stepFilterSets splits the query's filters by the step after which they
-// first apply (every variable bound), in join order — the pipelined
-// equivalent of applyTupleFilters' as-soon-as-bound rule, applied on the
-// selection mask as batches stream between steps.
+// first apply (every variable bound), in join order — each filter runs
+// as soon as its variable is bound, on the selection mask as batches
+// stream between steps.
 func stepFilterSets(q Query, plan *execPlan) [][]Filter {
 	sets := make([][]Filter, len(plan.steps))
 	bound := make(map[string]bool)

@@ -63,9 +63,9 @@ func deepChainEngine(t testing.TB, instances, dup int) (*Engine, Query) {
 }
 
 // TestPipelinedExecutorMatchesReferences checks the cross-step pipeline
-// against the sequential reference and the inline tuple executor on the
-// deep-chain world: byte-identical rows under default and decoupled
-// partition counts, and the pipeline stats populated.
+// against the sequential reference on the deep-chain world: byte-identical
+// rows at one scan worker and under default and decoupled partition
+// counts, and the pipeline stats populated.
 func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 	eng, q := deepChainEngine(t, 60, 2)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -79,7 +79,7 @@ func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"tuple-inline", Options{Workers: 1}},
+		{"one-worker", Options{Workers: 1}},
 		{"pipelined", Options{Workers: 4}},
 		{"pipelined-cached", Options{Workers: 4}},
 		{"pipelined-parts-2", Options{Workers: 4, Partitions: 2}},

@@ -14,14 +14,15 @@ import (
 // Options tune query execution.
 type Options struct {
 	// Workers bounds the scan worker pool. 0 means GOMAXPROCS; 1 runs
-	// every scan inline (no goroutines). The pool is per execution, so
+	// the scans one at a time on a single worker (join partitions still
+	// run as their own stage goroutines). The pool is per execution, so
 	// concurrent Execute calls do not share or contend for workers.
 	Workers int
-	// Partitions pins the hash-partition count of every partitioned
-	// join, decoupled from the scan worker count. 0 lets the planner
-	// size each step from its estimate; values above the worker count
-	// trade goroutines for better load balance under key skew. Ignored
-	// when the pool has a single worker (joins run inline).
+	// Partitions pins the hash-partition count of every join step,
+	// decoupled from the scan worker count. 0 lets the planner size each
+	// step from its estimate (at most four times the pool); values above
+	// the worker count trade goroutines for better load balance under
+	// key skew.
 	Partitions int
 	// Sequential forces the reference execution path: textual join
 	// order, unindexed full scans, no plan cache, no parallelism. It
@@ -29,17 +30,13 @@ type Options struct {
 	// byte-identical to the planned path.
 	Sequential bool
 	// MemoryLimit caps the accounted bytes of one execution (0 = no
-	// cap). The pipelined executor honours it by degrading: a join
+	// cap). Every planned execution honours it by degrading: a join
 	// partition whose build table (or pending probe queue) cannot
 	// reserve its next batch spills both sides to temp-file grace-hash
 	// runs and joins partition-by-partition within budget, and a
-	// budgeted execution always pipelines when the plan allows it (the
-	// shallow-chain fast path is bypassed — only the pipeline can
-	// spill). Rows are byte-identical with or without a limit. The
-	// per-step tuple executor (single worker, single step, cross
-	// product) accounts its materialised frontiers in
-	// Stats.BytesReserved but never spills; the Sequential reference
-	// path neither accounts nor spills (BytesReserved stays 0).
+	// projection dedup set that cannot reserve rotates to sorted runs.
+	// Rows are byte-identical with or without a limit. The Sequential
+	// reference path neither accounts nor spills (BytesReserved stays 0).
 	MemoryLimit int64
 	// SpillDir is where grace-hash runs are created ("" = the OS temp
 	// directory). Run files are unlinked at creation, so they cannot
@@ -48,7 +45,7 @@ type Options struct {
 	// Trace, when non-nil, is the parent span under which the executor
 	// records this execution's span tree: plan lookup, every scan
 	// fan-out, each join step (with per-partition build/probe/spill
-	// sub-spans on the pipelined path) and the projection. The tree is
+	// sub-spans) and the projection's final merge. The tree is
 	// also attached to Result.Trace. A nil Trace disables tracing
 	// entirely — the executor performs no span work and allocates
 	// nothing for it, so the hot paths are unchanged.
@@ -72,11 +69,11 @@ type planStep struct {
 	scans   []sourceScan // in sorted source order
 	est     int          // total estimate across sources
 
-	// Slot wiring for the tuple executor, all fixed at compile time so
-	// execution never re-derives shared variables or builds map keys.
+	// Slot wiring, all fixed at compile time so execution never
+	// re-derives shared variables or builds map keys.
 	spec     [3]int  // slot per triple position (S, P, O); -1 = constant
 	firstPos [3]bool // position is the first occurrence of its slot in this triple
-	keySlots []int   // slots shared with earlier steps (the hash-join key), ascending
+	keySlots []int   // slots shared with earlier steps (the hash-join key; empty on a cross product), ascending
 	newSlots []int   // slots first bound by this step, ascending
 
 	// nextKeySlots is the following step's keySlots (nil on the last
@@ -99,7 +96,7 @@ type planStep struct {
 
 // execPlan is a compiled query: per-source constant expansions hoisted
 // out of the scan loops, selectivity estimates, the join order, and the
-// variable→slot assignment of the tuple executor. Plans are immutable
+// variable→slot assignment the executor runs on. Plans are immutable
 // once built and cached per engine, so repeated queries skip the
 // articulation-expansion work entirely.
 type execPlan struct {
@@ -115,13 +112,8 @@ type execPlan struct {
 	slotOf    map[string]int
 	slotNames []string
 
-	// chainKeyed reports that every step after the first hash-joins on a
-	// non-empty key — the shape the cross-step pipeline executes; a
-	// disconnected cross-product step forces the per-step path.
-	chainKeyed bool
-	// totalEst is the summed scan estimate across every step — the
-	// planner's proxy for how much work the pipeline can overlap, used by
-	// the shallow-chain executor choice.
+	// totalEst is the summed scan estimate across every step, reported
+	// on the plan span.
 	totalEst int
 }
 
@@ -303,8 +295,7 @@ func (e *Engine) factQuals(name string) []factQual {
 
 // compile reformulates every (triple, source) pair once, estimates scan
 // cardinalities from the ontology and KB indexes, orders the joins
-// smallest-first, and wires the slot assignment the tuple executor runs
-// on.
+// smallest-first, and wires the slot assignment the executor runs on.
 func (e *Engine) compile(q Query) *execPlan {
 	p := &execPlan{slotOf: make(map[string]int)}
 	// Assign slots in textual first-occurrence order, so the assignment
@@ -364,11 +355,7 @@ func (e *Engine) compile(q Query) *execPlan {
 			boundSlot[sl] = true
 		}
 	}
-	p.chainKeyed = true
 	for i := range p.steps {
-		if i > 0 && len(p.steps[i].keySlots) == 0 {
-			p.chainKeyed = false
-		}
 		if i+1 < len(p.steps) {
 			p.steps[i].nextKeySlots = p.steps[i+1].keySlots
 			p.steps[i].alignedNext = i > 0 && slices.Equal(p.steps[i].keySlots, p.steps[i].nextKeySlots)
@@ -438,53 +425,6 @@ func (p *execPlan) stepPartCount(si int, opts Options, workers int) int {
 		h = 1
 	}
 	return h
-}
-
-// Shallow-chain executor choice: a chain of at most shallowJoinSteps
-// keyed joins only ties the per-step executor unless there is enough
-// scan volume for cross-step overlap to repay the pipeline's fixed setup
-// (per-stage partition workers, channel wiring, batch routing). The
-// planner's summed scan estimate is the cost proxy: below
-// shallowPipelineMinEst the per-step executor (exec.go) runs instead. Deeper chains always pipeline — each extra step is another
-// materialisation barrier avoided.
-//
-// shallowPipelineMinEst is calibrated, not guessed: a best-of-7 sweep of
-// two-keyed-join chains on the E13 world shape (buildChainWorld at
-// 8 sources, 3 triples, dup 2, instances 4..96; 8 workers, the E11/E13
-// methodology — warm plan, GC between reps) measured barrier/pipeline
-// wall-clock ratios of ~0.95-1.1x (noise) for summed estimates up to
-// ~2240, then a clean break: ~1.4-1.6x at 2560 and ~1.7-2.2x from 2880
-// up, stable across repeated sweeps. The constant sits just below the
-// measured break because the mistake costs are asymmetric there — under
-// it the barrier wins by at most ~5%, above it the pipeline's margin
-// grows quickly with volume. The seed value 4096 left the 2560-3840
-// band (a reliable ~1.5-1.9x pipeline win) on the slow executor.
-const (
-	shallowJoinSteps      = 2
-	shallowPipelineMinEst = 2400
-)
-
-// pipelines reports whether the given options execute this plan on the
-// columnar batch pipeline (batchpipe.go) — the one dispatch predicate
-// shared by executeTuples and Explain, so the explanation can never drift
-// from what the engine actually runs. Shallow keyed chains fall back to
-// the per-step executor when the planner's cost estimate says the
-// pipeline's setup would not pay for itself.
-func (p *execPlan) pipelines(opts Options, workers int) bool {
-	if !(workers > 1 && !opts.Sequential && p.chainKeyed && len(p.steps) > 1) {
-		return false
-	}
-	// A budgeted execution always pipelines when the plan allows it:
-	// only the pipeline can degrade to grace-hash spilling, so the
-	// shallow fast path would trade the memory bound for a few
-	// microseconds of setup.
-	if opts.MemoryLimit > 0 {
-		return true
-	}
-	if len(p.steps)-1 <= shallowJoinSteps && p.totalEst < shallowPipelineMinEst {
-		return false
-	}
-	return true
 }
 
 // estimateScan predicts how many rows the scan will produce, using the

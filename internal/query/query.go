@@ -20,19 +20,16 @@
 // lists, so execution never touches binding maps, per-row map copies or
 // formatted string keys.
 //
-// With a worker pool larger than one, a keyed join chain runs as a
-// cross-step streaming pipeline over columnar batches (batchpipe.go):
-// every step's scans share one pool, each join step's partition workers
-// build from the step's own scan output, and probe output is re-hashed on
-// the next step's key slots at production time and streamed straight into
-// its partitions — no frontier is ever materialised between steps,
-// partition counts decouple from the worker count (Options{Partitions}),
-// a provably empty step cancels the remaining scan dispatch, and under
-// Options{MemoryLimit} partitions degrade to grace-hash spills. Plans
-// the pipeline does not fit — a single worker, a single step, a cross
-// product, or a shallow chain too small to repay the setup
-// (plan.pipelines) — run the per-step tuple executor (exec.go), which
-// materialises each step's output before the next dispatches.
+// Every planned query — any worker count, one step or many, keyed joins
+// or cross products — runs one executor: a cross-step streaming pipeline
+// over columnar batches (batchpipe.go). Every step's scans share one
+// pool, each join step's partition workers build from the step's own
+// scan output, and probe output is re-hashed on the next step's key
+// slots at production time and streamed straight into its partitions —
+// no frontier is ever materialised between steps, partition counts
+// decouple from the worker count (Options{Partitions}), a provably empty
+// step cancels the remaining scan dispatch, and under
+// Options{MemoryLimit} partitions and projections degrade to spill runs.
 //
 // All row keys — hash-join keys, projection dedup keys and the final
 // sort — share one kind-tagged, framing-safe value encoding (rowkey.go),

@@ -7,6 +7,7 @@ import (
 	"repro/internal/articulation"
 	"repro/internal/kb"
 	"repro/internal/ontology"
+	"repro/internal/query/mem"
 	"repro/internal/rules"
 )
 
@@ -159,15 +160,16 @@ func adversarialEngine(t testing.TB) *Engine {
 }
 
 // advModes are the executor configurations the adversarial regressions
-// run under: sequential reference, the per-step tuple path (inline, and
-// pooled — tiny worlds stay under the shallow gate), and the batch
-// pipeline, which a memory limit forces on any keyed chain.
+// run under: the sequential reference, and the batch pipeline at one
+// scan worker and on a pool, with pinned partitions and under a 16KB
+// budget.
 var advModes = []struct {
 	name string
 	opts Options
 }{
 	{"sequential", Options{Sequential: true}},
-	{"tuple-inline", Options{Workers: 1}},
+	{"one-worker", Options{Workers: 1}},
+	{"one-worker-16k", Options{Workers: 1, MemoryLimit: 1 << 14}},
 	{"pooled", Options{Workers: 4}},
 	{"pooled-parts-3", Options{Workers: 4, Partitions: 3}},
 	{"batch-16k", Options{Workers: 4, MemoryLimit: 1 << 14}},
@@ -217,42 +219,70 @@ func TestJoinFramingSafe(t *testing.T) {
 
 // TestInBandSentinelValues checks that a term literally named
 // "\x01unbound" (the seed's in-band unbound marker) flows through scans,
-// joins and projection as an ordinary value on every path.
+// joins and projection as an ordinary value on every path — including a
+// single-step plan whose filter runs on the scan batches, where every
+// leg must also report the reference's JoinedRows.
 func TestInBandSentinelValues(t *testing.T) {
 	eng := adversarialEngine(t)
-	q := MustParse("SELECT ?x ?y WHERE ?x S ?y")
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Rows) != 2 {
-		t.Fatalf("sentinel rows = %d, want 2: %v", len(want.Rows), want.Rows)
-	}
-	for _, m := range advModes {
-		got, err := eng.ExecuteWith(q, m.opts)
+	for _, tc := range []struct {
+		q    Query
+		rows int
+	}{
+		{MustParse("SELECT ?x ?y WHERE ?x S ?y"), 2},
+		{MustParse("SELECT ?x ?y WHERE ?x S ?y . FILTER ?y != adv.unbound"), 1},
+	} {
+		want, err := eng.ExecuteWith(tc.q, Options{Sequential: true})
 		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
+			t.Fatal(err)
 		}
-		if !want.EqualRows(got) {
-			t.Errorf("%s diverged on sentinel values: %v", m.name, got.Rows)
+		if len(want.Rows) != tc.rows {
+			t.Fatalf("%s: sentinel rows = %d, want %d: %v", tc.q, len(want.Rows), tc.rows, want.Rows)
+		}
+		for _, m := range advModes {
+			got, err := eng.ExecuteWith(tc.q, m.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+			if !want.EqualRows(got) {
+				t.Errorf("%s diverged on sentinel values (%s): %v", m.name, tc.q, got.Rows)
+			}
+			if got.Stats.JoinedRows != want.Stats.JoinedRows {
+				t.Errorf("%s (%s): JoinedRows = %d, want %d", m.name, tc.q,
+					got.Stats.JoinedRows, want.Stats.JoinedRows)
+			}
 		}
 	}
 }
 
 // TestKindCollidingProjection pins the documented Term("3000") vs
 // Number(3000) projection collision at the row-key level: rows that
-// differ only in cell kind dedup and sort as distinct rows.
+// differ only in cell kind dedup and sort as distinct rows in the
+// streaming projection.
 func TestKindCollidingProjection(t *testing.T) {
-	rows := []tuple{
-		{kb.Term("3000")},
-		{kb.Number(3000)},
-		{kb.String("3000")},
-		{kb.Term("3000")}, // true duplicate
+	vals := []kb.Value{
+		kb.Term("3000"),
+		kb.Number(3000),
+		kb.String("3000"),
+		kb.Term("3000"), // true duplicate
 	}
-	res := &Result{Vars: []string{"v"}}
+	bud := mem.New(0)
+	alloc := newBatchAlloc(1, bud)
+	b := alloc.get()
+	defer alloc.put(b)
+	for i, v := range vals {
+		b.cols[0][i] = v
+	}
+	b.n = len(vals)
 	plan := &execPlan{slotOf: map[string]int{"v": 0}, slotNames: []string{"v"}}
-	projectTuples(res, rows, Query{Select: []string{"v"}}, plan, nil)
-	if len(res.Rows) != 3 {
-		t.Fatalf("kind-colliding rows deduped to %d, want 3: %v", len(res.Rows), res.Rows)
+	pp := newStageProj(Query{Select: []string{"v"}}, plan, bud, nil, "")
+	for i := range vals {
+		pp.addBatchRow(b, i)
+	}
+	rows, err := pp.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("kind-colliding rows deduped to %d, want 3: %v", len(rows), rows)
 	}
 }

@@ -380,7 +380,7 @@ func (sp *spillPart) chunkedJoin(stp *planStep, build, probe *spillRun,
 	done := false
 	var matches []tuple
 	for !done || haveCarry {
-		arena := &tupleArena{width: sp.width, blockTuples: spillDecodeBlock}
+		arena := &tupleArena{width: sp.width}
 		table := make(map[uint64][]tuple)
 		var charged int64
 		n := 0
@@ -417,7 +417,7 @@ func (sp *spillPart) chunkedJoin(stp *planStep, build, probe *spillRun,
 			n++
 		}
 		if n > 0 {
-			probeArena := &tupleArena{width: sp.width, blockTuples: spillDecodeBlock}
+			probeArena := &tupleArena{width: sp.width}
 			err := probe.replay(sp.width, probeArena, func(l tuple, h uint64) error {
 				matches = matches[:0]
 				for _, r := range table[h] {
@@ -464,7 +464,7 @@ func (sp *spillPart) splitAndRecurse(stp *planStep, level int, build, probe *spi
 			return err
 		}
 	}
-	arena := &tupleArena{width: sp.width, blockTuples: spillDecodeBlock}
+	arena := &tupleArena{width: sp.width}
 	if err := build.replay(sp.width, arena, func(t tuple, h uint64) error {
 		return subBuild[spillSub(h, level)].add(t, h)
 	}); err != nil {

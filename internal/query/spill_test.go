@@ -150,7 +150,7 @@ func TestSpillRunRoundTrip(t *testing.T) {
 		want = append(want, tup)
 		hashes = append(hashes, h)
 	}
-	arena := &tupleArena{width: width, blockTuples: spillDecodeBlock}
+	arena := &tupleArena{width: width}
 	i := 0
 	err = run.replay(width, arena, func(tup tuple, h uint64) error {
 		if h != hashes[i] {
@@ -330,6 +330,34 @@ func TestBudgetUnlimitedNeverSpills(t *testing.T) {
 	}
 }
 
+// TestOneWorkerBudgetSpills pins Options{MemoryLimit} at one scan
+// worker: the single worker parks step 0's output as pending probe
+// batches, and under the limit those must overflow to spill runs rather
+// than stay resident. Held fully in memory, as materialised frontiers,
+// this world accounts 1 220 096 bytes.
+func TestOneWorkerBudgetSpills(t *testing.T) {
+	eng, q := joinHeavyEngine(t, 2000)
+	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.ExecuteWith(q, Options{Workers: 1, MemoryLimit: 512 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.SpilledPartitions == 0 {
+		t.Errorf("one-worker budgeted run did not spill: %+v", got.Stats)
+	}
+	if got.Stats.BytesReserved >= 1220096 {
+		t.Errorf("one-worker budgeted run accounted %d bytes, want under the unspilled 1220096",
+			got.Stats.BytesReserved)
+	}
+	if !want.EqualRows(got) {
+		t.Errorf("one-worker budgeted rows diverged: sequential %d rows, got %d",
+			len(want.Rows), len(got.Rows))
+	}
+}
+
 // TestAdaptivePartitionCounts locks the planner-derived partition
 // sizing: a skewed world (one predicate carrying 8x the facts of
 // another) gets per-step counts proportional to the estimates — the
@@ -437,7 +465,12 @@ func TestGraceJoinSplitAndRecurse(t *testing.T) {
 		t.Fatal(err)
 	}
 	hashOf := func(tup tuple) uint64 {
-		return hashKey(appendSlotKey(nil, tup, stp.keySlots))
+		b := &colBatch{n: 1, cols: make([][]kb.Value, width), hashes: make([]uint64, 1)}
+		for s := range tup {
+			b.cols[s] = tup[s : s+1]
+		}
+		b.hashKeys(stp.keySlots)
+		return b.hashes[0]
 	}
 	const buildN = 1000
 	for i := 0; i < buildN; i++ {

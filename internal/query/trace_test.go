@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,46 +54,63 @@ func TestTraceSpansPipelined(t *testing.T) {
 	}
 }
 
-// TestTraceSpansPerStep checks the inline (single-worker) executor's
-// spans: plan, per-step spans wrapping the scan fan-out, and the
-// projection span — and that StepRows actuals line up with the join.
+// TestTraceSpansPerStep checks the spans every planned execution
+// records, at one scan worker and on a pool: plan, per-step spans
+// wrapping the scan fan-out, and the project span around the final
+// merge with its row count — and that StepRows actuals line up with the
+// join.
 func TestTraceSpansPerStep(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 80)
-	tr := obs.NewTrace("test")
-	res, err := eng.ExecuteWith(q, Options{Workers: 1, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := res.Trace
-	if root == nil {
-		t.Fatal("no trace recorded")
-	}
-	for _, name := range []string{"plan", "project"} {
-		if root.Find(name) == nil {
-			t.Errorf("span %q missing:\n%s", name, root.Tree())
+	for _, workers := range []int{1, 4} {
+		tr := obs.NewTrace("test")
+		res, err := eng.ExecuteWith(q, Options{Workers: workers, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := res.Trace
+		if root == nil {
+			t.Fatal("no trace recorded")
+		}
+		for _, name := range []string{"plan", "project"} {
+			if root.Find(name) == nil {
+				t.Errorf("workers %d: span %q missing:\n%s", workers, name, root.Tree())
+			}
+		}
+		if ps := root.Find("project"); ps != nil && !hasAttr(ps, "rows", strconv.Itoa(len(res.Rows))) {
+			t.Errorf("workers %d: project span rows attr %v, want %d", workers, ps.Attrs, len(res.Rows))
+		}
+		n := len(res.Stats.StepRows)
+		if n == 0 {
+			t.Fatalf("workers %d: no StepRows recorded: %+v", workers, res.Stats)
+		}
+		if len(res.Stats.StepDurNs) != n {
+			t.Fatalf("StepDurNs len %d != StepRows len %d", len(res.Stats.StepDurNs), n)
+		}
+		if got := res.Stats.StepRows[n-1]; got != res.Stats.JoinedRows {
+			t.Errorf("workers %d: last StepRows = %d, want JoinedRows %d", workers, got, res.Stats.JoinedRows)
+		}
+		// Tracing must not perturb results.
+		plain, err := eng.ExecuteWith(q, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Trace != nil {
+			t.Errorf("untraced execution returned a trace")
+		}
+		if !plain.EqualRows(res) {
+			t.Errorf("workers %d: traced rows diverged from untraced", workers)
 		}
 	}
-	n := len(res.Stats.StepRows)
-	if n == 0 {
-		t.Fatalf("per-step path recorded no StepRows: %+v", res.Stats)
+}
+
+// hasAttr reports whether the span carries key=val.
+func hasAttr(s *obs.Span, key, val string) bool {
+	for _, a := range s.Attrs {
+		if a.Key == key && a.Val == val {
+			return true
+		}
 	}
-	if len(res.Stats.StepDurNs) != n {
-		t.Fatalf("StepDurNs len %d != StepRows len %d", len(res.Stats.StepDurNs), n)
-	}
-	if got := res.Stats.StepRows[n-1]; got != res.Stats.JoinedRows {
-		t.Errorf("last StepRows = %d, want JoinedRows %d", got, res.Stats.JoinedRows)
-	}
-	// Tracing must not perturb results.
-	plain, err := eng.ExecuteWith(q, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Trace != nil {
-		t.Errorf("untraced execution returned a trace")
-	}
-	if !plain.EqualRows(res) {
-		t.Errorf("traced rows diverged from untraced")
-	}
+	return false
 }
 
 // TestTraceSpillSpans forces grace-hash spilling under a trace and
@@ -171,45 +190,48 @@ func TestExplainAnalyze(t *testing.T) {
 }
 
 // TestTracingOffAllocs is the zero-overhead guard: with metrics
-// registered but no Trace set, a query must allocate exactly as much as
-// with the whole obs package disabled. Any per-row span or metric work
-// on the disabled path shows up here as a diff.
+// registered but no Trace set, a query must allocate as much as with the
+// whole obs package disabled. The guard is stated per row, which is what
+// it exists to pin: at 200 and 800 instances the on/off difference must
+// stay within a couple of allocations, while one stray allocation per
+// row would cost hundreds at 800 instances.
 func TestTracingOffAllocs(t *testing.T) {
-	eng, q := joinHeavyEngine(t, 200)
-	opts := Options{Workers: 1}
-	run := func() {
-		if _, err := eng.ExecuteWith(q, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm plan cache and metric label children
-
-	// AllocsPerRun counts process-wide mallocs, so a background GC cycle
-	// landing inside one measurement inflates it by a couple of allocs.
-	// That noise is strictly additive — take the minimum of several
-	// measurements per leg and compare those exactly.
-	measure := func() float64 {
-		best := math.Inf(1)
-		for i := 0; i < 4; i++ {
-			if a := testing.AllocsPerRun(3, run); a < best {
-				best = a
+	defer obs.SetEnabled(true)
+	for _, instances := range []int{200, 800} {
+		eng, q := joinHeavyEngine(t, instances)
+		opts := Options{Workers: 1}
+		run := func() {
+			if _, err := eng.ExecuteWith(q, opts); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return best
-	}
-	on := measure()
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(true)
-	off := measure()
-	// Exact equality in normal builds. The race runtime allocates shadow
-	// state nondeterministically, so under -race allow a few allocs of
-	// slack — still orders of magnitude below any per-row regression
-	// (this world runs thousands of rows per execution).
-	slack := 0.0
-	if raceEnabled {
-		slack = 16
-	}
-	if diff := on - off; diff > slack || diff < -slack {
-		t.Errorf("allocs with metrics on = %.1f, obs disabled = %.1f; want identical (slack %.0f)", on, off, slack)
+		run() // warm plan cache, metric label children and batch pools
+
+		// One execution's count moves by a few allocations with the
+		// schedule (how many probe batches a stage parks, pool hits) and
+		// jumps when a GC cycle lands inside it, so compare the medians
+		// of interleaved single-run samples rather than two point values.
+		const samples = 51
+		var on, off []float64
+		for i := 0; i < samples; i++ {
+			obs.SetEnabled(true)
+			on = append(on, testing.AllocsPerRun(1, run))
+			obs.SetEnabled(false)
+			off = append(off, testing.AllocsPerRun(1, run))
+		}
+		obs.SetEnabled(true)
+		slices.Sort(on)
+		slices.Sort(off)
+		// The race runtime allocates shadow state nondeterministically,
+		// so under -race allow more slack — still far below any per-row
+		// regression.
+		slack := 2.0
+		if raceEnabled {
+			slack = 16
+		}
+		if diff := on[samples/2] - off[samples/2]; math.Abs(diff) > slack {
+			t.Errorf("%d instances: median allocs with metrics on = %.0f, obs disabled = %.0f; want within %.0f",
+				instances, on[samples/2], off[samples/2], slack)
+		}
 	}
 }

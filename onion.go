@@ -339,16 +339,13 @@ type (
 	// QuerySource pairs an ontology with its knowledge base.
 	QuerySource = query.Source
 	// QueryOptions tune execution: Workers bounds the scan worker pool
-	// (0 = GOMAXPROCS, 1 = inline); with more than one worker a keyed
-	// join chain runs as a cross-step streaming pipeline over columnar
-	// batches — rows flow between stages as per-slot value vectors with
-	// vectorized hash, filter and probe passes — whose per-step
-	// hash-partition counts the planner derives from its scan estimates
-	// (Partitions > 0 pins a global count instead). Plans the pipeline
-	// does not fit (one worker, one step, a cross product, a shallow
-	// chain too small to repay the setup) run the per-step tuple
-	// executor. MemoryLimit caps the execution's accounted bytes:
-	// pipeline join partitions that cannot reserve within it degrade to
+	// (0 = GOMAXPROCS, 1 = one scan worker); every planned query runs as
+	// a cross-step streaming pipeline over columnar batches — rows flow
+	// between stages as per-slot value vectors with vectorized hash,
+	// filter and probe passes — whose per-step hash-partition counts the
+	// planner derives from its scan estimates (Partitions > 0 pins a
+	// global count instead). MemoryLimit caps the execution's accounted
+	// bytes: join partitions that cannot reserve within it degrade to
 	// grace-hash spilling joins (temp-file runs under SpillDir), with
 	// rows byte-identical to the unbounded run. Sequential forces the
 	// reference path (textual join order, unindexed scans, no plan
