@@ -16,14 +16,16 @@ test:
 race:
 	go test -race -shuffle=on ./...
 
-# The schedule-sensitive tests (shared-pool spill accounting, and the
-# allocation guards a pipelined execution's scheduling could move),
+# The schedule-sensitive tests (shared-pool spill accounting, the
+# allocation guards a pipelined execution's scheduling could move, and
+# the pushdown differentials the semi-join's dispatch barrier runs under),
 # repeated single-core, dual-core and oversubscribed. A cached `ok` would
 # hide a flake, hence -count. Must report 0 failures.
 stress:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestE15BoundedMemoryCompletes ./internal/bench || exit 1; \
 	done
 

@@ -2,6 +2,7 @@ package articulation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -15,15 +16,24 @@ type ConvFunc func(float64) (float64, error)
 // conversions both ways"; registering an inverse pair satisfies that.
 type FuncRegistry struct {
 	funcs map[string]ConvFunc
+	// linear records the declared-monotone functions: name → coefficients
+	// of v*factor + offset. Only RegisterLinear writes it and any plain
+	// Register of the same name clears it, so a recorded name is always
+	// the linear function its coefficients describe. The query engine
+	// pushes range filters through these (and only these) functions.
+	linear map[string]linearCoeffs
 }
+
+type linearCoeffs struct{ factor, offset float64 }
 
 // NewFuncRegistry returns an empty registry.
 func NewFuncRegistry() *FuncRegistry {
-	return &FuncRegistry{funcs: make(map[string]ConvFunc)}
+	return &FuncRegistry{funcs: make(map[string]ConvFunc), linear: make(map[string]linearCoeffs)}
 }
 
 // Register installs fn under name (without "()"), replacing any previous
-// registration. Nil functions and empty names are rejected.
+// registration. Nil functions and empty names are rejected. fn is opaque
+// to the registry: a previous linear declaration under name is dropped.
 func (r *FuncRegistry) Register(name string, fn ConvFunc) error {
 	if name == "" {
 		return fmt.Errorf("articulation: conversion function with empty name")
@@ -32,11 +42,15 @@ func (r *FuncRegistry) Register(name string, fn ConvFunc) error {
 		return fmt.Errorf("articulation: nil conversion function %q", name)
 	}
 	r.funcs[name] = fn
+	delete(r.linear, name)
 	return nil
 }
 
 // RegisterLinear installs a linear conversion v*factor + offset under
 // name, and its exact inverse under invName when invName is non-empty.
+// Both are declared monotone: Linear reports (factor, offset) for name and
+// (1/factor, -offset/factor) for invName, provided the coefficients are
+// finite (a non-finite coefficient registers the function as opaque).
 func (r *FuncRegistry) RegisterLinear(name, invName string, factor, offset float64) error {
 	if factor == 0 {
 		return fmt.Errorf("articulation: linear conversion %q with zero factor", name)
@@ -46,12 +60,33 @@ func (r *FuncRegistry) RegisterLinear(name, invName string, factor, offset float
 	}); err != nil {
 		return err
 	}
+	r.declareLinear(name, factor, offset)
 	if invName == "" {
 		return nil
 	}
-	return r.Register(invName, func(v float64) (float64, error) {
+	if err := r.Register(invName, func(v float64) (float64, error) {
 		return (v - offset) / factor, nil
-	})
+	}); err != nil {
+		return err
+	}
+	r.declareLinear(invName, 1/factor, -offset/factor)
+	return nil
+}
+
+func (r *FuncRegistry) declareLinear(name string, factor, offset float64) {
+	if factor == 0 || math.IsInf(factor, 0) || math.IsNaN(factor) || math.IsInf(offset, 0) || math.IsNaN(offset) {
+		return
+	}
+	r.linear[name] = linearCoeffs{factor, offset}
+}
+
+// Linear reports the coefficients of a function registered by
+// RegisterLinear: the function is v*factor + offset (up to rounding) and
+// monotone — increasing for a positive factor, decreasing for a negative
+// one. ok is false for unregistered and opaque functions.
+func (r *FuncRegistry) Linear(name string) (factor, offset float64, ok bool) {
+	c, ok := r.linear[name]
+	return c.factor, c.offset, ok
 }
 
 // Has reports whether name is registered.

@@ -320,6 +320,15 @@ func (s *Store) CountByPredicate(pred string) int { return len(s.byPred[pred]) }
 // materialising them.
 func (s *Store) CountBySubject(subject string) int { return len(s.bySubj[subject]) }
 
+// NumSubjects returns the number of distinct subjects; with Len it gives
+// the store's mean facts per subject, the planner's cost of a subject
+// index walk.
+func (s *Store) NumSubjects() int { return len(s.bySubj) }
+
+// FactAt returns the fact with store ordinal i (0 <= i < Len()), the
+// ordinal the *Indexed walks report.
+func (s *Store) FactAt(i int) Fact { return s.facts[i] }
+
 // ForEach streams every fact in insertion order without copying or
 // sorting; fn returning false stops the walk.
 func (s *Store) ForEach(fn func(Fact) bool) {
@@ -358,6 +367,16 @@ func (s *Store) ForEachByPredicateIndexed(pred string, fn func(i int, f Fact) bo
 func (s *Store) ForEachBySubject(subject string, fn func(Fact) bool) {
 	for _, i := range s.bySubj[subject] {
 		if !fn(s.facts[i]) {
+			return
+		}
+	}
+}
+
+// ForEachBySubjectIndexed is ForEachBySubject with each fact's store
+// ordinal (see ForEachByPredicateIndexed).
+func (s *Store) ForEachBySubjectIndexed(subject string, fn func(i int, f Fact) bool) {
+	for _, i := range s.bySubj[subject] {
+		if !fn(i, s.facts[i]) {
 			return
 		}
 	}

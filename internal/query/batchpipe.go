@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +28,12 @@ import (
 //     the next step's partition channels in batches;
 //   - when a step's output is provably empty the pipeline cancels:
 //     undispatched scans are skipped (the empty-join short-circuit) and
-//     the stages drain out.
+//     the stages drain out;
+//   - on a semi-join plan (planSemiJoin) the scans bound to step 0's
+//     subjects are held until step 0's scans are done: step 0's sinks
+//     collect their survivors' subjects, and each bound scan walks only
+//     those through the subject index (the stages keep absorbing step
+//     0's output meanwhile, so the hold cannot wedge the pipeline).
 //
 // Partition counts are planner-derived per step (plan.stepPartCount:
 // estimate-proportional, skew-aware) unless Options{Partitions} pins a
@@ -146,6 +152,9 @@ type batchScanSink struct {
 	staging *colBatch
 	rt      *batchRouter // nil on a single-step plan
 	proj    *stageProj   // non-nil on a single-step plan
+	// subjects, on a step-0 scan of a semi-join plan, collects the
+	// surviving rows' subjects (slot plan.steps[0].spec[0]).
+	subjects *semiJoinSet
 
 	batches              int
 	rows                 int64
@@ -182,9 +191,107 @@ func (snk *batchScanSink) flush() {
 	if len(snk.filters) > 0 {
 		snk.filterKept += kept
 	}
+	if snk.subjects != nil {
+		snk.subjects.add(b, snk.plan.steps[0].spec[0])
+	}
 	snk.kept += kept
 	b.n = 0
 	b.sel = nil
+}
+
+// semiJoinSet is the sideways semi-join's subject set: the qualified
+// subjects of step 0's surviving rows, which the bound scans of later
+// steps walk instead of their predicate index (planSemiJoin). Step-0
+// sinks add every flushed batch; the dispatcher seals the set once step
+// 0's scans are done, and the bound scans read it without locking. Each
+// entry is charged to the budget (the strings are the qualification
+// table's, so an entry is a map slot and a slot of the walk order). A
+// refused charge overflows the set (subj becomes nil) and the bound
+// scans run unrestricted — exact either way, since the restriction only
+// drops rows no join with step 0 can match.
+type semiJoinSet struct {
+	mu      sync.Mutex
+	bud     *mem.Budget
+	subj    *boundSubjects
+	charged int64
+}
+
+// boundSubjects is the sealed set a bound scan reads: has answers the
+// edge walk's membership probes, and order lists the same subjects in
+// the order step 0 first emitted them, which the fact walk follows. Each
+// source's subjects come from that source's one step-0 scan, which reads
+// its range in store order, so a bound scan visits its subjects — and
+// feeds the joins its rows — in the same order on every execution (a
+// map range would reshuffle them per query, and the join and projection
+// costs with them).
+type boundSubjects struct {
+	has   map[string]struct{}
+	order []string
+}
+
+// semiJoinEntryBytes is the accounted cost of one subject: a string
+// header plus its share of the map's buckets, and up to two string
+// headers in the walk order's doubling slice.
+const semiJoinEntryBytes = 80
+
+func (s *semiJoinSet) add(b *colBatch, slot int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.subj == nil {
+		return
+	}
+	live := 0
+	for i := 0; i < b.n; i++ {
+		if b.live(i) {
+			live++
+		}
+	}
+	cost := int64(live) * semiJoinEntryBytes
+	if !s.bud.Reserve(cost) {
+		s.subj = nil
+		s.release()
+		return
+	}
+	bs := s.subj
+	before := len(bs.order)
+	col := b.cols[slot]
+	for i := 0; i < b.n; i++ {
+		if !b.live(i) {
+			continue
+		}
+		if _, dup := bs.has[col[i].Str]; !dup {
+			bs.has[col[i].Str] = struct{}{}
+			bs.order = append(bs.order, col[i].Str)
+		}
+	}
+	used := int64(len(bs.order)-before) * semiJoinEntryBytes
+	s.bud.Release(cost - used)
+	s.charged += used
+}
+
+// seal returns the collected set, or nil after an overflow.
+func (s *semiJoinSet) seal() *boundSubjects {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.subj
+}
+
+// release returns the set's charge once no bound scan reads it.
+func (s *semiJoinSet) release() {
+	s.bud.Release(s.charged)
+	s.charged = 0
+}
+
+// countQualified counts the bound subjects that belong to one source —
+// the ones its restricted scan walks (the trace's bound_subjects).
+func countQualified(subj *boundSubjects, source string) int {
+	n := 0
+	for _, s := range subj.order {
+		if strings.HasPrefix(s, source+".") {
+			n++
+		}
+	}
+	return n
 }
 
 // batchEmit adapts scanMatch's (s, p, o) callback into columnar row
@@ -640,6 +747,18 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	// accumulation is still deterministic whatever the scheduling.
 	var filterInTot, filterKeptTot int64
 
+	// The sideways semi-join: step 0's sinks collect their survivors'
+	// subjects, and the dispatcher holds the bound scans until step 0 is
+	// done and the set sealed (boundSubj is written before the first
+	// bound job is sent, so the workers read it race-free; it stays nil
+	// after an overflow).
+	var subjects *semiJoinSet
+	var boundSubj *boundSubjects
+	if plan.semiJoin {
+		subjects = &semiJoinSet{bud: bud, subj: &boundSubjects{has: make(map[string]struct{})}}
+		defer subjects.release()
+	}
+
 	// Scan worker pool, shared by every step's scans, dispatched in step
 	// order: step 0 feeds upCh[1] directly (hashed on step 1's keys), or
 	// its task's own projection when it is the only step; step si>=1
@@ -652,10 +771,20 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		defer scanWg[si].Done()
 		stp := &plan.steps[si]
 		sc := stp.scans[j]
+		view := sc.view
+		if sc.bound {
+			view.boundSubj = boundSubj
+		}
 		ts := &taskStats[si][j]
 		var ss *obs.Span
 		if sp := stepSpan(si); sp != nil {
 			ss = sp.Child("scan " + sc.name)
+			if view.pushed != nil {
+				ss.SetAttr("pushed", pushedString(view.pushed))
+			}
+			if view.boundSubj != nil {
+				ss.SetInt("bound_subjects", int64(countQualified(boundSubj, sc.name)))
+			}
 			defer func() {
 				ss.SetInt("rows", int64(ts.EdgeRows+ts.FactRows))
 				ss.End()
@@ -670,11 +799,12 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 			snk.filters = filters[0]
 			snk.slots = stp.nextKeySlots
 			snk.rt = newBatchRouter(upCh[1], alloc, boundAfter[0])
+			snk.subjects = subjects
 		default:
 			snk.slots = stp.keySlots
 			snk.rt = newBatchRouter(scanCh[si], alloc, scanRowSlots[si])
 		}
-		e.scanMatch(sc.name, sc.src, stp.triple, sc.view, ts, true, batchEmit(stp, snk))
+		e.scanMatch(sc.name, sc.src, stp.triple, view, ts, true, batchEmit(stp, snk))
 		snk.flush()
 		alloc.put(snk.staging)
 		if snk.rt != nil {
@@ -716,8 +846,16 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	go func() {
 		defer close(dispatcherDone)
 		defer close(jobs)
+		sealed := false
 		for si := 0; si < n; si++ {
 			for _, j := range liveTasks[si] {
+				if plan.steps[si].scans[j].bound && !sealed {
+					// Every step-0 job was handed to a worker (or skipped)
+					// before this point, so the wait always ends.
+					scanWg[0].Wait()
+					boundSubj = subjects.seal()
+					sealed = true
+				}
 				select {
 				case jobs <- scanJob{si, j}:
 					dispatched++

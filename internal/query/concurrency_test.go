@@ -89,13 +89,22 @@ func TestConcurrentExplainAndExecute(t *testing.T) {
 	}
 }
 
-// TestInvalidateCacheUnderLoad flushes the plan cache while queries run.
+// TestInvalidateCacheUnderLoad flushes the plan cache while queries run
+// — a plain one, and a pushed one whose numeric indexes are dropped and
+// rebuilt under it.
 func TestInvalidateCacheUnderLoad(t *testing.T) {
 	eng := paperEngine(t)
-	q := MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle")
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
+	queries := []Query{
+		MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle"),
+		MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . FILTER ?p < 9000"),
+	}
+	want := make([]*Result, len(queries))
+	for i, q := range queries {
+		ref, err := eng.ExecuteWith(q, Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ref
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -108,12 +117,13 @@ func TestInvalidateCacheUnderLoad(t *testing.T) {
 					eng.InvalidateCache()
 					continue
 				}
-				got, err := eng.ExecuteWith(q, Options{Workers: 2})
+				qi := (g + i) % len(queries)
+				got, err := eng.ExecuteWith(queries[qi], Options{Workers: 2})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if !want.EqualRows(got) {
+				if !want[qi].EqualRows(got) {
 					errs <- fmt.Errorf("rows diverged during cache invalidation")
 					return
 				}

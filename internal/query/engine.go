@@ -217,6 +217,7 @@ type Engine struct {
 	edgeIdx  map[string]map[string][]graph.Edge // source → edge label → edges
 	qualIdx  map[string]map[string]string       // source → term → qualified name
 	factQIdx map[string][]factQual              // source → fact ordinal → qualified subject/object
+	numIdx   map[string]map[string]*numIndex    // source → predicate → numeric objects sorted by value (pushdown.go)
 	epochs   []uint64                           // per-source epochs the caches were built under, in names order
 }
 
@@ -249,6 +250,7 @@ func NewEngineWith(art *articulation.Articulation, sources map[string]*Source, o
 		edgeIdx:  make(map[string]map[string][]graph.Edge),
 		qualIdx:  make(map[string]map[string]string),
 		factQIdx: make(map[string][]factQual),
+		numIdx:   make(map[string]map[string]*numIndex),
 	}
 	e.sources[art.Ont.Name()] = &Source{Ont: art.Ont}
 	for name, s := range sources {
@@ -324,12 +326,13 @@ func (e *Engine) EpochKey() string {
 
 // validateEpochs compares every source's current epoch against the
 // snapshot the caches were built under and heals stale state: a changed
-// source drops exactly its own edge/qual indexes, and any change flushes
-// the plan cache wholesale (compilation consults every source — term
-// expansion probes KB subjects, estimates read index cardinalities, and
-// a mutation can even un-skip a previously impossible scan — so no plan
-// can be proven unaffected). Runs at query/explain entry, so direct
-// NewEngine users need no InvalidateCache call after mutating a source.
+// source drops exactly its own edge, qualification, fact-ordinal and
+// numeric indexes, and any change flushes the plan cache wholesale
+// (compilation consults every source — term expansion probes KB
+// subjects, estimates read index cardinalities, and a mutation can even
+// un-skip a previously impossible scan — so no plan can be proven
+// unaffected). Runs at query/explain entry, so direct NewEngine users
+// need no InvalidateCache call after mutating a source.
 func (e *Engine) validateEpochs() {
 	cur := make([]uint64, len(e.names))
 	e.sourceEpochs(cur)
@@ -346,6 +349,7 @@ func (e *Engine) validateEpochs() {
 				delete(e.edgeIdx, name)
 				delete(e.qualIdx, name)
 				delete(e.factQIdx, name)
+				delete(e.numIdx, name)
 			}
 		}
 		e.plans = make(map[string]*execPlan)
@@ -529,6 +533,14 @@ type scanView struct {
 	// planner so indexed scans need not re-sort per execution.
 	predList []string
 	subjList []string
+	// pushed is the planner's selection pushdown (pushdown.go): one
+	// source-unit range per predList entry, nil when the triple's filters
+	// run only after conversion.
+	pushed []pushedPred
+	// boundSubj, when non-nil, restricts the scan to these subjects
+	// (qualified names) — the sideways semi-join. The executor sets it
+	// per execution, on its own copy of the view.
+	boundSubj *boundSubjects
 }
 
 // compileView expands the triple's constants into the source's term
@@ -596,7 +608,11 @@ func (e *Engine) scanSource(name string, src *Source, t Triple, stats *Stats) ([
 // With indexed=true the scan walks the per-source edge-label index and
 // the KB's predicate/subject indexes instead of every edge and fact; both
 // modes produce the same row set (order may differ; the final projection
-// sort normalises it).
+// sort normalises it). Indexed scans also honour the planner's pushdown
+// (v.pushed: read only the in-range numeric facts, skip the edges) and
+// the semi-join restriction (v.boundSubj: walk only the bound subjects).
+// Both drop only rows that the query's filters or joins would drop
+// anyway, and the executor still applies every filter downstream.
 func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats *Stats, indexed bool, emit func(s, p, o kb.Value) bool) {
 	if v.skip {
 		return
@@ -640,10 +656,19 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		}
 	}
 	if indexed && v.preds != nil {
-		idx := e.edgeIndex(name)
-		for _, p := range v.predList {
-			for _, edge := range idx[p] {
-				matchEdge(edge)
+		// A pushed scan's filters compare numbers and edge objects are
+		// terms, so no edge row could survive them.
+		if v.pushed == nil {
+			idx := e.edgeIndex(name)
+			for _, p := range v.predList {
+				for _, edge := range idx[p] {
+					if v.boundSubj != nil {
+						if _, ok := v.boundSubj.has[qual(g.Label(edge.From)).Str]; !ok {
+							continue
+						}
+					}
+					matchEdge(edge)
+				}
 			}
 		}
 	} else {
@@ -724,16 +749,55 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		matchFact := func(f kb.Fact) bool {
 			return matchFactQ(f, kb.Value{}, kb.Value{}, false, nil, false)
 		}
+		matchOrd := func(fq []factQual, i int, f kb.Fact, nf []string) bool {
+			if i < len(fq) {
+				return matchFactQ(f, fq[i].subj, fq[i].obj, true, nf, true)
+			}
+			return matchFactQ(f, kb.Value{}, kb.Value{}, false, nf, true)
+		}
 		switch {
+		case indexed && v.boundSubj != nil:
+			// The semi-join walk: only the bound subjects' facts, through
+			// the subject index, with the predicate check and conversion
+			// candidates the predicate walk would apply. A bound subject is
+			// qualified, so this source's are exactly those carrying its
+			// prefix. The walk follows the set's first-seen order, so the
+			// rows come out in the same order on every execution.
+			fq := e.factQuals(name)
+			nfs := make(map[string][]string, len(v.predList))
+			for _, p := range v.predList {
+				nfs[p] = e.normFuncNames(name, p)
+			}
+			prefix := name + "."
+			for _, s := range v.boundSubj.order {
+				bare, ok := strings.CutPrefix(s, prefix)
+				if !ok {
+					continue
+				}
+				src.KB.ForEachBySubjectIndexed(bare, func(i int, f kb.Fact) bool {
+					nf, ok := nfs[f.Predicate]
+					if !ok {
+						return true
+					}
+					return matchOrd(fq, i, f, nf)
+				})
+			}
 		case indexed && v.preds != nil:
 			fq := e.factQuals(name)
-			for _, p := range v.predList {
+			for k, p := range v.predList {
 				nf := e.normFuncNames(name, p)
+				if v.pushed != nil && v.pushed[k].live(nf, e.art.Funcs) {
+					// Only the facts whose source-unit value lies in the
+					// pushed range are read, and so converted.
+					ix := e.numIndex(name, p)
+					lo, hi := ix.span(v.pushed[k].rng)
+					ix.inStoreOrder(lo, hi, func(i int) {
+						matchOrd(fq, i, src.KB.FactAt(i), nf)
+					})
+					continue
+				}
 				src.KB.ForEachByPredicateIndexed(p, func(i int, f kb.Fact) bool {
-					if i < len(fq) {
-						return matchFactQ(f, fq[i].subj, fq[i].obj, true, nf, true)
-					}
-					return matchFactQ(f, kb.Value{}, kb.Value{}, false, nf, true)
+					return matchOrd(fq, i, f, nf)
 				})
 			}
 		case indexed && v.subj != nil:
@@ -812,11 +876,9 @@ func (e *Engine) expandTerm(srcName string, t Term, stats *Stats) (map[string]bo
 	if src.Ont.HasTerm(name) {
 		set[name] = true
 	}
-	if src.KB != nil {
+	if src.KB != nil && src.KB.CountBySubject(name) > 0 {
 		// Instance names live in the KB, not the ontology graph.
-		if fs := src.KB.Match(name, "", nil); len(fs) > 0 {
-			set[name] = true
-		}
+		set[name] = true
 	}
 	return set, len(set) > 0
 }
@@ -872,9 +934,15 @@ func (e *Engine) expandPred(srcName string, t Term, stats *Stats) (map[string]bo
 
 // normFuncNames resolves the conversion candidates for one source
 // predicate: the registered function names of its functional bridges
-// into the articulation, in bridge order. The resolution is static per
-// (source, predicate) — only Apply depends on the value — so indexed
-// scans hoist it out of their per-fact loop.
+// into the articulation, in bridge order. This is how the query
+// processor "will utilize these normalization functions" (§4.1): a
+// numeric KB value converts through the first candidate whose conversion
+// applies cleanly, and passes through raw when none does. The resolution
+// is static per (source, predicate) — only Apply depends on the value —
+// so indexed scans hoist it out of their per-fact loop. The
+// first-applicable rule is what makes the pushdown sound: a linear
+// function never fails, so when the first candidate is linear it converts
+// every number of the predicate (pushdown.go).
 func (e *Engine) normFuncNames(srcName, pred string) []string {
 	if e.art.Funcs == nil {
 		return nil
@@ -891,22 +959,6 @@ func (e *Engine) normFuncNames(srcName, pred string) []string {
 		names = append(names, b.FuncName())
 	}
 	return names
-}
-
-// normalize converts a numeric KB value into the articulation's metric
-// space when a functional bridge (src.pred → art.X) with a registered
-// conversion exists — the paper's "query processor will utilize these
-// normalization functions" (§4.1). The first candidate whose conversion
-// applies cleanly wins.
-func (e *Engine) normalize(srcName, pred string, v kb.Value) (kb.Value, bool) {
-	for _, fname := range e.normFuncNames(srcName, pred) {
-		out, err := e.art.Funcs.Apply(fname, v.Num)
-		if err != nil {
-			continue
-		}
-		return kb.Number(out), true
-	}
-	return v, false
 }
 
 func qualify(ont, term string) string {

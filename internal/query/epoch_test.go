@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +174,93 @@ func TestInvalidateCacheDropsFactQuals(t *testing.T) {
 		}
 		if !want.EqualRows(got) {
 			t.Errorf("%+v: planned rows after KB swap + InvalidateCache diverged from sequential:\n got %v\nwant %v", opts, got.Rows, want.Rows)
+		}
+	}
+}
+
+// pushdownQSel is Q-sel: its Price scans are pushed and read the numeric
+// index.
+var pushdownQSel = MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . FILTER ?p < 1500")
+
+// checkPlannedMatchesSequential runs q planned (one worker, a pool, a
+// budget) and fails on any divergence from the Sequential rows.
+func checkPlannedMatchesSequential(t *testing.T, eng *Engine, q Query) *Result {
+	t.Helper()
+	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 16}} {
+		got, err := eng.ExecuteWith(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.EqualRows(got) {
+			t.Fatalf("%+v: planned rows diverged from sequential: %d rows, want %d", opts, len(got.Rows), len(want.Rows))
+		}
+	}
+	return want
+}
+
+// TestInvalidateCacheDropsNumIndex: the numeric index goes with the
+// other per-source caches on an explicit flush.
+func TestInvalidateCacheDropsNumIndex(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 40)
+	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	if eng.numIdx["carrier"]["Price"] == nil {
+		t.Fatalf("a pushed query did not build the carrier Price index")
+	}
+	eng.InvalidateCache()
+	if len(eng.numIdx) != 0 {
+		t.Fatalf("InvalidateCache kept the numeric index: %v", eng.numIdx)
+	}
+}
+
+// TestEpochBumpDropsNumIndex: a fact added inside a cached range bumps
+// the source's epoch, which drops that source's numeric index, so the
+// next answer carries the fact.
+func TestEpochBumpDropsNumIndex(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 40)
+	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	store := eng.sources["carrier"].KB
+	store.MustAdd("NewCar", "InstanceOf", kb.Term("PassengerCar"))
+	store.MustAdd("NewCar", "Price", kb.Number(500)) // 800 EUR, inside the range
+	eng.validateEpochs()
+	if eng.numIdx["carrier"] != nil {
+		t.Fatalf("an epoch bump kept the carrier numeric index")
+	}
+	if eng.numIdx["factory"] == nil {
+		t.Fatalf("an epoch bump in carrier dropped factory's numeric index")
+	}
+	if got := checkPlannedMatchesSequential(t, eng, pushdownQSel); !hasRow(got, "carrier.NewCar", "800") {
+		t.Fatalf("the added fact is missing from the answer")
+	}
+}
+
+// TestInvalidateCacheNumIndexKBSwap: swapping a Source's KB in place and
+// flushing must never serve the old store's ordinals through the numeric
+// index — the swapped store's facts sit at the same ordinals with other
+// subjects and prices.
+func TestInvalidateCacheNumIndexKBSwap(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 40)
+	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	old := eng.sources["carrier"].KB
+	swapped := kb.New("carrier")
+	i := 0
+	old.ForEach(func(f kb.Fact) bool {
+		if f.Object.IsNumber() {
+			f.Object = kb.Number(float64(i*37%1200) + 0.5)
+		}
+		swapped.MustAdd("Swapped"+f.Subject, f.Predicate, f.Object)
+		i++
+		return true
+	})
+	eng.sources["carrier"].KB = swapped
+	eng.InvalidateCache()
+	got := checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	for _, r := range got.Rows {
+		if s := r[0].Str; strings.HasPrefix(s, "carrier.") && !strings.HasPrefix(s, "carrier.Swapped") {
+			t.Fatalf("answer carries a subject of the replaced store: %v", r)
 		}
 	}
 }

@@ -21,6 +21,15 @@ type TripleScan struct {
 	Skipped bool
 	// Est is the planner's row estimate for this scan.
 	Est int
+	// Range is the selection pushed into the scan, in source units, with
+	// the inverse it was mapped through — "Price < 937.5 (PSToEuroFn⁻¹)"
+	// — or "" when the filters run after conversion only.
+	Range string
+	// BoundVar is set on a scan bound to step 1's surviving subjects (the
+	// sideways semi-join): the shared subject variable. BoundSubjects is
+	// step 1's exact row count in this source, which bounds the walk.
+	BoundVar      string
+	BoundSubjects int
 }
 
 // TriplePlan is the reformulation of one WHERE conjunct, in execution
@@ -139,8 +148,15 @@ func (p *Plan) String() string {
 				fmt.Fprintf(&b, "    %-12s pruned (no denotation)\n", sc.Source)
 				continue
 			}
-			fmt.Fprintf(&b, "    %-12s subj %s  pred %s  obj %s  est %d\n",
+			fmt.Fprintf(&b, "    %-12s subj %s  pred %s  obj %s  est %d",
 				sc.Source, setOrStar(sc.Subjects), setOrStar(sc.Predicates), setOrStar(sc.Objects), sc.Est)
+			if sc.Range != "" {
+				fmt.Fprintf(&b, "  range %s", sc.Range)
+			}
+			if sc.BoundVar != "" {
+				fmt.Fprintf(&b, "  bound to step 1's ?%s (%d subjects)", sc.BoundVar, sc.BoundSubjects)
+			}
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()
@@ -189,8 +205,12 @@ func (e *Engine) Explain(q Query) (*Plan, error) {
 			tp.StreamsInto = i + 1
 			tp.StreamKeyVars = slotVars(ep, stp.nextKeySlots)
 		}
-		for _, sc := range stp.scans {
-			scan := TripleScan{Source: sc.name, Est: sc.est}
+		for j, sc := range stp.scans {
+			scan := TripleScan{Source: sc.name, Est: sc.est, Range: pushedString(sc.view.pushed)}
+			if sc.bound {
+				scan.BoundVar = ep.slotNames[ep.steps[0].spec[0]]
+				scan.BoundSubjects = ep.steps[0].scans[j].est
+			}
 			if sc.view.skip {
 				scan.Skipped = true
 				tp.Scans = append(tp.Scans, scan)

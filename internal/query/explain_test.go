@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -189,6 +190,73 @@ func TestExplainShowsSlotsAndJoinOrder(t *testing.T) {
 	}
 	if !seen[0] || !seen[1] {
 		t.Errorf("textual indices missing: %+v", plan.Triples)
+	}
+}
+
+// TestExplainShowsPushdown checks that Explain says what was pushed: on
+// Q-sel each Price scan prints its source-unit range and the inverse it
+// was mapped through, and on Q-join the later ?x steps print their
+// binding to step 1's subjects with step 1's exact count.
+func TestExplainShowsPushdown(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 400)
+	sel, err := eng.Explain(pushdownQSel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := sel.String()
+	if sel.Triples[0].Triple != "?x Price ?p" {
+		t.Fatalf("pushed Price step is not first:\n%s", out)
+	}
+	for _, want := range []string{"range Price < 937.5 (PSToEuroFn⁻¹)", "range Price < 3305.565 (DGToEuroFn⁻¹)", "bound to step 1's ?x ("} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Q-sel plan missing %q:\n%s", want, out)
+		}
+	}
+	// The pushed estimate is the exact range count.
+	want, err := eng.ExecuteWith(MustParse("SELECT ?x ?p WHERE ?x Price ?p . FILTER ?p < 1500"), Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est := sel.Triples[0].Est; est != len(want.Rows) {
+		t.Errorf("pushed step est %d, want its exact count %d", est, len(want.Rows))
+	}
+
+	join, err := eng.Explain(MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = join.String()
+	if join.Triples[0].Triple != "?x Price ?p" {
+		t.Fatalf("pushed Price step is not first:\n%s", out)
+	}
+	var carrierCount int
+	for _, sc := range join.Triples[0].Scans {
+		if sc.Source == "carrier" {
+			carrierCount = sc.Est
+		}
+	}
+	bound := 0
+	for _, tp := range join.Triples[1:] {
+		for _, sc := range tp.Scans {
+			if sc.BoundVar == "" {
+				continue
+			}
+			bound++
+			if sc.BoundVar != "x" || (sc.Source == "carrier" && sc.BoundSubjects != carrierCount) {
+				t.Errorf("%s %s: bound to ?%s (%d subjects), want ?x (%d)", tp.Triple, sc.Source, sc.BoundVar, sc.BoundSubjects, carrierCount)
+			}
+		}
+	}
+	if bound == 0 || !strings.Contains(out, fmt.Sprintf("bound to step 1's ?x (%d subjects)", carrierCount)) {
+		t.Errorf("Q-join plan binds no scan to step 1:\n%s", out)
+	}
+	// Without a pushable filter nothing is pushed or bound.
+	plain, err := eng.Explain(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . FILTER ?p != 1500"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := plain.String(); strings.Contains(out, "range ") || strings.Contains(out, "bound to") {
+		t.Errorf("unpushable filter pushed:\n%s", out)
 	}
 }
 

@@ -58,6 +58,9 @@ type sourceScan struct {
 	src  *Source
 	view scanView
 	est  int // estimated result rows (selectivity probe)
+	// bound marks a later step's scan that walks only step 0's surviving
+	// subjects (planSemiJoin); est is then the planner's walk estimate.
+	bound bool
 }
 
 // planStep is one WHERE conjunct with its per-source scans, placed in
@@ -115,6 +118,11 @@ type execPlan struct {
 	// totalEst is the summed scan estimate across every step, reported
 	// on the plan span.
 	totalEst int
+
+	// semiJoin reports that some scan is bound: step 0's sinks then
+	// collect their surviving subjects (slot steps[0].spec[0]) and the
+	// dispatcher holds the bound scans until step 0 is done.
+	semiJoin bool
 }
 
 // maxCachedPlans bounds the per-engine plan cache; at the cap the cache
@@ -123,9 +131,12 @@ type execPlan struct {
 const maxCachedPlans = 512
 
 // planKey renders the WHERE clause into an unambiguous cache key. A plan
-// depends only on the triples (SELECT and FILTER apply at execution), and
-// the key tags every constant with its value kind plus length — q.String()
-// alone would collide Term("5") with Number(5), whose Format is identical.
+// depends on the triples and on the pushable filters, whose constants fix
+// the pushed scans' source-unit ranges (pushdown.go); SELECT and every
+// other filter apply at execution, so a query without pushable filters
+// keys on its triples alone. The key tags every constant with its value
+// kind plus length — q.String() alone would collide Term("5") with
+// Number(5), whose Format is identical.
 func planKey(q Query) string {
 	var b strings.Builder
 	writeTerm := func(t Term) {
@@ -140,6 +151,11 @@ func planKey(q Query) string {
 		writeTerm(tr.S)
 		writeTerm(tr.P)
 		writeTerm(tr.O)
+	}
+	for _, f := range pushableFilters(q) {
+		fmt.Fprintf(&b, "F%d", f.Op)
+		writeTerm(V(f.Var))
+		writeTerm(C(f.Value))
 	}
 	return b.String()
 }
@@ -168,7 +184,7 @@ func (e *Engine) cachedPlan(q Query) (*execPlan, bool) {
 }
 
 // InvalidateCache drops the compiled plans and every per-source index
-// (edges, qualified names, fact-ordinal qualifications).
+// (edges, qualified names, fact-ordinal qualifications, numeric objects).
 // Since per-source epoch validation landed, calling it after mutating a
 // source is no longer required — every query validates the caches
 // against the sources' epochs and heals exactly the stale state — so
@@ -181,6 +197,7 @@ func (e *Engine) InvalidateCache() {
 	e.edgeIdx = make(map[string]map[string][]graph.Edge)
 	e.qualIdx = make(map[string]map[string]string)
 	e.factQIdx = make(map[string][]factQual)
+	e.numIdx = make(map[string]map[string]*numIndex)
 	e.sourceEpochs(e.epochs)
 	e.mu.Unlock()
 }
@@ -293,9 +310,12 @@ func (e *Engine) factQuals(name string) []factQual {
 	return fq
 }
 
-// compile reformulates every (triple, source) pair once, estimates scan
-// cardinalities from the ontology and KB indexes, orders the joins
-// smallest-first, and wires the slot assignment the executor runs on.
+// compile reformulates every (triple, source) pair once, pushes the
+// pushable filters into the scans that bind their variable, estimates
+// scan cardinalities from the ontology and KB indexes (a pushed scan's
+// estimate is its exact range count), orders the joins smallest-first,
+// binds later scans to step 0's subjects where that is cheaper, and wires
+// the slot assignment the executor runs on.
 func (e *Engine) compile(q Query) *execPlan {
 	p := &execPlan{slotOf: make(map[string]int)}
 	// Assign slots in textual first-occurrence order, so the assignment
@@ -310,8 +330,17 @@ func (e *Engine) compile(q Query) *execPlan {
 			}
 		}
 	}
+	pushable := pushableFilters(q)
 	for i, t := range q.Where {
 		step := planStep{triple: t, origIdx: i, vars: tripleVars(t)}
+		var pushed []Filter
+		if !t.P.IsVar() && t.O.IsVar() {
+			for _, f := range pushable {
+				if f.Var == t.O.Var {
+					pushed = append(pushed, f)
+				}
+			}
+		}
 		occupied := make(map[int]bool, 3)
 		for pos, term := range [3]Term{t.S, t.P, t.O} {
 			step.spec[pos] = -1
@@ -329,7 +358,11 @@ func (e *Engine) compile(q Query) *execPlan {
 			// them on every execution.
 			sc.view.predList = sortedSet(sc.view.preds)
 			sc.view.subjList = sortedSet(sc.view.subj)
-			sc.est = e.estimateScan(name, src, sc.view)
+			if sc.view.pushed = e.pushScan(name, sc.view, pushed); sc.view.pushed != nil {
+				sc.est = e.pushedCount(name, sc.view)
+			} else {
+				sc.est = e.estimateScan(name, src, sc.view)
+			}
 			step.scans = append(step.scans, sc)
 			step.est += sc.est
 		}
@@ -355,6 +388,7 @@ func (e *Engine) compile(q Query) *execPlan {
 			boundSlot[sl] = true
 		}
 	}
+	p.planSemiJoin()
 	for i := range p.steps {
 		if i+1 < len(p.steps) {
 			p.steps[i].nextKeySlots = p.steps[i+1].keySlots
@@ -364,6 +398,52 @@ func (e *Engine) compile(q Query) *execPlan {
 	}
 	p.adaptiveParts()
 	return p
+}
+
+// planSemiJoin binds later scans to step 0's surviving subjects — the
+// sideways semi-join. It applies when step 0 carries a pushed range
+// (its estimate is then an exact count) and a later step's subject is
+// step 0's subject variable: that step can only join rows whose subject
+// step 0 emitted, so its scan may walk those subjects' facts through the
+// subject index instead of the whole predicate. A scan is bound when the
+// walk is cheaper than the scan's predicate-index estimate (one visit per
+// fact): per step-0 row in the same source the walk pays one subject-set
+// insert and one subject-index probe, plus the source's facts per
+// subject.
+func (p *execPlan) planSemiJoin() {
+	if len(p.steps) < 2 {
+		return
+	}
+	s0 := &p.steps[0]
+	xs := s0.spec[0]
+	pushed := false
+	for _, sc := range s0.scans {
+		pushed = pushed || sc.view.pushed != nil
+	}
+	if xs < 0 || !pushed {
+		return
+	}
+	for si := 1; si < len(p.steps); si++ {
+		st := &p.steps[si]
+		if st.spec[0] != xs {
+			continue
+		}
+		st.est = 0
+		for j := range st.scans {
+			sc := &st.scans[j]
+			store := sc.src.KB
+			if !sc.view.skip && sc.view.preds != nil && store != nil && store.NumSubjects() > 0 {
+				// ⌈count × facts / subjects⌉, the facts the walk visits.
+				n := s0.scans[j].est
+				walk := (n*store.Len() + store.NumSubjects() - 1) / store.NumSubjects()
+				if 2*n+walk < sc.est {
+					sc.bound, sc.est = true, walk
+					p.semiJoin = true
+				}
+			}
+			st.est += sc.est
+		}
+	}
 }
 
 // Adaptive partition sizing: instead of one global hash-partition count,

@@ -103,6 +103,55 @@ func TestTraceSpansPerStep(t *testing.T) {
 	}
 }
 
+// TestTraceShowsPushdown checks the per-source scan spans say what was
+// pushed: on Q-sel and Q-join step 1's Price scans carry the pushed
+// range, and the later steps' bound scans the number of step-1 subjects
+// they walked.
+func TestTraceShowsPushdown(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 400)
+	// Step 1's carrier survivors: the bound scans' subject count.
+	step1, err := eng.ExecuteWith(MustParse("SELECT ?x WHERE ?x Price ?p . FILTER ?p < 1500"), Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	carrierSubjects := 0
+	for _, r := range step1.Rows {
+		if strings.HasPrefix(r[0].Str, "carrier.") {
+			carrierSubjects++
+		}
+	}
+	for _, q := range []Query{
+		pushdownQSel,
+		MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500"),
+	} {
+		res, err := eng.ExecuteWith(q, Options{Workers: 2, Trace: obs.NewTrace("test")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushed, bound := 0, 0
+		for _, step := range res.Trace.Children {
+			for _, sc := range step.Children {
+				switch {
+				case sc.Name != "scan carrier":
+				case strings.HasPrefix(step.Name, "step 1: "):
+					if !hasAttr(sc, "pushed", "Price < 937.5 (PSToEuroFn⁻¹)") {
+						t.Errorf("%s: %s attrs %v, want the pushed range", q, step.Name, sc.Attrs)
+					}
+					pushed++
+				default:
+					if !hasAttr(sc, "bound_subjects", strconv.Itoa(carrierSubjects)) {
+						t.Errorf("%s: %s attrs %v, want bound_subjects %d", q, step.Name, sc.Attrs, carrierSubjects)
+					}
+					bound++
+				}
+			}
+		}
+		if pushed != 1 || bound == 0 {
+			t.Errorf("%s: %d pushed and %d bound carrier scan spans:\n%s", q, pushed, bound, res.Trace.Tree())
+		}
+	}
+}
+
 // hasAttr reports whether the span carries key=val.
 func hasAttr(s *obs.Span, key, val string) bool {
 	for _, a := range s.Attrs {
