@@ -17,8 +17,9 @@ race:
 	go test -race -shuffle=on ./...
 
 # The schedule-sensitive tests (shared-pool spill accounting, the
-# allocation guards a pipelined execution's scheduling could move, and
-# the pushdown differentials the semi-join's dispatch barrier runs under),
+# allocation guards a pipelined execution's scheduling could move, the
+# pushdown differentials the semi-join's dispatch barrier runs under, and
+# the grace join's run replay, chunk carry and re-partitioning),
 # repeated single-core, dual-core and oversubscribed. A cached `ok` would
 # hide a flake, hence -count. Must report 0 failures.
 stress:
@@ -26,6 +27,7 @@ stress:
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRunRoundTrip|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestE15BoundedMemoryCompletes ./internal/bench || exit 1; \
 	done
 

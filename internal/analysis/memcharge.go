@@ -30,12 +30,11 @@ var MemCharge = &Analyzer{
 }
 
 // memChargeFiles are the execution files the contract covers — the
-// executor entry and spill tuples (exec.go), the columnar batch pipeline
-// (batch.go, batchpipe.go — column vectors are tuple storage turned
-// sideways), its streaming projection (pipeline.go, projspill.go) and
-// the grace-hash spill layer (spill.go).
+// executor entry and columnar batch pipeline (batch.go, batchpipe.go —
+// column vectors are tuple storage turned sideways), its streaming
+// projection (pipeline.go, projspill.go) and the grace-hash spill layer
+// (spill.go).
 var memChargeFiles = map[string]bool{
-	"exec.go":      true,
 	"pipeline.go":  true,
 	"spill.go":     true,
 	"batch.go":     true,

@@ -1,5 +1,5 @@
 // Package query is the memcharge fixture's executor: this file is named
-// exec.go so it falls under the tuple-execution contract.
+// spill.go so it falls under the tuple-execution contract.
 package query
 
 import (

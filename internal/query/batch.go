@@ -12,9 +12,9 @@ import (
 // (batchpipe.go): per-slot value vectors in fixed-capacity batches, a
 // selection bitmap instead of survivor copies, a []uint64 hash vector
 // filled one key column at a time, and budget accounting charged once
-// per batch (column capacity) instead of once per row. The tuple type
-// stays the row-major currency of the spill runs; a colBatch is the same
-// rows turned sideways.
+// per batch (column capacity) instead of once per row. A colBatch is the
+// one row currency, on disk too: spill runs (spill.go) encode records
+// straight from batch columns and replay them back into batches.
 
 // batchRows is the row capacity of one column batch — scans fill batches
 // in runs of this size and every vectorized pass (hash, filter, scatter)
@@ -256,8 +256,7 @@ func (b *colBatch) applyFiltersVec(fs []Filter, plan *execPlan) {
 // hash. Only the slots listed are copied — the slots bound at this
 // point in the chain; columns outside the list carry recycled garbage
 // that no downstream pass ever reads (which slots are bound is a
-// plan-level property, exactly as for tuples). The caller checks
-// capacity.
+// plan-level property). The caller checks capacity.
 func (b *colBatch) copyRow(src *colBatch, i int, h uint64, slots []int) {
 	j := b.n
 	for _, s := range slots {
@@ -265,18 +264,6 @@ func (b *colBatch) copyRow(src *colBatch, i int, h uint64, slots []int) {
 	}
 	b.hashes[j] = h
 	b.n++
-}
-
-// rowTuple copies row i's listed slots into the scratch tuple — the
-// bridge to the row-major spill machinery (spill.go): spill runs encode
-// tuples, and the grace-join completion replays them. A scratch tuple is
-// dedicated to one slot list, so the slots outside it stay zero (the
-// unbound-slot convention) and the encoded wire bytes are deterministic.
-func (b *colBatch) rowTuple(i int, scratch tuple, slots []int) tuple {
-	for _, s := range slots {
-		scratch[s] = b.cols[s][i]
-	}
-	return scratch
 }
 
 // buildStore is one stage partition's columnar build side: rows appended
@@ -322,7 +309,7 @@ func newBuildStore(stp *planStep, width int) *buildStore {
 		}
 		// Wrong width for this plan: drop it and allocate fresh.
 	}
-	//lint:onion-ignore column backing grows by append under the partition budget reservation that admitted each batch (takeBuild's Reserve)
+	//lint:onion-ignore column backing grows by append under the reservation that admitted each batch (takeBuild's partition Reserve, a grace chunk's root Reserve)
 	bs := &buildStore{slots: slots, cols: make([][]kb.Value, width), tab: make([]int32, buildTabMinSize)}
 	return bs
 }
@@ -396,7 +383,7 @@ func (bs *buildStore) grow() {
 
 // appendBatch copies the batch's rows into the store column by column
 // and chains them into the hash index. Retention is the caller's
-// reservation (the partition budget Reserve that admitted the batch).
+// reservation (the Reserve that admitted the batch).
 func (bs *buildStore) appendBatch(b *colBatch) {
 	base := int32(len(bs.hashes))
 	for _, s := range bs.slots {
@@ -430,17 +417,6 @@ func (bs *buildStore) head(h uint64) int32 {
 func (bs *buildStore) keysEqualAt(pb *colBatch, i int, j int32, keySlots []int) bool {
 	for _, s := range keySlots {
 		if !sameCell(pb.cols[s][i], bs.cols[s][j]) {
-			return false
-		}
-	}
-	return true
-}
-
-// keysEqualTuple is keysEqualAt for a row-major probe tuple (the
-// probe-overflow replay path).
-func (bs *buildStore) keysEqualTuple(t tuple, j int32, keySlots []int) bool {
-	for _, s := range keySlots {
-		if !sameCell(t[s], bs.cols[s][j]) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,9 +14,12 @@ import (
 	"repro/internal/query/mem"
 )
 
-// This file is the cross-step streaming pipeline on columnar batches —
-// the one planned executor: every compiled plan runs here, whatever its
-// shape or worker count. Every step runs concurrently:
+// This file is the planned execution entry point (executePlanned) and
+// the cross-step streaming pipeline on columnar batches it runs — the one
+// planned executor: every compiled plan runs here, whatever its shape or
+// worker count; Options{Sequential} is the only other path. The compiled
+// plan assigns every query variable a fixed slot (plan.go), and joins key
+// on the precomputed slot lists. Every step runs concurrently:
 //
 //   - all steps' scans share one bounded worker pool, dispatched in step
 //     order, so a later step's sources scan while earlier joins probe;
@@ -68,10 +72,11 @@ import (
 // becomes a grace-hash join (spill.go) — hybrid: the already-reserved
 // build prefix stays in memory and only the overflow spills
 // (Stats.HybridJoins), recursively sub-partitioned until each piece joins
-// within budget. Batch rows bridge to the rowkey wire format through a
-// reusable scratch tuple (spillRun.add encodes immediately and never
-// retains its argument), and grace-join emissions re-enter the columnar
-// flow through batchOutput.
+// within budget. Rows never leave the batch currency: a spill run
+// encodes records straight from batch columns (only the side's bound
+// slots) and replays them back into batches, so the probe-overflow
+// replay, the hybrid-prefix replay and every grace-join chunk run the
+// live probe's match loop (batchOutput.probe) against a buildStore.
 //
 // Rows, JoinedRows and the projection are byte-identical to the
 // Sequential reference, spilled or not: batch arrival order varies run
@@ -385,42 +390,6 @@ func (o *batchOutput) rowFrom(src *colBatch, i int, bs *buildStore, j int32, h u
 	}
 }
 
-// rowFromTupleStore is rowFrom for a row-major probe tuple (the
-// probe-overflow replay against the in-memory build prefix).
-func (o *batchOutput) rowFromTupleStore(l tuple, bs *buildStore, j int32, h uint64) {
-	ob := o.out
-	k := ob.n
-	for _, s := range o.probeSlots {
-		ob.cols[s][k] = l[s]
-	}
-	for _, s := range o.stp.newSlots {
-		ob.cols[s][k] = bs.cols[s][j]
-	}
-	ob.hashes[k] = h
-	ob.n++
-	if ob.full() {
-		o.flush()
-	}
-}
-
-// rowFromTuples stages the merge of two row-major tuples (grace-join
-// completion, where both sides replay from disk).
-func (o *batchOutput) rowFromTuples(l, r tuple, h uint64) {
-	ob := o.out
-	k := ob.n
-	for _, s := range o.probeSlots {
-		ob.cols[s][k] = l[s]
-	}
-	for _, s := range o.stp.newSlots {
-		ob.cols[s][k] = r[s]
-	}
-	ob.hashes[k] = h
-	ob.n++
-	if ob.full() {
-		o.flush()
-	}
-}
-
 // projRowFrom projects the match of probe row (src, i) with build row j
 // without staging it — stageProj.addBatchRow's encoding, dedup and
 // charge, with each SELECT cell read from its own side.
@@ -452,64 +421,26 @@ func (o *batchOutput) projRowFrom(src *colBatch, i int, bs *buildStore, j int32)
 	pp.rows = append(pp.rows, keyedRow{key, out})
 }
 
-// projRowFromTupleStore is projRowFrom for a row-major probe tuple (the
-// probe-overflow replay against the in-memory build prefix).
-func (o *batchOutput) projRowFromTupleStore(l tuple, bs *buildStore, j int32) {
-	o.emitted++
-	pp := o.proj
-	pp.buf = pp.buf[:0]
-	for k, s := range pp.sel {
-		if o.selFromBuild[k] {
-			pp.buf = appendValueKey(pp.buf, bs.cols[s][j])
-		} else {
-			pp.buf = appendValueKey(pp.buf, l[s])
+// probe joins probe batch pb against build store bs, merging every
+// key-equal (probe row, build row) pair into the output — the one match
+// loop behind the live probe, the probe-overflow and hybrid-prefix
+// replays, and every grace-join chunk.
+func (o *batchOutput) probe(pb *colBatch, bs *buildStore) {
+	if bs.rows() == 0 {
+		return // nothing can join
+	}
+	for i := 0; i < pb.n; i++ {
+		h := pb.hashes[i]
+		for j := bs.head(h); j >= 0; j = bs.next[j] {
+			if bs.keysEqualAt(pb, i, j, o.stp.keySlots) {
+				if o.directProj {
+					o.projRowFrom(pb, i, bs, j)
+				} else {
+					o.rowFrom(pb, i, bs, j, h)
+				}
+			}
 		}
 	}
-	if _, dup := pp.keys[string(pp.buf)]; dup {
-		return
-	}
-	key := string(pp.buf)
-	pp.ensure(projRowCost(key, len(pp.sel)))
-	pp.keys[key] = struct{}{}
-	out := make([]kb.Value, len(pp.sel))
-	for k, s := range pp.sel {
-		if o.selFromBuild[k] {
-			out[k] = bs.cols[s][j]
-		} else {
-			out[k] = l[s]
-		}
-	}
-	pp.rows = append(pp.rows, keyedRow{key, out})
-}
-
-// projRowFromTuples is projRowFrom for two row-major tuples (grace-join
-// completion).
-func (o *batchOutput) projRowFromTuples(l, r tuple) {
-	o.emitted++
-	pp := o.proj
-	pp.buf = pp.buf[:0]
-	for k, s := range pp.sel {
-		if o.selFromBuild[k] {
-			pp.buf = appendValueKey(pp.buf, r[s])
-		} else {
-			pp.buf = appendValueKey(pp.buf, l[s])
-		}
-	}
-	if _, dup := pp.keys[string(pp.buf)]; dup {
-		return
-	}
-	key := string(pp.buf)
-	pp.ensure(projRowCost(key, len(pp.sel)))
-	pp.keys[key] = struct{}{}
-	out := make([]kb.Value, len(pp.sel))
-	for k, s := range pp.sel {
-		if o.selFromBuild[k] {
-			out[k] = r[s]
-		} else {
-			out[k] = l[s]
-		}
-	}
-	pp.rows = append(pp.rows, keyedRow{key, out})
 }
 
 func (o *batchOutput) flush() {
@@ -556,6 +487,49 @@ func (o *batchOutput) flush() {
 	o.emitted += kept
 	b.n = 0
 	b.sel = nil
+}
+
+// resolveWorkers turns the Workers option into a concrete pool size.
+func resolveWorkers(opts Options) int {
+	if opts.Workers > 0 {
+		return opts.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// executePlanned is the planned execution path: compiled (cached) plan,
+// per-source scans fanned out to a bounded worker pool, hash joins in
+// selectivity order streaming into each other, filters applied as soon
+// as their variable is bound, all charged to one per-query memory budget.
+func (e *Engine) executePlanned(ctx context.Context, q Query, opts Options) (*Result, error) {
+	ps := opts.Trace.Child("plan")
+	plan, hit := e.cachedPlan(q)
+	if hit {
+		ps.SetAttr("cache", "hit")
+	} else {
+		ps.SetAttr("cache", "compiled")
+	}
+	ps.SetInt("steps", int64(len(plan.steps)))
+	ps.SetInt("est_rows", int64(plan.totalEst))
+	ps.End()
+	res := &Result{Vars: q.Select}
+	st := &res.Stats
+	st.PlanCacheHit = hit
+	st.ReorderedTriples = plan.reordered
+	st.Workers = 1
+	st.accrue(plan.expand)
+	// The per-query memory budget: every executor component charges it
+	// (batches, build tables, pending probe queues, projection sets,
+	// spill buffers), and under Options{MemoryLimit} the joins and the
+	// projection degrade to spill runs rather than outgrow it.
+	bud := mem.New(opts.MemoryLimit)
+	err := e.executeBatched(ctx, q, plan, opts, bud, res)
+	st.BytesReserved = bud.Peak()
+	if err != nil {
+		return nil, err
+	}
+	recordQueryMetrics(st)
+	return res, nil
 }
 
 // executeBatched runs a compiled plan on the columnar batch pipeline —
@@ -936,26 +910,14 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 				bs := newBuildStore(stp, width)
 				var pending []*colBatch
 				var buildCharged, pendCharged int64
-				sp := &spillPart{dir: opts.SpillDir, width: width, bud: partBud, io: bud}
-				// One scratch tuple per spilled slot list, so slots
-				// outside a list stay zero (the wire format's unbound-
-				// slot convention) and spilled bytes are deterministic.
-				buildScratch := make(tuple, width)
-				probeScratch := make(tuple, width)
+				sp := &spillPart{dir: opts.SpillDir, alloc: alloc,
+					buildSlots: scanRowSlots[si], probeSlots: boundAfter[si-1]}
 				buildSpilled, probeSpilled, hybrid := false, false, false
 				var spillErr error
 				fail := func(err error) {
 					if err != nil && spillErr == nil {
 						spillErr = err
 						setErr(err)
-					}
-				}
-				writeProbeRows := func(b *colBatch) {
-					for i := 0; i < b.n; i++ {
-						if err := sp.probe.add(b.rowTuple(i, probeScratch, boundAfter[si-1]), b.hashes[i]); err != nil {
-							fail(err)
-							return
-						}
 					}
 				}
 				degradeBuild := func() {
@@ -980,7 +942,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 					}
 					for _, b := range pending {
 						if spillErr == nil {
-							writeProbeRows(b)
+							fail(sp.probe.addRows(b))
 						}
 						alloc.put(b)
 					}
@@ -1003,12 +965,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 					if spillErr != nil {
 						return
 					}
-					for i := 0; i < b.n; i++ {
-						if err := sp.build.add(b.rowTuple(i, buildScratch, scanRowSlots[si]), b.hashes[i]); err != nil {
-							fail(err)
-							return
-						}
-					}
+					fail(sp.build.addRows(b))
 				}
 				takeProbeEarly := func(b *colBatch) {
 					if spillErr != nil {
@@ -1016,7 +973,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						return
 					}
 					if buildSpilled {
-						writeProbeRows(b)
+						fail(sp.probe.addRows(b))
 						alloc.put(b)
 						return
 					}
@@ -1043,7 +1000,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 					}
 					probeSpilled = true
 					stageSpilled[si][p] = 1
-					writeProbeRows(b)
+					fail(sp.probe.addRows(b))
 					alloc.put(b)
 				}
 				sc, up := scanCh[si][p], upCh[si][p]
@@ -1100,37 +1057,13 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						o.out = alloc.get()
 					}
 				}
-				probeBatch := func(b *colBatch) {
-					if bs.rows() == 0 {
-						return // drain only; nothing can join
-					}
-					for i := 0; i < b.n; i++ {
-						h := b.hashes[i]
-						for j := bs.head(h); j >= 0; j = bs.next[j] {
-							if bs.keysEqualAt(b, i, j, stp.keySlots) {
-								if o.directProj {
-									o.projRowFrom(b, i, bs, j)
-								} else {
-									o.rowFrom(b, i, bs, j, h)
-								}
-							}
-						}
-					}
-				}
-				probeTuple := func(t tuple, h uint64) {
-					for j := bs.head(h); j >= 0; j = bs.next[j] {
-						if bs.keysEqualTuple(t, j, stp.keySlots) {
-							if o.directProj {
-								o.projRowFromTupleStore(t, bs, j)
-							} else {
-								o.rowFromTupleStore(t, bs, j, h)
-							}
-						}
-					}
+				replayProbe := func(pb *colBatch) error {
+					o.probe(pb, bs)
+					return nil
 				}
 				if spillErr == nil && !buildSpilled {
 					for _, b := range pending {
-						probeBatch(b)
+						o.probe(b, bs)
 						alloc.put(b)
 					}
 					pending = nil
@@ -1141,13 +1074,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						if partSpan != nil {
 							spillSpan = partSpan.Child("spill")
 						}
-						decodeArena := &tupleArena{width: width}
-						fail(sp.probe.replay(width, decodeArena, func(t tuple, h uint64) error {
-							if bs.rows() > 0 {
-								probeTuple(t, h)
-							}
-							return nil
-						}))
+						fail(sp.probe.replay(alloc, replayProbe))
 						sp.probe.close()
 						sp.probe = nil
 						if spillSpan != nil {
@@ -1159,7 +1086,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 					if up != nil {
 						for b := range up {
 							if spillErr == nil {
-								probeBatch(b)
+								o.probe(b, bs)
 							}
 							alloc.put(b)
 						}
@@ -1168,7 +1095,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 					if up != nil {
 						for b := range up {
 							if spillErr == nil && buildSpilled {
-								writeProbeRows(b)
+								fail(sp.probe.addRows(b))
 							}
 							alloc.put(b)
 						}
@@ -1184,22 +1111,10 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 							// before the disk half grace-joins — the probe
 							// run is re-readable, so the grace join streams
 							// it again afterwards.
-							decodeArena := &tupleArena{width: width}
-							fail(sp.probe.replay(width, decodeArena, func(t tuple, h uint64) error {
-								probeTuple(t, h)
-								return nil
-							}))
+							fail(sp.probe.replay(alloc, replayProbe))
 						}
 						if spillErr == nil {
-							fail(sp.join(stp, func(l tuple, h uint64, rs []tuple) {
-								for _, r := range rs {
-									if o.directProj {
-										o.projRowFromTuples(l, r)
-									} else {
-										o.rowFromTuples(l, r, h)
-									}
-								}
-							}))
+							fail(sp.join(stp, o.probe))
 						}
 						if spillSpan != nil {
 							spillSpan.SetInt("runs", int64(sp.runs))

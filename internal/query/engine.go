@@ -78,7 +78,7 @@ type Stats struct {
 	// Reported whether or not Options{MemoryLimit} caps it (0 on the
 	// sequential reference path, which does not account).
 	BytesReserved int64
-	// SpilledPartitions counts join partitions that spilled tuples to
+	// SpilledPartitions counts join partitions that spilled rows to
 	// disk under Options{MemoryLimit} — a pending probe queue
 	// overflowing to a run (build table still in memory), or the full
 	// grace-hash degrade when the build table itself could not reserve.
@@ -571,8 +571,8 @@ func (e *Engine) compileView(name string, t Triple, stats *Stats) scanView {
 
 // scanSource evaluates the triple in one source on the sequential
 // reference path: expansion and an unindexed full scan in one step,
-// materialising binding-map rows. The planned executors consume scanMatch
-// directly with a tuple or batch emitter.
+// materialising binding-map rows. The planned executor consumes scanMatch
+// directly with a batch emitter.
 func (e *Engine) scanSource(name string, src *Source, t Triple, stats *Stats) ([]binding, error) {
 	v := e.compileView(name, t, stats)
 	// bindVar records a variable binding, enforcing equality when the

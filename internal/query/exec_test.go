@@ -271,23 +271,3 @@ func TestNaNJoinMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestTupleArenaReuse checks that an abandoned row (a decode that never
-// committed) does not leak stale slots into the next committed row.
-func TestTupleArenaReuse(t *testing.T) {
-	a := &tupleArena{width: 2}
-	first := a.next()
-	first[0] = kb.Term("stale")
-	// Abandon (no commit): the next row reuses the memory and overwrites
-	// the same slot before committing.
-	second := a.next()
-	second[0] = kb.Term("fresh")
-	a.commit()
-	if second[0].Str != "fresh" || second[1].Kind != kb.KindTerm || second[1].Str != "" {
-		t.Errorf("arena reuse leaked state: %v", second)
-	}
-	third := a.next()
-	if third[0].Str != "" {
-		t.Errorf("committed tuple memory reused: %v", third)
-	}
-}

@@ -3,6 +3,7 @@ package query
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,54 +13,54 @@ import (
 )
 
 // This file is the grace-hash spilling machinery of the memory-governed
-// pipeline (batchpipe.go). A join partition whose build table (or pending
+// pipeline (batchpipe.go). A join partition whose build store (or pending
 // probe queue) cannot reserve its next batch from the query Budget
-// degrades here: build and probe tuples are written to temp-file runs and
+// degrades here: build and probe rows are written to temp-file runs and
 // the join completes partition-by-partition within budget — recursively
 // sub-partitioned by further hash bits when a run still does not fit.
 //
-// The spill wire format reuses the framing-safe rowkey encoding
-// (appendValueKey/decodeValueKey) per slot, so spilled tuples round-trip
-// kind-strictly: a spilled row can never collapse with, or diverge from,
-// its in-memory twin — the tiny-budget determinism suite forces every
-// join to spill and still demands byte-identical rows.
+// Rows stay column batches on disk too: a run encodes each record
+// straight from a colBatch row and replays its records back into a batch
+// checked out of the query's batchAlloc, so every completion path builds
+// the live path's buildStore and runs its match loop (batchOutput.probe).
+// A record is the row's key hash plus only the side's bound slots, each
+// in the framing-safe rowkey encoding (appendValueKey/decodeValueKey), so
+// spilled rows round-trip kind-strictly: a spilled row can never collapse
+// with, or diverge from, its in-memory twin — the tiny-budget determinism
+// suite forces every join to spill and still demands byte-identical rows.
 
 const (
 	// valueBytes is the accounting cost of one kb.Value slot (struct
 	// size; string payloads are shared, not copied, so they are not
-	// charged per tuple).
+	// charged per row).
 	valueBytes = 32
 	// spillFanout is how many hash sub-partitions one recursion level
 	// splits a too-big run into.
 	spillFanout = 8
 	// maxSpillLevel bounds the recursion; a run that still dwarfs its
-	// reservation after maxSpillLevel splits (every tuple sharing one
-	// join key, say) falls to the chunked join, which degrades
-	// gracefully (more probe passes) instead of dividing further.
+	// reservation after maxSpillLevel splits (every row sharing one join
+	// key, say) falls to the chunked join, which degrades gracefully
+	// (more probe passes) instead of dividing further.
 	maxSpillLevel = 6
 	// minSplitTuples is the smallest build run worth re-partitioning:
 	// below it the chunked join handles the whole run — 16 more runs
 	// cannot beat one or two probe passes, and the floor keeps a
-	// degenerate cap from exploding into thousands of
-	// single-digit-tuple runs.
+	// degenerate cap from exploding into thousands of single-digit-row
+	// runs.
 	minSplitTuples = 256
 	// minChunkTuples floors a chunk's size even when the budget is
 	// exhausted (accounted past the limit): each chunk costs a full
 	// probe-run pass, so unbounded shrinking would turn a crowded (or
 	// adversarially tiny) cap into O(build × probe) disk replays. The
-	// floor caps the pass count at build.tuples/minChunkTuples for a
+	// floor caps the pass count at build.rows/minChunkTuples for a
 	// ~30KB bounded overshoot per finishing partition.
 	minChunkTuples = 128
 	// spillBufBytes is the buffered-writer size per open run, charged as
 	// fixed working state.
 	spillBufBytes = 8 << 10
-	// spillDecodeBlock is the arena block size used when decoding run
-	// tuples back into memory (small: decode arenas live inside a
-	// budget-bounded build attempt).
-	spillDecodeBlock = 32
 )
 
-// tupleCost is the accounting cost of retaining one width-slot tuple.
+// tupleCost is the accounting cost of retaining one width-slot row.
 func tupleCost(width int) int64 {
 	return 24 + int64(width)*valueBytes
 }
@@ -71,23 +72,27 @@ func spillSub(h uint64, level int) int {
 	return int((h >> (16 + 3*uint(level))) & (spillFanout - 1))
 }
 
-// spillRun is one temp-file run of (hash, tuple) records. The file is
+// spillRun is one temp-file run of (hash, row) records. The file is
 // unlinked at creation, so runs can never outlive the process whatever
-// happens; records are length-prefixed, with the tuple slots encoded by
+// happens; records are length-prefixed, with the row's slots encoded by
 // appendValueKey — the same kind-tagged framing the joins key on.
 type spillRun struct {
-	f      *os.File
-	w      *bufio.Writer
-	bud    *mem.Budget
-	tuples int
+	f   *os.File
+	w   *bufio.Writer
+	bud *mem.Budget
+	// slots is the run's slot list: the slots bound in the rows of its
+	// side, the only ones a record carries.
+	slots  []int
+	rows   int
 	closed bool
 	buf    []byte // reusable record scratch
 	acct   *int64 // optional byte accumulator (Stats.SpilledBytes)
 }
 
-// newSpillRun creates an anonymous run in dir ("" = os.TempDir),
-// charging its write buffer to the budget as fixed working state.
-func newSpillRun(dir string, bud *mem.Budget) (*spillRun, error) {
+// newSpillRun creates an anonymous run in dir ("" = os.TempDir) for rows
+// bound on slots, charging its write buffer to the budget as fixed
+// working state.
+func newSpillRun(dir string, bud *mem.Budget, slots []int) (*spillRun, error) {
 	f, err := os.CreateTemp(dir, "onion-spill-*")
 	if err != nil {
 		return nil, fmt.Errorf("query: spill: %w", err)
@@ -95,15 +100,15 @@ func newSpillRun(dir string, bud *mem.Budget) (*spillRun, error) {
 	// The fd keeps the run alive; the name never needs to.
 	os.Remove(f.Name())
 	bud.MustReserve(spillBufBytes)
-	return &spillRun{f: f, w: bufio.NewWriterSize(f, spillBufBytes), bud: bud}, nil
+	return &spillRun{f: f, w: bufio.NewWriterSize(f, spillBufBytes), bud: bud, slots: slots}, nil
 }
 
-// add appends one (hash, tuple) record.
-func (r *spillRun) add(t tuple, h uint64) error {
-	rec := r.buf[:0]
-	rec = binary.BigEndian.AppendUint64(rec, h)
-	for _, v := range t {
-		rec = appendValueKey(rec, v)
+// add appends row i of b as one record: its hash, then the run's slots.
+// Nothing of b is retained.
+func (r *spillRun) add(b *colBatch, i int) error {
+	rec := binary.BigEndian.AppendUint64(r.buf[:0], b.hashes[i])
+	for _, s := range r.slots {
+		rec = appendValueKey(rec, b.cols[s][i])
 	}
 	r.buf = rec
 	var lenb [binary.MaxVarintLen64]byte
@@ -117,7 +122,17 @@ func (r *spillRun) add(t tuple, h uint64) error {
 	if r.acct != nil {
 		*r.acct += int64(n + len(rec))
 	}
-	r.tuples++
+	r.rows++
+	return nil
+}
+
+// addRows appends every row of b.
+func (r *spillRun) addRows(b *colBatch) error {
+	for i := 0; i < b.n; i++ {
+		if err := r.add(b, i); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -149,46 +164,55 @@ func (r *spillRun) reader() (*spillReader, error) {
 		return nil, fmt.Errorf("query: spill seek: %w", err)
 	}
 	return &spillReader{run: r, br: bufio.NewReaderSize(r.f, spillBufBytes),
-		remaining: r.tuples, intern: make(map[string]kb.Value)}, nil
+		remaining: r.rows, intern: make(map[string]kb.Value)}, nil
 }
 
-// next decodes the reader's next record into arena memory; ok is false
-// at the end of the run. The returned tuple is owned by the caller.
-func (sr *spillReader) next(width int, arena *tupleArena) (tuple, uint64, bool, error) {
-	if sr.remaining == 0 {
-		return nil, 0, false, nil
+// read decodes the run's next records into b from row 0 until b is full
+// or the run ends, and reports whether it decoded any. Only the run's
+// slots are written: every other column of b is left as it was.
+func (sr *spillReader) read(b *colBatch) (bool, error) {
+	b.n, b.sel = 0, nil
+	for sr.remaining > 0 && !b.full() {
+		if err := sr.next(b); err != nil {
+			return false, fmt.Errorf("query: spill read: %w", err)
+		}
 	}
+	return b.n > 0, nil
+}
+
+// next decodes one record into row b.n of b.
+func (sr *spillReader) next(b *colBatch) error {
 	sr.remaining--
 	n, err := binary.ReadUvarint(sr.br)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("query: spill read: %w", err)
+		return err
 	}
 	if uint64(cap(sr.rec)) < n {
 		sr.rec = make([]byte, n)
 	}
 	rec := sr.rec[:n]
 	if _, err := io.ReadFull(sr.br, rec); err != nil {
-		return nil, 0, false, fmt.Errorf("query: spill read: %w", err)
+		return err
 	}
 	if len(rec) < 8 {
-		return nil, 0, false, fmt.Errorf("query: spill record truncated")
+		return errors.New("record truncated")
 	}
-	h := binary.BigEndian.Uint64(rec[:8])
+	j := b.n
+	b.hashes[j] = binary.BigEndian.Uint64(rec[:8])
 	body := rec[8:]
-	t := arena.next()
-	for s := 0; s < width; s++ {
+	for _, s := range sr.run.slots {
 		v, consumed, err := sr.decodeField(body)
 		if err != nil {
-			return nil, 0, false, fmt.Errorf("query: spill slot %d: %w", s, err)
+			return fmt.Errorf("slot %d: %w", s, err)
 		}
-		t[s] = v
+		b.cols[s][j] = v
 		body = body[consumed:]
 	}
 	if len(body) != 0 {
-		return nil, 0, false, fmt.Errorf("query: spill record has %d trailing bytes", len(body))
+		return fmt.Errorf("record has %d trailing bytes", len(body))
 	}
-	arena.commit()
-	return t, h, true, nil
+	b.n++
+	return nil
 }
 
 // decodeField decodes one value, serving repeated string/term encodings
@@ -230,23 +254,23 @@ func (sr *spillReader) decodeField(body []byte) (kb.Value, int, error) {
 	return v, end, nil
 }
 
-// replay streams every record of the run through fn — reader() in loop
-// form. The tuple handed to fn is freshly decoded from arena memory and
-// owned by the callee.
-func (r *spillRun) replay(width int, arena *tupleArena, fn func(t tuple, h uint64) error) error {
+// replay streams the run back in write order, a batch at a time, through
+// fn. Every batch is decoded into one buffer checked out of alloc — so
+// the decode memory is charged to the query budget — and is valid only
+// until fn returns.
+func (r *spillRun) replay(alloc *batchAlloc, fn func(*colBatch) error) error {
 	sr, err := r.reader()
 	if err != nil {
 		return err
 	}
+	b := alloc.get()
+	defer alloc.put(b)
 	for {
-		t, h, ok, err := sr.next(width, arena)
-		if err != nil {
+		ok, err := sr.read(b)
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		if err := fn(t, h); err != nil {
+		if err := fn(b); err != nil {
 			return err
 		}
 	}
@@ -265,18 +289,18 @@ func (r *spillRun) close() {
 
 // spillPart is one join partition's spill state. A partition first
 // overflows its *probe* side (pending batches buffered while the build
-// side is still streaming go to a probe run; the in-memory build table
+// side is still streaming go to a probe run; the in-memory build store
 // survives), and degrades fully to a grace-hash join only when the build
-// table itself cannot reserve — then both sides land in runs and join()
+// store itself cannot reserve — then both sides land in runs and join()
 // completes the partition from disk within budget (graceJoin).
 type spillPart struct {
-	dir   string
-	width int
-	// bud is the partition's spillable reservation (build chunks); io is
-	// the root budget, charged for the fixed run write buffers so they
-	// do not crowd the chunk reservations out of the partition's share.
-	bud *mem.Budget
-	io  *mem.Budget
+	dir string
+	// alloc checks out the decode batches; its budget is the query root,
+	// which also carries the run write buffers and the grace chunks'
+	// reservations.
+	alloc *batchAlloc
+	// buildSlots and probeSlots are each side's run slot list.
+	buildSlots, probeSlots []int
 
 	build *spillRun // non-nil once the build side degraded
 	probe *spillRun // probe overflow (may exist with an in-memory build)
@@ -284,8 +308,8 @@ type spillPart struct {
 	bytes int64     // record bytes written across runs (Stats.SpilledBytes)
 }
 
-func (sp *spillPart) newRun() (*spillRun, error) {
-	r, err := newSpillRun(sp.dir, sp.io)
+func (sp *spillPart) newRun(slots []int) (*spillRun, error) {
+	r, err := newSpillRun(sp.dir, sp.alloc.bud, slots)
 	if err == nil {
 		sp.runs++
 		r.acct = &sp.bytes
@@ -297,7 +321,7 @@ func (sp *spillPart) ensureProbe() error {
 	if sp.probe != nil {
 		return nil
 	}
-	r, err := sp.newRun()
+	r, err := sp.newRun(sp.probeSlots)
 	sp.probe = r
 	return err
 }
@@ -306,7 +330,7 @@ func (sp *spillPart) ensureBuild() error {
 	if sp.build != nil {
 		return nil
 	}
-	r, err := sp.newRun()
+	r, err := sp.newRun(sp.buildSlots)
 	sp.build = r
 	return err
 }
@@ -317,16 +341,15 @@ func (sp *spillPart) close() {
 }
 
 // join completes a fully-degraded partition: both sides live in runs.
-// onMatches is invoked once per probe tuple that has at least one
-// key-equal build match (the probe tuple is owned by the callee, so the
-// caller may overlay its first match in place, like the live path).
-func (sp *spillPart) join(stp *planStep, onMatches func(l tuple, h uint64, rs []tuple)) error {
+// probe is handed every replayed probe batch together with the build
+// store of the chunk it is joined against (batchOutput.probe).
+func (sp *spillPart) join(stp *planStep, probe func(*colBatch, *buildStore)) error {
 	defer func() {
 		sp.build.close()
 		sp.probe.close()
 		sp.build, sp.probe = nil, nil
 	}()
-	return sp.graceJoin(stp, 0, sp.build, sp.probe, onMatches)
+	return sp.graceJoin(stp, 0, sp.build, sp.probe, probe)
 }
 
 // graceJoin joins one (build, probe) run pair within budget. The
@@ -338,106 +361,88 @@ func (sp *spillPart) join(stp *planStep, onMatches func(l tuple, h uint64, rs []
 // the next hash bits and recurse (each sub-pair then joins within
 // budget).
 func (sp *spillPart) graceJoin(stp *planStep, level int, build, probe *spillRun,
-	onMatches func(l tuple, h uint64, rs []tuple)) error {
+	probeFn func(*colBatch, *buildStore)) error {
 	// The split decision estimates how many probe passes chunking would
 	// pay. Chunks reserve from the query root, so the proxy for a
 	// chunk's capacity is half the root cap (the spillable-pool share of
 	// the budget; the streaming-phase child is unlimited and cannot
 	// gauge this). A build run needing more than maxChunkPasses such
 	// chunks re-partitions by hash bits instead.
-	if lim := sp.io.Limit() / 2; level < maxSpillLevel && lim > 0 &&
-		build.tuples > minSplitTuples &&
-		tupleCost(sp.width)*int64(build.tuples) > maxChunkPasses*lim {
-		return sp.splitAndRecurse(stp, level, build, probe, onMatches)
+	if lim := sp.alloc.bud.Limit() / 2; level < maxSpillLevel && lim > 0 &&
+		build.rows > minSplitTuples &&
+		tupleCost(sp.alloc.width)*int64(build.rows) > maxChunkPasses*lim {
+		return sp.splitAndRecurse(stp, level, build, probe, probeFn)
 	}
-	return sp.chunkedJoin(stp, build, probe, onMatches)
+	return sp.chunkedJoin(stp, build, probe, probeFn)
 }
 
 // chunkedJoin is the leaf grace join: stream the build run once,
-// accumulating an in-memory table until the reservation runs out, probe
-// the whole probe run against that chunk, release, and continue with
-// the next chunk. Every (probe, build) match pair is emitted exactly
-// once — chunk boundaries partition the build side, so the emitted row
-// set is independent of where the budget happened to cut.
+// appending decoded batches to a build store until the reservation runs
+// out, probe the whole probe run against that chunk, release, and
+// continue with the next chunk. Every (probe, build) match pair is
+// emitted exactly once — chunk boundaries partition the build side, so
+// the emitted row set is independent of where the budget happened to
+// cut.
 //
-// Chunks reserve against the query root (sp.io), not the partition's
-// streaming share: the per-partition child limit exists to stop any one
-// partition buffering unboundedly while every stage is producing, but at
-// finish time the real constraint is the memory actually free under the
-// query cap — typically far more than one share, so most joins complete
-// in a single probe pass. Concurrent finishes stay safe: the root cap
-// bounds them jointly, and a crowded root just means smaller chunks.
+// Chunks reserve against the query root, not the partition's streaming
+// share: the per-partition child limit exists to stop any one partition
+// buffering unboundedly while every stage is producing, but at finish
+// time the real constraint is the memory actually free under the query
+// cap — typically far more than one share, so most joins complete in a
+// single probe pass. Concurrent finishes stay safe: the root cap bounds
+// them jointly, and a crowded root just means smaller chunks.
 func (sp *spillPart) chunkedJoin(stp *planStep, build, probe *spillRun,
-	onMatches func(l tuple, h uint64, rs []tuple)) error {
-	tc := tupleCost(sp.width)
+	probeFn func(*colBatch, *buildStore)) error {
+	root := sp.alloc.bud
+	tc := tupleCost(sp.alloc.width)
 	br, err := build.reader()
 	if err != nil {
 		return err
 	}
-	var carry tuple
-	var carryH uint64
-	haveCarry := false
-	done := false
-	var matches []tuple
-	for !done || haveCarry {
-		arena := &tupleArena{width: sp.width}
-		table := make(map[uint64][]tuple)
+	b := sp.alloc.get()
+	defer sp.alloc.put(b)
+	carry := false // b holds the batch that closed the previous chunk
+	for {
+		bs := newBuildStore(stp, sp.alloc.width)
 		var charged int64
-		n := 0
-		if haveCarry {
-			// The tuple that closed the previous chunk opens this one.
-			sp.io.MustReserve(tc)
-			charged += tc
-			table[carryH] = append(table[carryH], carry)
-			haveCarry = false
-			n++
-		}
-		for !done {
-			t, h, ok, rerr := br.next(sp.width, arena)
-			if rerr != nil {
-				sp.io.Release(charged)
-				return rerr
-			}
-			if !ok {
-				done = true
-				break
-			}
-			if !sp.io.Reserve(tc) {
-				if n < minChunkTuples {
-					// Progress guarantee: a chunk always reaches the
-					// floor, accounted past the limit if need be.
-					sp.io.MustReserve(tc)
-				} else {
-					carry, carryH, haveCarry = t, h, true
+		for {
+			if !carry {
+				ok, err := br.read(b)
+				if err != nil {
+					bs.release()
+					root.Release(charged)
+					return err
+				}
+				if !ok {
 					break
 				}
 			}
-			charged += tc
-			table[h] = append(table[h], t)
-			n++
+			cost := int64(b.n) * tc
+			if !root.Reserve(cost) {
+				if bs.rows() >= minChunkTuples {
+					carry = true // b opens the next chunk
+					break
+				}
+				// Progress guarantee: a chunk always reaches the floor,
+				// accounted past the limit if need be.
+				root.MustReserve(cost)
+			}
+			carry = false
+			charged += cost
+			bs.appendBatch(b)
 		}
-		if n > 0 {
-			probeArena := &tupleArena{width: sp.width}
-			err := probe.replay(sp.width, probeArena, func(l tuple, h uint64) error {
-				matches = matches[:0]
-				for _, r := range table[h] {
-					if keySlotsEqual(l, r, stp.keySlots) {
-						matches = append(matches, r)
-					}
-				}
-				if len(matches) > 0 {
-					onMatches(l, h, matches)
-				}
+		if bs.rows() > 0 {
+			err = probe.replay(sp.alloc, func(pb *colBatch) error {
+				probeFn(pb, bs)
 				return nil
 			})
-			if err != nil {
-				sp.io.Release(charged)
-				return err
-			}
 		}
-		sp.io.Release(charged)
+		bs.release()
+		root.Release(charged)
+		if err != nil || !carry {
+			return err
+		}
 	}
-	return nil
 }
 
 // maxChunkPasses bounds how many probe passes the chunked join may pay
@@ -447,7 +452,7 @@ const maxChunkPasses = 6
 // splitAndRecurse streams both runs into spillFanout sub-run pairs routed
 // by the next hash bits, closes the parents, and joins each pair in turn.
 func (sp *spillPart) splitAndRecurse(stp *planStep, level int, build, probe *spillRun,
-	onMatches func(l tuple, h uint64, rs []tuple)) error {
+	probeFn func(*colBatch, *buildStore)) error {
 	var subBuild, subProbe [spillFanout]*spillRun
 	defer func() {
 		for i := 0; i < spillFanout; i++ {
@@ -457,22 +462,27 @@ func (sp *spillPart) splitAndRecurse(stp *planStep, level int, build, probe *spi
 	}()
 	for i := 0; i < spillFanout; i++ {
 		var err error
-		if subBuild[i], err = sp.newRun(); err != nil {
+		if subBuild[i], err = sp.newRun(build.slots); err != nil {
 			return err
 		}
-		if subProbe[i], err = sp.newRun(); err != nil {
+		if subProbe[i], err = sp.newRun(probe.slots); err != nil {
 			return err
 		}
 	}
-	arena := &tupleArena{width: sp.width}
-	if err := build.replay(sp.width, arena, func(t tuple, h uint64) error {
-		return subBuild[spillSub(h, level)].add(t, h)
-	}); err != nil {
+	scatter := func(from *spillRun, to *[spillFanout]*spillRun) error {
+		return from.replay(sp.alloc, func(b *colBatch) error {
+			for i := 0; i < b.n; i++ {
+				if err := to[spillSub(b.hashes[i], level)].add(b, i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err := scatter(build, &subBuild); err != nil {
 		return err
 	}
-	if err := probe.replay(sp.width, arena, func(t tuple, h uint64) error {
-		return subProbe[spillSub(h, level)].add(t, h)
-	}); err != nil {
+	if err := scatter(probe, &subProbe); err != nil {
 		return err
 	}
 	// The parents' bytes are no longer needed; release their fds before
@@ -484,10 +494,10 @@ func (sp *spillPart) splitAndRecurse(stp *planStep, level int, build, probe *spi
 		probe.close()
 	}
 	for i := 0; i < spillFanout; i++ {
-		if subBuild[i].tuples == 0 || subProbe[i].tuples == 0 {
+		if subBuild[i].rows == 0 || subProbe[i].rows == 0 {
 			continue // nothing can join in this sub-pair
 		}
-		if err := sp.graceJoin(stp, level+1, subBuild[i], subProbe[i], onMatches); err != nil {
+		if err := sp.graceJoin(stp, level+1, subBuild[i], subProbe[i], probeFn); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/articulation"
@@ -129,46 +130,153 @@ func FuzzValueKeyRoundTrip(f *testing.F) {
 	})
 }
 
-// TestSpillRunRoundTrip pushes tuples through a spill run and replays
-// them: hashes and every adversarial slot value must survive.
+// writeRow appends one row to run through a one-row scratch batch of
+// alloc: vals fill slots 0.., and the row's hash is h.
+func writeRow(t testing.TB, run *spillRun, alloc *batchAlloc, h uint64, vals ...kb.Value) {
+	t.Helper()
+	b := alloc.get()
+	defer alloc.put(b)
+	for s, v := range vals {
+		b.cols[s][0] = v
+	}
+	b.hashes[0] = h
+	b.n = 1
+	if err := run.add(b, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillRunRoundTrip pushes rows through a spill run and replays them
+// into batches: hashes and every adversarial value in the run's listed
+// slots must survive, replay must cut batches at the allocator's
+// capacity (1, 32 and 33 records straddle the 32-row budgeted batch),
+// and a slot outside the run's list is neither written nor overwritten
+// on decode.
 func TestSpillRunRoundTrip(t *testing.T) {
-	bud := mem.New(0)
-	run, err := newSpillRun("", bud)
+	const width = 4
+	listed := []int{2, 0, 3} // written in list order; slot 1 is unlisted
+	const unlisted = 1
+	sentinel := kb.String("unlisted-sentinel")
+	for _, count := range []int{1, 32, 33} {
+		// A limited budget sizes batches at budgetedBatchRows.
+		root := mem.New(1 << 20)
+		alloc := newBatchAlloc(width, root)
+		run, err := newSpillRun("", root, listed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][width]kb.Value, count)
+		hashes := make([]uint64, count)
+		for r := range want {
+			for k, s := range listed {
+				want[r][s] = adversarialValues[(3*r+k)%len(adversarialValues)]
+			}
+			// The source row's unlisted slot carries a value that must not
+			// reach the run.
+			want[r][unlisted] = kb.Term("never-spilled")
+			hashes[r] = uint64(r) * 0x9E3779B97F4A7C15
+			writeRow(t, run, alloc, hashes[r], want[r][:]...)
+		}
+
+		var sizes []int
+		r := 0
+		err = run.replay(alloc, func(b *colBatch) error {
+			sizes = append(sizes, b.n)
+			for i := 0; i < b.n; i, r = i+1, r+1 {
+				if b.hashes[i] != hashes[r] {
+					t.Errorf("%d records: row %d: hash %x, want %x", count, r, b.hashes[i], hashes[r])
+				}
+				for _, s := range listed {
+					if !sameCell(b.cols[s][i], want[r][s]) {
+						t.Errorf("%d records: row %d slot %d: %#v, want %#v", count, r, s, b.cols[s][i], want[r][s])
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != count {
+			t.Fatalf("%d records: replayed %d", count, r)
+		}
+		wantSizes := []int{count}
+		if count > budgetedBatchRows {
+			wantSizes = []int{budgetedBatchRows, count - budgetedBatchRows}
+		}
+		if fmt.Sprint(sizes) != fmt.Sprint(wantSizes) {
+			t.Errorf("%d records: replay batch sizes %v, want %v", count, sizes, wantSizes)
+		}
+
+		// Decode into a batch whose unlisted column is pre-filled: the
+		// sentinel must survive every read, the run is re-readable.
+		sr, err := run.reader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := alloc.get()
+		for i := range b.cols[unlisted] {
+			b.cols[unlisted][i] = sentinel
+		}
+		got := 0
+		for {
+			ok, err := sr.read(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			for i := 0; i < b.n; i++ {
+				if !sameCell(b.cols[unlisted][i], sentinel) {
+					t.Fatalf("%d records: row %d: unlisted slot overwritten with %#v", count, got+i, b.cols[unlisted][i])
+				}
+			}
+			got += b.n
+		}
+		alloc.put(b)
+		if got != count {
+			t.Fatalf("%d records: reader decoded %d", count, got)
+		}
+		run.close()
+		if used := root.Used(); used != 0 {
+			t.Fatalf("%d records: budget not released: used = %d", count, used)
+		}
+	}
+}
+
+// TestSpillRunTruncatedRecord cuts a run's file at every byte short of
+// its full length: replay must fail with an error wrapping the spill-read
+// context — never panic, never report a clean end.
+func TestSpillRunTruncatedRecord(t *testing.T) {
+	root := mem.New(0)
+	alloc := newBatchAlloc(2, root)
+	run, err := newSpillRun("", root, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer run.close()
-	width := 3
-	var want []tuple
-	var hashes []uint64
-	for i, v := range adversarialValues {
-		tup := tuple{v, adversarialValues[(i+5)%len(adversarialValues)], kb.Number(float64(i))}
-		h := uint64(i) * 0x9E3779B97F4A7C15
-		if err := run.add(tup, h); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, tup)
-		hashes = append(hashes, h)
+	for r := 0; r < 4; r++ {
+		writeRow(t, run, alloc, uint64(r), kb.Term(fmt.Sprintf("k\x00%d", r)), kb.Number(float64(r)))
 	}
-	arena := &tupleArena{width: width}
-	i := 0
-	err = run.replay(width, arena, func(tup tuple, h uint64) error {
-		if h != hashes[i] {
-			t.Errorf("tuple %d: hash %x, want %x", i, h, hashes[i])
-		}
-		for s := 0; s < width; s++ {
-			if !sameCell(tup[s], want[i][s]) {
-				t.Errorf("tuple %d slot %d: %#v, want %#v", i, s, tup[s], want[i][s])
-			}
-		}
-		i++
-		return nil
-	})
+	if err := run.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := run.f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i != len(want) {
-		t.Fatalf("replayed %d of %d tuples", i, len(want))
+	for cut := info.Size() - 1; cut >= 0; cut-- {
+		if err := run.f.Truncate(cut); err != nil {
+			t.Fatal(err)
+		}
+		err := run.replay(alloc, func(*colBatch) error { return nil })
+		if err == nil || !strings.HasPrefix(err.Error(), "query: spill read") {
+			t.Fatalf("cut at %d of %d bytes: replay error %v, want a spill read error", cut, info.Size(), err)
+		}
+	}
+	if used := root.Used(); used != spillBufBytes {
+		t.Fatalf("failed replays leaked their decode batch: used = %d", used)
 	}
 }
 
@@ -446,76 +554,138 @@ func TestAdaptivePartitionCounts(t *testing.T) {
 	}
 }
 
+// graceFixture is a spill partition with both runs open, for driving the
+// grace join directly: build rows carry (key, value) in slots 0 and 1,
+// probe rows (key, id) in slots 0 and 2, and the join keys on slot 0.
+type graceFixture struct {
+	t     *testing.T
+	stp   *planStep
+	root  *mem.Budget
+	alloc *batchAlloc
+	sp    *spillPart
+}
+
+func newGraceFixture(t *testing.T, limit int64) *graceFixture {
+	t.Helper()
+	root := mem.New(limit)
+	alloc := newBatchAlloc(3, root)
+	f := &graceFixture{t: t, stp: &planStep{keySlots: []int{0}, newSlots: []int{1}}, root: root, alloc: alloc,
+		sp: &spillPart{alloc: alloc, buildSlots: []int{0, 1}, probeSlots: []int{0, 2}}}
+	if err := f.sp.ensureBuild(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.sp.ensureProbe(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// add writes one row, hashed on the join key, to run.
+func (f *graceFixture) add(run *spillRun, key string, slot int, v float64) {
+	f.t.Helper()
+	b := f.alloc.get()
+	defer f.alloc.put(b)
+	b.n = 1
+	b.cols[0][0] = kb.Term(key)
+	b.cols[slot][0] = kb.Number(v)
+	b.hashKeys(f.stp.keySlots)
+	if err := run.add(b, 0); err != nil {
+		f.t.Fatal(err)
+	}
+}
+
+// collect returns a probe callback recording every key-equal match as
+// "key/probe id/build value", counted (a multiset).
+func (f *graceFixture) collect(got map[string]int) func(*colBatch, *buildStore) {
+	return func(pb *colBatch, bs *buildStore) {
+		for i := 0; i < pb.n; i++ {
+			for j := bs.head(pb.hashes[i]); j >= 0; j = bs.next[j] {
+				if bs.keysEqualAt(pb, i, j, f.stp.keySlots) {
+					got[fmt.Sprintf("%s/%g/%g", pb.cols[0][i].Str, pb.cols[2][i].Num, bs.cols[1][j].Num)]++
+				}
+			}
+		}
+	}
+}
+
 // TestGraceJoinSplitAndRecurse drives the recursive re-partitioning
 // path directly: a build run many times larger than the budget's
 // chunk-capacity proxy must be split by hash bits into sub-run pairs
 // (observable as extra runs) and still emit exactly the in-memory
 // join's match set.
 func TestGraceJoinSplitAndRecurse(t *testing.T) {
-	const width = 2
-	stp := &planStep{keySlots: []int{0}, newSlots: []int{1}}
 	// Root cap 16KB: the split gate's chunk proxy is half that, so a
-	// ~1000-tuple build run (88KB at width 2) must re-partition.
-	root := mem.New(16 << 10)
-	sp := &spillPart{width: width, bud: root.Child(0), io: root}
-	if err := sp.ensureBuild(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.ensureProbe(); err != nil {
-		t.Fatal(err)
-	}
-	hashOf := func(tup tuple) uint64 {
-		b := &colBatch{n: 1, cols: make([][]kb.Value, width), hashes: make([]uint64, 1)}
-		for s := range tup {
-			b.cols[s] = tup[s : s+1]
-		}
-		b.hashKeys(stp.keySlots)
-		return b.hashes[0]
-	}
+	// ~1000-row build run (120KB at width 3) must re-partition.
+	f := newGraceFixture(t, 16<<10)
 	const buildN = 1000
 	for i := 0; i < buildN; i++ {
-		tup := tuple{kb.Term(fmt.Sprintf("k%d", i)), kb.Number(float64(i))}
-		if err := sp.build.add(tup, hashOf(tup)); err != nil {
-			t.Fatal(err)
-		}
+		f.add(f.sp.build, fmt.Sprintf("k%d", i), 1, float64(i))
 	}
 	// Probe every third key, plus misses that can never match.
-	want := make(map[string]bool)
-	probeN := 0
+	want := make(map[string]int)
 	for i := 0; i < buildN; i += 3 {
-		tup := tuple{kb.Term(fmt.Sprintf("k%d", i)), kb.Value{}}
-		if err := sp.probe.add(tup, hashOf(tup)); err != nil {
-			t.Fatal(err)
-		}
-		want[fmt.Sprintf("k%d=%d", i, i)] = true
-		probeN++
-		miss := tuple{kb.Term(fmt.Sprintf("miss%d", i)), kb.Value{}}
-		if err := sp.probe.add(miss, hashOf(miss)); err != nil {
-			t.Fatal(err)
+		f.add(f.sp.probe, fmt.Sprintf("k%d", i), 2, float64(i))
+		want[fmt.Sprintf("k%d/%d/%d", i, i, i)]++
+		f.add(f.sp.probe, fmt.Sprintf("miss%d", i), 2, float64(i))
+	}
+	runsBefore := f.sp.runs
+	got := make(map[string]int)
+	if err := f.sp.join(f.stp, f.collect(got)); err != nil {
+		t.Fatal(err)
+	}
+	if f.sp.runs == runsBefore {
+		t.Fatalf("oversized build run did not re-partition (runs still %d)", f.sp.runs)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("matches diverged: got %d distinct, want %d", len(got), len(want))
+	}
+	if used := f.root.Used(); used != 0 {
+		t.Fatalf("budget not released after join: used = %d", used)
+	}
+}
+
+// TestGraceJoinChunkCarry pins multi-chunk completion of the leaf grace
+// join: with the root cap already spent (the two run buffers fill it), no
+// build batch reserves, so every chunk stops at the minChunkTuples floor
+// and the batch that closed one chunk must open the next. The build run
+// (duplicate keys, so matches fan out) needs at least three chunks, and
+// every in-memory match must be emitted exactly once.
+func TestGraceJoinChunkCarry(t *testing.T) {
+	f := newGraceFixture(t, 2*spillBufBytes)
+	const buildN, keys = 400, 50
+	for i := 0; i < buildN; i++ {
+		f.add(f.sp.build, fmt.Sprintf("k%d", i%keys), 1, float64(i))
+	}
+	// Fewer probe rows than one batch holds, so each chunk's probe pass is
+	// exactly one callback; k0 probes twice.
+	probeKeys := []string{"k0", "k0", "k7", "k19", "k49", "miss1", "miss2"}
+	want := make(map[string]int)
+	for id, key := range probeKeys {
+		f.add(f.sp.probe, key, 2, float64(id))
+		for i := 0; i < buildN; i++ {
+			if fmt.Sprintf("k%d", i%keys) == key {
+				want[fmt.Sprintf("%s/%d/%d", key, id, i)]++
+			}
 		}
 	}
-	runsBefore := sp.runs
-	got := make(map[string]bool)
-	err := sp.join(stp, func(l tuple, h uint64, rs []tuple) {
-		for _, r := range rs {
-			got[fmt.Sprintf("%s=%g", l[0].Str, r[1].Num)] = true
-		}
+	got := make(map[string]int)
+	collect := f.collect(got)
+	passes := 0
+	err := f.sp.chunkedJoin(f.stp, f.sp.build, f.sp.probe, func(pb *colBatch, bs *buildStore) {
+		passes++
+		collect(pb, bs)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.runs == runsBefore {
-		t.Fatalf("oversized build run did not re-partition (runs still %d)", sp.runs)
+	if passes < 3 {
+		t.Fatalf("build run joined in %d chunks, want at least 3", passes)
 	}
-	if len(got) != probeN {
-		t.Fatalf("matches = %d, want %d", len(got), probeN)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("matches diverged over %d chunks:\n got %v\nwant %v", passes, got, want)
 	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("missing match %s", k)
-		}
-	}
-	if used := root.Used(); used != 0 {
+	f.sp.close()
+	if used := f.root.Used(); used != 0 {
 		t.Fatalf("budget not released after join: used = %d", used)
 	}
 }
