@@ -17,7 +17,8 @@ race:
 	go test -race -shuffle=on ./...
 
 # The schedule-sensitive tests (shared-pool spill accounting, the
-# allocation guards a pipelined execution's scheduling could move, the
+# allocation guards a pipelined execution's scheduling could move — and
+# the /query encoder's, which must hold at every GOMAXPROCS — the
 # pushdown differentials the semi-join's dispatch barrier runs under, and
 # the grace join's run replay, chunk carry and re-partitioning),
 # repeated single-core, dual-core and oversubscribed. A cached `ok` would
@@ -29,6 +30,7 @@ stress:
 		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRunRoundTrip|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestE15BoundedMemoryCompletes ./internal/bench || exit 1; \
+		GOMAXPROCS=$$p go test -count=20 -run TestQueryEncodeAllocs ./cmd/oniond || exit 1; \
 	done
 
 # onionlint is the repo's own invariant suite (see internal/analysis):

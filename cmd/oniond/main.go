@@ -71,6 +71,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fixtures"
+	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/serve"
@@ -246,7 +247,6 @@ func runSmoke(baseURL string) error {
 	if err != nil {
 		return err
 	}
-	wantRows := encodeRows(want.Rows)
 
 	// Ask the daemon twice: both answers must match the library, and the
 	// second must come from the result cache (a repeat against the same
@@ -272,11 +272,35 @@ func runSmoke(baseURL string) error {
 		if !reflect.DeepEqual(got.Vars, want.Vars) {
 			return fmt.Errorf("query %d: vars %v, library %v", i, got.Vars, want.Vars)
 		}
-		if !reflect.DeepEqual(got.Rows, wantRows) {
-			return fmt.Errorf("query %d: daemon rows diverge from library rows\n daemon: %v\n library: %v", i, got.Rows, wantRows)
+		if err := rowsMatch(got.Rows, want.Rows); err != nil {
+			return fmt.Errorf("query %d: daemon rows diverge from library rows: %w", i, err)
 		}
 		if i == 1 && got.Outcome != "hit" {
 			return fmt.Errorf("repeat query outcome %q, want cache hit", got.Outcome)
+		}
+	}
+	return nil
+}
+
+// rowsMatch decodes the served rows and compares them cell by cell to
+// the library's, kind-strictly (kb.Value.Equal): a term where the
+// library has a number is a divergence even when both print alike.
+func rowsMatch(got [][]valueJSON, want [][]kb.Value) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, library %d", len(got), len(want))
+	}
+	for i, row := range got {
+		if len(row) != len(want[i]) {
+			return fmt.Errorf("row %d: %d cells, library %d", i, len(row), len(want[i]))
+		}
+		for j, cell := range row {
+			v, err := decodeValue(cell)
+			if err != nil {
+				return fmt.Errorf("row %d cell %d: %w", i, j, err)
+			}
+			if !v.Equal(want[i][j]) {
+				return fmt.Errorf("row %d cell %d: %v, library %v", i, j, v, want[i][j])
+			}
 		}
 	}
 	return nil

@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fixtures"
+	"repro/internal/kb"
 	"repro/internal/query"
 	"repro/internal/serve"
 )
@@ -58,8 +62,11 @@ func TestQueryEndpointMatchesLibrary(t *testing.T) {
 	if code := post(t, ts.URL+"/query", queryRequest{Articulation: fixtures.ArtName, Query: smokeQuery}, &got); code != http.StatusOK {
 		t.Fatalf("HTTP %d", code)
 	}
-	if !reflect.DeepEqual(got.Vars, want.Vars) || !reflect.DeepEqual(got.Rows, encodeRows(want.Rows)) {
-		t.Fatalf("daemon rows diverge from library:\n%+v\nvs\n%+v", got.Rows, encodeRows(want.Rows))
+	if !reflect.DeepEqual(got.Vars, want.Vars) {
+		t.Fatalf("daemon vars %v, library %v", got.Vars, want.Vars)
+	}
+	if err := rowsMatch(got.Rows, want.Rows); err != nil {
+		t.Fatalf("daemon rows diverge from library: %v", err)
 	}
 	if got.Outcome != "miss" {
 		t.Fatalf("first query outcome = %q", got.Outcome)
@@ -178,7 +185,9 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestValueCodecRoundTrip pins the wire encoding of every value kind.
+// TestValueCodecRoundTrip pins the wire encoding of every value kind:
+// appendValue writes what decodeValue reads back, and a non-finite
+// number goes out as a valid JSON null.
 func TestValueCodecRoundTrip(t *testing.T) {
 	for _, v := range []struct {
 		kind  string
@@ -192,13 +201,59 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", v.kind, err)
 		}
-		enc := encodeValue(dec)
+		var enc valueJSON
+		if err := json.Unmarshal(appendValue(nil, dec), &enc); err != nil {
+			t.Fatalf("%s: %v", v.kind, err)
+		}
 		if enc.Kind != v.kind {
 			t.Fatalf("round-trip kind %q -> %q", v.kind, enc.Kind)
 		}
 		dec2, err := decodeValue(enc)
 		if err != nil || !dec.Equal(dec2) {
 			t.Fatalf("%s: round-trip mismatch (%v)", v.kind, err)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		got := appendValue(nil, kb.Number(f))
+		if !json.Valid(got) || string(got) != `{"kind":"number","value":null}` {
+			t.Fatalf("%v encodes as %s", f, got)
+		}
+	}
+}
+
+// TestMutateRejectsNullValue: a null value is refused for every kind
+// with a 400 naming the fact, instead of silently storing 0 or "".
+func TestMutateRejectsNullValue(t *testing.T) {
+	ts, _ := fig2Server(t)
+	q := queryRequest{Articulation: fixtures.ArtName, Query: smokeQuery}
+	var before queryResponse
+	post(t, ts.URL+"/query", q, &before)
+	for _, kind := range []string{"number", "string", "term"} {
+		var e errorResponse
+		code := post(t, ts.URL+"/mutate", mutateRequest{Source: "carrier", Facts: []factJSON{
+			{Subject: "NullCar", Predicate: "InstanceOf", Object: valueJSON{Kind: "term", Value: json.RawMessage(`"PassengerCar"`)}},
+			{Subject: "NullCar", Predicate: "Price", Object: valueJSON{Kind: kind, Value: json.RawMessage(`null`)}},
+		}}, &e)
+		if code != http.StatusBadRequest || !strings.Contains(e.Error, "fact 1") {
+			t.Fatalf("%s null: HTTP %d, %+v", kind, code, e)
+		}
+	}
+	// The refused requests stored nothing, not even their valid fact.
+	var after queryResponse
+	post(t, ts.URL+"/query", q, &after)
+	if after.Outcome != "hit" || len(after.Rows) != len(before.Rows) {
+		t.Fatalf("after refused mutations: outcome %q, %d rows, want hit with %d", after.Outcome, len(after.Rows), len(before.Rows))
+	}
+}
+
+// TestRequestIDFormat: ids are the start time in hex, a dash and the
+// sequence number zero-padded to six digits — what "%x-%06d" gives.
+func TestRequestIDFormat(t *testing.T) {
+	s := newServer(nil)
+	for _, seq := range []uint64{1, 42, 999999, 1000000, 123456789} {
+		want := fmt.Sprintf("%x-%06d", s.started.UnixNano(), seq)
+		if got := s.requestID(seq); got != want {
+			t.Errorf("requestID(%d) = %q, want %q", seq, got, want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -22,58 +23,40 @@ import (
 
 // valueJSON is the wire form of a kb.Value: a kind tag plus a value
 // whose JSON type matches the kind ("term"/"string" carry a string,
-// "number" a float).
+// "number" a float). /query writes it with appendValue (encode.go); this
+// type only decodes.
 type valueJSON struct {
 	Kind  string          `json:"kind"`
 	Value json.RawMessage `json:"value"`
 }
 
-func encodeValue(v kb.Value) valueJSON {
-	switch v.Kind {
-	case kb.KindNumber:
-		raw, _ := json.Marshal(v.Num)
-		return valueJSON{Kind: "number", Value: raw}
-	case kb.KindString:
-		raw, _ := json.Marshal(v.Str)
-		return valueJSON{Kind: "string", Value: raw}
-	default:
-		raw, _ := json.Marshal(v.Str)
-		return valueJSON{Kind: "term", Value: raw}
-	}
-}
-
+// decodeValue reads a wire value. JSON null is refused for every kind:
+// json.Unmarshal would leave the zero value in place, silently storing
+// 0 or "" — and null is what /query sends for a non-finite number.
 func decodeValue(v valueJSON) (kb.Value, error) {
 	switch v.Kind {
-	case "number":
+	case "number", "string", "term":
+	default:
+		return kb.Value{}, fmt.Errorf("unknown value kind %q", v.Kind)
+	}
+	if string(v.Value) == "null" {
+		return kb.Value{}, fmt.Errorf("%s value: null", v.Kind)
+	}
+	if v.Kind == "number" {
 		var n float64
 		if err := json.Unmarshal(v.Value, &n); err != nil {
 			return kb.Value{}, fmt.Errorf("number value: %w", err)
 		}
 		return kb.Number(n), nil
-	case "string", "term":
-		var s string
-		if err := json.Unmarshal(v.Value, &s); err != nil {
-			return kb.Value{}, fmt.Errorf("%s value: %w", v.Kind, err)
-		}
-		if v.Kind == "string" {
-			return kb.String(s), nil
-		}
-		return kb.Term(s), nil
-	default:
-		return kb.Value{}, fmt.Errorf("unknown value kind %q", v.Kind)
 	}
-}
-
-func encodeRows(rows [][]kb.Value) [][]valueJSON {
-	out := make([][]valueJSON, len(rows))
-	for i, row := range rows {
-		enc := make([]valueJSON, len(row))
-		for j, v := range row {
-			enc[j] = encodeValue(v)
-		}
-		out[i] = enc
+	var s string
+	if err := json.Unmarshal(v.Value, &s); err != nil {
+		return kb.Value{}, fmt.Errorf("%s value: %w", v.Kind, err)
 	}
-	return out
+	if v.Kind == "string" {
+		return kb.String(s), nil
+	}
+	return kb.Term(s), nil
 }
 
 type queryRequest struct {
@@ -91,6 +74,8 @@ type queryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+// queryResponse is the /query body as clients decode it;
+// encodeQueryResponse writes it without building one.
 type queryResponse struct {
 	Vars    []string      `json:"vars"`
 	Rows    [][]valueJSON `json:"rows"`
@@ -165,12 +150,28 @@ type server struct {
 	pprofOn bool
 	// reqSeq numbers requests for the per-request id.
 	reqSeq atomic.Uint64
+	// idPrefix is the request ids' fixed head: the start time in hex
+	// and a dash.
+	idPrefix string
 }
 
 func newServer(svc *serve.Service) *server {
 	s := &server{svc: svc, started: time.Now()}
+	s.idPrefix = strconv.FormatInt(s.started.UnixNano(), 16) + "-"
 	s.ready.Store(true)
 	return s
+}
+
+// requestID formats the id of request number seq: idPrefix then seq
+// zero-padded to at least six digits, as "%x-%06d" would.
+func (s *server) requestID(seq uint64) string {
+	var buf [48]byte
+	b := append(buf[:0], s.idPrefix...)
+	for p := uint64(100000); p > 1 && seq < p; p /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendUint(b, seq, 10)
+	return string(b)
 }
 
 func (s *server) routes() http.Handler {
@@ -249,7 +250,7 @@ type accessLogLine struct {
 // request after it completes.
 func (s *server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		info := &reqInfo{id: fmt.Sprintf("%x-%06d", s.started.UnixNano(), s.reqSeq.Add(1))}
+		info := &reqInfo{id: s.requestID(s.reqSeq.Add(1))}
 		r = r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, info))
 		if !s.accessLog {
 			next.ServeHTTP(w, r)
@@ -359,16 +360,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	resp := queryResponse{
-		Vars:    res.Vars,
-		Rows:    encodeRows(res.Rows),
-		Outcome: outcome.String(),
-		Stats:   res.Stats,
+	if !wantTrace {
+		root = nil
 	}
-	if wantTrace {
-		resp.Trace = root
+	body, err := encodeQueryResponse(res, outcome.String(), root)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client is gone; no one to tell
 }
 
 // slowQueryLine is the JSON shape of one slow-query log entry; the span
