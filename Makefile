@@ -19,8 +19,10 @@ race:
 # The schedule-sensitive tests (shared-pool spill accounting, the
 # allocation guards a pipelined execution's scheduling could move — and
 # the /query encoder's, which must hold at every GOMAXPROCS — the
-# pushdown differentials the semi-join's dispatch barrier runs under, and
-# the grace join's run replay, chunk carry and re-partitioning),
+# pushdown differentials the semi-join's dispatch barrier runs under, the
+# join and projection runs' replay, merge and corrupt-input handling, the
+# grace join's chunk carry and oversized build, and the probe-overflow
+# path),
 # repeated single-core, dual-core and oversubscribed. A cached `ok` would
 # hide a flake, hence -count. Must report 0 failures.
 stress:
@@ -28,7 +30,7 @@ stress:
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential' ./internal/query || exit 1; \
-		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRunRoundTrip|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRun|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain|TestSpillProbeOverflow' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestE15BoundedMemoryCompletes ./internal/bench || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run TestQueryEncodeAllocs ./cmd/oniond || exit 1; \
 	done

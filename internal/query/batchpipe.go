@@ -65,18 +65,17 @@ import (
 // Memory governance: the budget (internal/query/mem) is charged once per
 // batch at column capacity (batchAlloc), and every stage partition
 // charges a child reservation for its build store and pending probe
-// batches. A partition whose reservation runs out degrades in two steps:
-// first the pending probe queue overflows to a temp-file run (the build
-// store stays in memory and the run is replayed through it once
-// complete); if the build store itself cannot reserve, the partition
-// becomes a grace-hash join (spill.go) — hybrid: the already-reserved
-// build prefix stays in memory and only the overflow spills
-// (Stats.HybridJoins), recursively sub-partitioned until each piece joins
-// within budget. Rows never leave the batch currency: a spill run
-// encodes records straight from batch columns (only the side's bound
-// slots) and replays them back into batches, so the probe-overflow
-// replay, the hybrid-prefix replay and every grace-join chunk run the
-// live probe's match loop (batchOutput.probe) against a buildStore.
+// batches. A partition whose reservation runs out degrades to a hybrid
+// grace-hash join (spill.go): a refused probe batch goes to a probe run,
+// and once the build store itself cannot reserve, its reserved prefix
+// stays resident (Stats.HybridJoins when non-empty) while later build
+// rows go to a build run and every probe row to the probe run. At stage
+// end the probe run replays through the resident store, and a build run
+// joins against the probe run in reservation-sized chunks. Rows never
+// leave the batch currency: a spill run encodes records straight from
+// batch columns (only the side's bound slots) and replays them back into
+// batches, so the replay and every grace-join chunk run the live probe's
+// match loop (batchOutput.probe) against a buildStore.
 //
 // Rows, JoinedRows and the projection are byte-identical to the
 // Sequential reference, spilled or not: batch arrival order varies run
@@ -680,41 +679,34 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	stepOut := make([]int64, n)
 	stepDur := make([]int64, n)
 	// Per-stage-partition counters, merged in (step, partition) order.
-	stageStream := make([][]int, n)
-	stageBatchCnt := make([][]int, n)
-	stageBatchRows := make([][]int64, n)
-	stageSpilled := make([][]int, n)
-	stageHybrid := make([][]int, n)
-	stageRuns := make([][]int, n)
-	stageBytes := make([][]int64, n)
+	// spilled and hybrid are 0/1 (SpilledPartitions, HybridJoins).
+	type partCounts struct {
+		streamed, batches, spilled, hybrid, runs int
+		rows, bytes                              int64
+	}
+	stageCounts := make([][]partCounts, n)
 	for si := 1; si < n; si++ {
-		stageStream[si] = make([]int, parts[si])
-		stageBatchCnt[si] = make([]int, parts[si])
-		stageBatchRows[si] = make([]int64, parts[si])
-		stageSpilled[si] = make([]int, parts[si])
-		stageHybrid[si] = make([]int, parts[si])
-		stageRuns[si] = make([]int, parts[si])
-		stageBytes[si] = make([]int64, parts[si])
+		stageCounts[si] = make([]partCounts, parts[si])
 	}
 	// The projected row sets the final merge combines, with their spill
-	// counters: one per last-stage partition, or — on a single-step plan,
-	// which has no join stage — one per scan task.
+	// counters (spilled: ProjectionSpills): one per last-stage partition,
+	// or — on a single-step plan, which has no join stage — one per scan
+	// task.
 	projN := len(plan.steps[0].scans)
 	if n > 1 {
 		projN = parts[n-1]
 	}
 	projParts := make([][]keyedRow, projN)
-	projSpills := make([]int, projN)
-	projRunCnt := make([]int, projN)
-	projRunBytes := make([]int64, projN)
+	projCounts := make([]partCounts, projN)
 	finishProj := func(i int, pp *stageProj) {
 		rows, err := pp.finish()
 		setErr(err)
 		projParts[i] = rows
-		if pp.spilled {
-			projSpills[i] = 1
-			projRunCnt[i] = len(pp.runs)
-			projRunBytes[i] = pp.bytes
+		c := &projCounts[i]
+		for _, r := range pp.runs {
+			c.spilled = 1
+			c.runs++
+			c.bytes += r.bytes
 		}
 	}
 	// Filter-pass totals for Stats.SelectivityPct. Plain sums, so atomic
@@ -886,14 +878,11 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	// columnar store from the scan side while *always* staying ready to
 	// buffer (or spill) early probe batches — the select keeps every
 	// producer unblocked, so the shared scan pool can never wedge behind a
-	// stage. Degradation is hybrid from the start: a failed
-	// build reservation freezes the already-reserved prefix in memory and
-	// routes only the overflow to disk — every overflowed probe row is
-	// written to the probe run (before any probing, so the encoded bytes
-	// predate any in-place merge) and later both replays against the
-	// frozen prefix and grace-joins against the spilled build rows; the
-	// two match sets are disjoint because every build row lives on
-	// exactly one side.
+	// stage. Degradation is hybrid from the start: a failed build
+	// reservation freezes the already-reserved prefix in memory and routes
+	// only the overflow to disk. A spilled probe row is written to the
+	// probe run before it is ever probed, so the encoded bytes predate any
+	// in-place merge; the stage-end sequence below completes the join.
 	stageWg := make([]sync.WaitGroup, n)
 	for si := 1; si < n; si++ {
 		stageWg[si].Add(parts[si])
@@ -912,7 +901,6 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 				var buildCharged, pendCharged int64
 				sp := &spillPart{dir: opts.SpillDir, alloc: alloc,
 					buildSlots: scanRowSlots[si], probeSlots: boundAfter[si-1]}
-				buildSpilled, probeSpilled, hybrid := false, false, false
 				var spillErr error
 				fail := func(err error) {
 					if err != nil && spillErr == nil {
@@ -920,35 +908,11 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						setErr(err)
 					}
 				}
-				degradeBuild := func() {
-					if buildSpilled || spillErr != nil {
-						return
+				spillProbe := func(b *colBatch) {
+					if spillErr == nil {
+						fail(sp.probe.addRows(b))
 					}
-					if err := sp.ensureBuild(); err != nil {
-						fail(err)
-						return
-					}
-					if err := sp.ensureProbe(); err != nil {
-						fail(err)
-						return
-					}
-					buildSpilled = true
-					stageSpilled[si][p] = 1
-					// Hybrid grace: the reserved prefix stays resident and
-					// frozen; only rows from here on go to disk.
-					if bs.rows() > 0 {
-						hybrid = true
-						stageHybrid[si][p] = 1
-					}
-					for _, b := range pending {
-						if spillErr == nil {
-							fail(sp.probe.addRows(b))
-						}
-						alloc.put(b)
-					}
-					pending = nil
-					partBud.Release(pendCharged)
-					pendCharged = 0
+					alloc.put(b)
 				}
 				takeBuild := func(b *colBatch) {
 					defer alloc.put(b)
@@ -956,52 +920,52 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						return
 					}
 					cost := int64(b.n) * tc
-					if !buildSpilled && partBud.Reserve(cost) {
+					if sp.build == nil && partBud.Reserve(cost) {
 						buildCharged += cost
 						bs.appendBatch(b)
 						return
 					}
-					degradeBuild()
-					if spillErr != nil {
-						return
+					if sp.build == nil {
+						// The build side overflows: the reserved prefix
+						// stays resident and frozen, build rows from here
+						// on go to the build run, and every probe row —
+						// the parked ones first — to the probe run.
+						if err := sp.ensureBuild(); err != nil {
+							fail(err)
+							return
+						}
+						if err := sp.ensureProbe(); err != nil {
+							fail(err)
+							return
+						}
+						for _, pb := range pending {
+							spillProbe(pb)
+						}
+						pending = nil
+						partBud.Release(pendCharged)
+						pendCharged = 0
 					}
 					fail(sp.build.addRows(b))
 				}
 				takeProbeEarly := func(b *colBatch) {
-					if spillErr != nil {
-						alloc.put(b)
-						return
+					if spillErr == nil && sp.build == nil {
+						// A parked batch is spillable retention, not fixed
+						// working state: move its capacity charge from the
+						// root (taken at alloc.get) into the partition's pool
+						// reservation, so a pending batch is accounted once
+						// and alloc.put later releases nothing.
+						if cost := b.cost; partBud.Reserve(cost) {
+							bud.Release(cost)
+							b.cost = 0
+							pendCharged += cost
+							pending = append(pending, b)
+							return
+						}
+						// Pending overflow: the batch goes to the probe run,
+						// replayed through the build store at stage end.
+						fail(sp.ensureProbe())
 					}
-					if buildSpilled {
-						fail(sp.probe.addRows(b))
-						alloc.put(b)
-						return
-					}
-					// A parked batch is spillable retention, not fixed working
-					// state: move its capacity charge from the root (taken at
-					// alloc.get) into the partition's pool reservation, so a
-					// pending batch is accounted once and alloc.put later
-					// releases nothing.
-					if cost := b.cost; partBud.Reserve(cost) {
-						bud.Release(cost)
-						b.cost = 0
-						pendCharged += cost
-						pending = append(pending, b)
-						return
-					}
-					// Pending overflow: the build store stays in memory; probe
-					// rows overflow to a run replayed once the build side is
-					// complete. Counts as a spilled partition — it is writing
-					// rows to disk.
-					if err := sp.ensureProbe(); err != nil {
-						fail(err)
-						alloc.put(b)
-						return
-					}
-					probeSpilled = true
-					stageSpilled[si][p] = 1
-					fail(sp.probe.addRows(b))
-					alloc.put(b)
+					spillProbe(b)
 				}
 				sc, up := scanCh[si][p], upCh[si][p]
 				for sc != nil {
@@ -1020,8 +984,9 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						takeProbeEarly(b)
 					}
 				}
+				hybrid := sp.build != nil && bs.rows() > 0
 				if buildSpan != nil {
-					buildSpan.SetAttr("spilled", strconv.FormatBool(buildSpilled))
+					buildSpan.SetAttr("spilled", strconv.FormatBool(sp.build != nil))
 					buildSpan.SetAttr("hybrid", strconv.FormatBool(hybrid))
 					buildSpan.SetInt("rows", int64(bs.rows()))
 					buildSpan.End()
@@ -1057,89 +1022,81 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 						o.out = alloc.get()
 					}
 				}
-				replayProbe := func(pb *colBatch) error {
-					o.probe(pb, bs)
-					return nil
-				}
-				if spillErr == nil && !buildSpilled {
-					for _, b := range pending {
+				// Stage end, one sequence for every partition. Parked
+				// batches probe in memory. With a build run, late probe
+				// batches must join from disk too, so they append to the
+				// probe run. The probe run then replays through the
+				// resident store — the frozen prefix, or after a probe
+				// overflow alone the whole build side — and a build run
+				// grace-joins against the probe run; the two match sets
+				// are disjoint because every build row lives on exactly
+				// one side. Late batches without a build run probe in
+				// memory.
+				for _, b := range pending {
+					if spillErr == nil {
 						o.probe(b, bs)
-						alloc.put(b)
 					}
-					pending = nil
-					partBud.Release(pendCharged)
-					pendCharged = 0
-					if probeSpilled {
-						var spillSpan *obs.Span
-						if partSpan != nil {
-							spillSpan = partSpan.Child("spill")
-						}
-						fail(sp.probe.replay(alloc, replayProbe))
-						sp.probe.close()
-						sp.probe = nil
-						if spillSpan != nil {
-							spillSpan.SetInt("runs", int64(sp.runs))
-							spillSpan.SetInt("bytes", sp.bytes)
-							spillSpan.End()
-						}
+					alloc.put(b)
+				}
+				pending = nil
+				partBud.Release(pendCharged)
+				if sp.build != nil && up != nil {
+					for b := range up {
+						spillProbe(b)
 					}
-					if up != nil {
-						for b := range up {
-							if spillErr == nil {
-								o.probe(b, bs)
-							}
-							alloc.put(b)
-						}
+					up = nil
+				}
+				if sp.probe != nil && spillErr == nil {
+					var spillSpan *obs.Span
+					if partSpan != nil {
+						spillSpan = partSpan.Child("spill")
 					}
-				} else {
-					if up != nil {
-						for b := range up {
-							if spillErr == nil && buildSpilled {
-								fail(sp.probe.addRows(b))
-							}
-							alloc.put(b)
-						}
+					if bs.rows() > 0 {
+						fail(sp.probe.replay(alloc, func(pb *colBatch) error {
+							o.probe(pb, bs)
+							return nil
+						}))
 					}
-					if spillErr == nil && buildSpilled {
-						var spillSpan *obs.Span
-						if partSpan != nil {
-							spillSpan = partSpan.Child("spill")
-						}
-						if hybrid {
-							// The frozen prefix's matches: every overflowed
-							// probe row replays through the in-memory half
-							// before the disk half grace-joins — the probe
-							// run is re-readable, so the grace join streams
-							// it again afterwards.
-							fail(sp.probe.replay(alloc, replayProbe))
-						}
+					if sp.build != nil && spillErr == nil {
+						fail(sp.join(stp, o.probe))
+					}
+					if spillSpan != nil {
+						runs, bytes := sp.totals()
+						spillSpan.SetInt("runs", int64(runs))
+						spillSpan.SetInt("bytes", bytes)
+						spillSpan.End()
+					}
+				}
+				sp.close()
+				if up != nil {
+					for b := range up {
 						if spillErr == nil {
-							fail(sp.join(stp, o.probe))
+							o.probe(b, bs)
 						}
-						if spillSpan != nil {
-							spillSpan.SetInt("runs", int64(sp.runs))
-							spillSpan.SetInt("bytes", sp.bytes)
-							spillSpan.End()
-						}
+						alloc.put(b)
 					}
 				}
 				bs.release()
 				o.flush()
-				sp.close()
-				stageRuns[si][p] = sp.runs
-				stageBytes[si][p] = sp.bytes
-				partBud.Release(buildCharged + pendCharged)
+				partBud.Release(buildCharged)
+				c := &stageCounts[si][p]
+				c.runs, c.bytes = sp.totals()
+				if sp.probe != nil {
+					c.spilled = 1
+				}
+				if hybrid {
+					c.hybrid = 1
+				}
 				if o.rt != nil {
 					o.rt.flush()
-					stageStream[si][p] = o.rt.batches
+					c.streamed = o.rt.batches
 				} else {
 					finishProj(p, o.proj)
 				}
 				if o.out != nil {
 					alloc.put(o.out)
 				}
-				stageBatchCnt[si][p] = o.batches
-				stageBatchRows[si][p] = o.rows
+				c.batches, c.rows = o.batches, o.rows
 				atomic.AddInt64(&filterInTot, o.filterIn)
 				atomic.AddInt64(&filterKeptTot, o.filterKept)
 				if probeSpan != nil {
@@ -1192,20 +1149,20 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		}
 	}
 	for si := 1; si < n; si++ {
-		for p := 0; p < parts[si]; p++ {
-			st.StreamedBatches += stageStream[si][p]
-			st.Batches += stageBatchCnt[si][p]
-			st.BatchRows += int(stageBatchRows[si][p])
-			st.SpilledPartitions += stageSpilled[si][p]
-			st.HybridJoins += stageHybrid[si][p]
-			st.SpillRuns += stageRuns[si][p]
-			st.SpilledBytes += stageBytes[si][p]
+		for _, c := range stageCounts[si] {
+			st.StreamedBatches += c.streamed
+			st.Batches += c.batches
+			st.BatchRows += int(c.rows)
+			st.SpilledPartitions += c.spilled
+			st.HybridJoins += c.hybrid
+			st.SpillRuns += c.runs
+			st.SpilledBytes += c.bytes
 		}
 	}
-	for p := range projParts {
-		st.ProjectionSpills += projSpills[p]
-		st.SpillRuns += projRunCnt[p]
-		st.SpilledBytes += projRunBytes[p]
+	for _, c := range projCounts {
+		st.ProjectionSpills += c.spilled
+		st.SpillRuns += c.runs
+		st.SpilledBytes += c.bytes
 	}
 	st.StepRows = make([]int, n)
 	st.StepDurNs = make([]int64, n)

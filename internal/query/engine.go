@@ -90,16 +90,17 @@ type Stats struct {
 	// arrival order in the first-come pool, so between those bounds the
 	// count varies run to run.
 	SpilledPartitions int
-	// SpillRuns counts temp-file runs the grace-hash joins created
-	// (build + probe sides, including recursive sub-partitioning).
+	// SpillRuns counts the temp-file runs created: at most one build and
+	// one probe run per spilled join partition, plus one run per
+	// projection rotation (ProjectionSpills).
 	SpillRuns int
 	// AdaptivePartitions counts join steps whose hash-partition count
 	// was derived from the planner's scan estimates (0 when
 	// Options{Partitions} pins a global count or the plan has one step).
 	AdaptivePartitions int
-	// SpilledBytes counts bytes written to grace-hash spill runs
-	// (record framing included, recursion included). Deterministic for
-	// a given spilled-partition set; 0 without a memory limit.
+	// SpilledBytes counts bytes written to the SpillRuns runs (record
+	// framing included). Deterministic for a given spilled-partition
+	// set; 0 without a memory limit.
 	SpilledBytes int64
 	// Batches counts the column batches the planned executor produced
 	// (scan-side and stage-output batches; 0 on the Sequential path).

@@ -13,10 +13,10 @@ var (
 		"cache")
 	qmSpillRuns = obs.Default.Counter(
 		"onion_query_spill_runs_total",
-		"Grace-hash spill runs created (build and probe sides, recursion included).")
+		"Spill runs created: join build and probe runs, and projection runs.")
 	qmSpilledBytes = obs.Default.Counter(
 		"onion_query_spilled_bytes_total",
-		"Bytes written to grace-hash spill runs, record framing included.")
+		"Bytes written to spill runs (join and projection), record framing included.")
 	qmSpilledPartitions = obs.Default.Counter(
 		"onion_query_spilled_partitions_total",
 		"Join partitions that spilled tuples to disk under a memory limit.")

@@ -64,11 +64,9 @@ type stageProj struct {
 	// Spill state (limit-governed executions only; projspill.go).
 	spill    *mem.Budget // spillable dedup-set reservations (nil: never spills)
 	dir      string
-	runs     []*projRun
-	charged  int64 // bytes currently reserved on spill
-	headroom int64 // granted but not yet consumed by row charges
-	bytes    int64 // record bytes written across runs (Stats.SpilledBytes)
-	spilled  bool  // rotated at least once (Stats.ProjectionSpills)
+	runs     []*runFile // one per rotation (Stats.ProjectionSpills when any)
+	charged  int64      // bytes currently reserved on spill
+	headroom int64      // granted but not yet consumed by row charges
 	err      error
 }
 

@@ -1,17 +1,12 @@
 package query
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 	"slices"
 	"strings"
 
 	"repro/internal/kb"
-	"repro/internal/query/mem"
 )
 
 // This file makes the last stage's streaming projection (stageProj,
@@ -20,12 +15,13 @@ import (
 // previously trade for disk: a query whose *distinct answer set* alone
 // exceeded the cap blew past it via MustReserve. Now the set reserves
 // from the shared spillable pool in chunk-sized grants; when a grant is
-// refused the buffered rows rotate to a sorted temp-file run — the row
-// key doubles as the record (it IS the row's full encoding, decodable
-// cell by cell) — and finish() merge-dedups the sorted runs with the
-// sorted in-memory remainder back into the partition's deterministic
-// row order. Rows that reach the caller are charged to the root as
-// before (they are the answer); only the transient dedup state spills.
+// refused the buffered rows rotate to a sorted run (spill.go's runFile)
+// — the row key doubles as the record (it IS the row's full encoding,
+// decodable cell by cell) — and finish() merge-dedups the sorted runs
+// with the sorted in-memory remainder back into the partition's
+// deterministic row order. Rows that reach the caller are charged to the
+// root as before (they are the answer); only the transient dedup state
+// spills.
 //
 // A duplicate row can land in two runs (the dedup map forgets spilled
 // keys), but a duplicated key always carries a cell-identical row —
@@ -50,92 +46,6 @@ const (
 // the row's value cells.
 func projRowCost(key string, selN int) int64 {
 	return 2*int64(len(key)) + 24 + int64(selN)*valueBytes
-}
-
-// projRun is one sorted temp-file run of projected-row keys. Records
-// are uvarint-length-prefixed key bytes, written in ascending key order;
-// like spillRun the file is unlinked at creation and the write buffer is
-// charged to the root as fixed working state.
-type projRun struct {
-	f      *os.File
-	w      *bufio.Writer
-	bud    *mem.Budget
-	keys   int
-	closed bool
-}
-
-func newProjRun(dir string, bud *mem.Budget) (*projRun, error) {
-	f, err := os.CreateTemp(dir, "onion-proj-*")
-	if err != nil {
-		return nil, fmt.Errorf("query: projection spill: %w", err)
-	}
-	os.Remove(f.Name())
-	bud.MustReserve(spillBufBytes)
-	return &projRun{f: f, w: bufio.NewWriterSize(f, spillBufBytes), bud: bud}, nil
-}
-
-// add appends one key record, returning the bytes written
-// (Stats.SpilledBytes).
-func (r *projRun) add(key string) (int64, error) {
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(len(key)))
-	if _, err := r.w.Write(lenb[:n]); err != nil {
-		return 0, fmt.Errorf("query: projection spill write: %w", err)
-	}
-	if _, err := r.w.WriteString(key); err != nil {
-		return 0, fmt.Errorf("query: projection spill write: %w", err)
-	}
-	r.keys++
-	return int64(n + len(key)), nil
-}
-
-// reader flushes the run and opens a sequential reader at its start.
-func (r *projRun) reader() (*projReader, error) {
-	if err := r.w.Flush(); err != nil {
-		return nil, fmt.Errorf("query: projection spill flush: %w", err)
-	}
-	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("query: projection spill seek: %w", err)
-	}
-	return &projReader{br: bufio.NewReaderSize(r.f, spillBufBytes), remaining: r.keys}, nil
-}
-
-// close releases the run's fd and its accounted write buffer
-// (idempotent, like spillRun.close).
-func (r *projRun) close() {
-	if r == nil || r.closed {
-		return
-	}
-	r.closed = true
-	r.f.Close()
-	r.bud.Release(spillBufBytes)
-}
-
-// projReader streams a run's keys back in (sorted) write order. The
-// returned bytes are valid until the next call.
-type projReader struct {
-	br        *bufio.Reader
-	remaining int
-	buf       []byte
-}
-
-func (pr *projReader) next() ([]byte, bool, error) {
-	if pr.remaining == 0 {
-		return nil, false, nil
-	}
-	pr.remaining--
-	n, err := binary.ReadUvarint(pr.br)
-	if err != nil {
-		return nil, false, fmt.Errorf("query: projection spill read: %w", err)
-	}
-	if uint64(cap(pr.buf)) < n {
-		pr.buf = make([]byte, n)
-	}
-	key := pr.buf[:n]
-	if _, err := io.ReadFull(pr.br, key); err != nil {
-		return nil, false, fmt.Errorf("query: projection spill read: %w", err)
-	}
-	return key, true, nil
 }
 
 // ensure charges one distinct row's retention. Without a spill pool
@@ -182,25 +92,25 @@ func (pp *stageProj) ensure(n int64) {
 	pp.charged += n
 }
 
-// rotate writes the buffered dedup set to a sorted run and resets it,
-// releasing its pool reservation. The dedup map forgets the spilled
-// keys; the merge at finish() re-drops any re-projected duplicates.
+// rotate writes the buffered dedup set to a sorted run (one record per
+// key) and resets it, releasing its pool reservation. The dedup map
+// forgets the spilled keys; the merge at finish() re-drops any
+// re-projected duplicates.
 func (pp *stageProj) rotate() {
 	slices.SortFunc(pp.rows, func(a, b keyedRow) int { return strings.Compare(a.key, b.key) })
-	r, err := newProjRun(pp.dir, pp.bud)
+	r, err := newRunFile(pp.dir, pp.bud)
 	if err != nil {
 		pp.err = err
 		return
 	}
 	pp.runs = append(pp.runs, r)
-	pp.spilled = true
+	var rec []byte
 	for i := range pp.rows {
-		n, err := r.add(pp.rows[i].key)
-		if err != nil {
+		rec = append(rec[:0], pp.rows[i].key...)
+		if err := r.write(rec); err != nil {
 			pp.err = err
 			break
 		}
-		pp.bytes += n
 	}
 	clear(pp.keys)
 	pp.rows = pp.rows[:0]
@@ -298,15 +208,15 @@ func cmpKeyBytes(b []byte, s string) int {
 // per rotation — emitting each distinct key once, decoding spilled rows
 // from their keys and charging every surviving row to the root.
 func (pp *stageProj) mergeRuns() ([]keyedRow, error) {
-	readers := make([]*projReader, len(pp.runs))
-	heads := make([][]byte, len(pp.runs))
+	readers := make([]*runReader, len(pp.runs))
+	heads := make([][]byte, len(pp.runs)) // nil once a run is exhausted
 	for i, r := range pp.runs {
-		pr, err := r.reader()
+		rr, err := r.records()
 		if err != nil {
 			return nil, err
 		}
-		readers[i] = pr
-		if heads[i], _, err = pr.next(); err != nil {
+		readers[i] = rr
+		if heads[i], _, err = rr.next(); err != nil {
 			return nil, err
 		}
 	}

@@ -13,11 +13,13 @@ import (
 )
 
 // This file is the grace-hash spilling machinery of the memory-governed
-// pipeline (batchpipe.go). A join partition whose build store (or pending
-// probe queue) cannot reserve its next batch from the query Budget
-// degrades here: build and probe rows are written to temp-file runs and
-// the join completes partition-by-partition within budget — recursively
-// sub-partitioned by further hash bits when a run still does not fit.
+// pipeline (batchpipe.go), and the one run file behind every spill. A
+// join partition whose pending probe queue or build store cannot reserve
+// its next batch from the query Budget degrades here: the rows that do
+// not fit are written to temp-file runs, and at stage end the probe run
+// replays through the resident build store and, when the build side
+// overflowed too, the chunked grace join completes the partition from
+// disk within budget.
 //
 // Rows stay column batches on disk too: a run encodes each record
 // straight from a colBatch row and replays its records back into a batch
@@ -34,20 +36,6 @@ const (
 	// size; string payloads are shared, not copied, so they are not
 	// charged per row).
 	valueBytes = 32
-	// spillFanout is how many hash sub-partitions one recursion level
-	// splits a too-big run into.
-	spillFanout = 8
-	// maxSpillLevel bounds the recursion; a run that still dwarfs its
-	// reservation after maxSpillLevel splits (every row sharing one join
-	// key, say) falls to the chunked join, which degrades gracefully
-	// (more probe passes) instead of dividing further.
-	maxSpillLevel = 6
-	// minSplitTuples is the smallest build run worth re-partitioning:
-	// below it the chunked join handles the whole run — 16 more runs
-	// cannot beat one or two probe passes, and the floor keeps a
-	// degenerate cap from exploding into thousands of single-digit-row
-	// runs.
-	minSplitTuples = 256
 	// minChunkTuples floors a chunk's size even when the budget is
 	// exhausted (accounted past the limit): each chunk costs a full
 	// probe-run pass, so unbounded shrinking would turn a crowded (or
@@ -65,34 +53,25 @@ func tupleCost(width int) int64 {
 	return 24 + int64(width)*valueBytes
 }
 
-// spillSub routes a join-key hash to a recursion-level sub-partition,
-// consuming hash bits disjoint from the partition routing (h % parts
-// uses the low bits; levels walk upward from bit 16).
-func spillSub(h uint64, level int) int {
-	return int((h >> (16 + 3*uint(level))) & (spillFanout - 1))
-}
-
-// spillRun is one temp-file run of (hash, row) records. The file is
-// unlinked at creation, so runs can never outlive the process whatever
-// happens; records are length-prefixed, with the row's slots encoded by
-// appendValueKey — the same kind-tagged framing the joins key on.
-type spillRun struct {
+// runFile is one temp-file run of uvarint-length-prefixed records, the
+// file under both join runs (spillRun) and projection runs (projspill.go).
+// The file is unlinked at creation, so runs can never outlive the process
+// whatever happens, and the write buffer is charged to the budget as
+// fixed working state until close.
+type runFile struct {
 	f   *os.File
 	w   *bufio.Writer
 	bud *mem.Budget
-	// slots is the run's slot list: the slots bound in the rows of its
-	// side, the only ones a record carries.
-	slots  []int
-	rows   int
-	closed bool
-	buf    []byte // reusable record scratch
-	acct   *int64 // optional byte accumulator (Stats.SpilledBytes)
+	n   int // records written
+	// longest is the longest record written: a reader refuses any length
+	// prefix beyond it, so a corrupt prefix cannot size its buffer.
+	longest int
+	bytes   int64 // bytes written, framing included (Stats.SpilledBytes)
+	closed  bool
 }
 
-// newSpillRun creates an anonymous run in dir ("" = os.TempDir) for rows
-// bound on slots, charging its write buffer to the budget as fixed
-// working state.
-func newSpillRun(dir string, bud *mem.Budget, slots []int) (*spillRun, error) {
+// newRunFile creates an anonymous run in dir ("" = os.TempDir).
+func newRunFile(dir string, bud *mem.Budget) (*runFile, error) {
 	f, err := os.CreateTemp(dir, "onion-spill-*")
 	if err != nil {
 		return nil, fmt.Errorf("query: spill: %w", err)
@@ -100,7 +79,98 @@ func newSpillRun(dir string, bud *mem.Budget, slots []int) (*spillRun, error) {
 	// The fd keeps the run alive; the name never needs to.
 	os.Remove(f.Name())
 	bud.MustReserve(spillBufBytes)
-	return &spillRun{f: f, w: bufio.NewWriterSize(f, spillBufBytes), bud: bud, slots: slots}, nil
+	return &runFile{f: f, w: bufio.NewWriterSize(f, spillBufBytes), bud: bud}, nil
+}
+
+// write appends rec as one record. Nothing of rec is retained.
+func (r *runFile) write(rec []byte) error {
+	var lenb [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(lenb[:], uint64(len(rec)))
+	if _, err := r.w.Write(lenb[:n]); err != nil {
+		return fmt.Errorf("query: spill write: %w", err)
+	}
+	if _, err := r.w.Write(rec); err != nil {
+		return fmt.Errorf("query: spill write: %w", err)
+	}
+	r.n++
+	r.longest = max(r.longest, len(rec))
+	r.bytes += int64(n + len(rec))
+	return nil
+}
+
+// records flushes the run and opens a sequential reader at its start.
+// One reader at a time per run (it owns the file offset); the run stays
+// re-readable.
+func (r *runFile) records() (*runReader, error) {
+	if err := r.w.Flush(); err != nil {
+		return nil, fmt.Errorf("query: spill flush: %w", err)
+	}
+	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("query: spill seek: %w", err)
+	}
+	return &runReader{br: bufio.NewReaderSize(r.f, spillBufBytes),
+		remaining: r.n, rec: make([]byte, 0, r.longest)}, nil
+}
+
+// close releases the run's fd and its accounted write buffer. It is
+// idempotent, so no caller can release the buffer's charge twice.
+func (r *runFile) close() {
+	if r.closed {
+		return
+	}
+	r.closed = true
+	r.f.Close()
+	r.bud.Release(spillBufBytes)
+}
+
+// runReader streams a run's records back in write order.
+type runReader struct {
+	br        *bufio.Reader
+	remaining int
+	rec       []byte // capacity: the run's longest record
+}
+
+// next returns the run's next record, valid until the following call,
+// or false once every record written has been read. The record is never
+// nil, so an empty record still reads as present.
+func (rr *runReader) next() ([]byte, bool, error) {
+	if rr.remaining == 0 {
+		return nil, false, nil
+	}
+	rr.remaining--
+	n, err := binary.ReadUvarint(rr.br)
+	if err != nil {
+		return nil, false, fmt.Errorf("query: spill read: %w", err)
+	}
+	if n > uint64(cap(rr.rec)) {
+		return nil, false, fmt.Errorf("query: spill read: record length %d exceeds the run's longest record (%d bytes)", n, cap(rr.rec))
+	}
+	rec := rr.rec[:n]
+	if _, err := io.ReadFull(rr.br, rec); err != nil {
+		return nil, false, fmt.Errorf("query: spill read: %w", err)
+	}
+	return rec, true, nil
+}
+
+// spillRun is one join run of (hash, row) records, the row's slots
+// encoded by appendValueKey — the same kind-tagged framing the joins key
+// on.
+type spillRun struct {
+	*runFile
+	// slots is the run's slot list: the slots bound in the rows of its
+	// side, the only ones a record carries.
+	slots []int
+	buf   []byte // reusable record scratch
+}
+
+// newSpillRun creates an anonymous run in dir ("" = os.TempDir) for rows
+// bound on slots.
+func newSpillRun(dir string, bud *mem.Budget, slots []int) (*spillRun, error) {
+	f, err := newRunFile(dir, bud)
+	if err != nil {
+		return nil, err
+	}
+	return &spillRun{runFile: f, slots: slots}, nil
 }
 
 // add appends row i of b as one record: its hash, then the run's slots.
@@ -111,19 +181,7 @@ func (r *spillRun) add(b *colBatch, i int) error {
 		rec = appendValueKey(rec, b.cols[s][i])
 	}
 	r.buf = rec
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(len(rec)))
-	if _, err := r.w.Write(lenb[:n]); err != nil {
-		return fmt.Errorf("query: spill write: %w", err)
-	}
-	if _, err := r.w.Write(rec); err != nil {
-		return fmt.Errorf("query: spill write: %w", err)
-	}
-	if r.acct != nil {
-		*r.acct += int64(n + len(rec))
-	}
-	r.rows++
-	return nil
+	return r.write(rec)
 }
 
 // addRows appends every row of b.
@@ -141,30 +199,25 @@ func (r *spillRun) addRows(b *colBatch) error {
 // allocations).
 const spillInternCap = 8192
 
-// spillReader streams a run's records back in write order. One reader
-// at a time per run (it owns the file offset). The intern table reuses
-// decoded values for repeated field encodings — run payloads repeat
-// heavily (every join key appears once per match), and interning turns
-// the dominant decode cost (string allocation plus the GC traffic it
-// feeds) into a map probe on the raw bytes.
+// spillReader decodes a join run's records back into batches, in write
+// order. The intern table reuses decoded values for repeated field
+// encodings — run payloads repeat heavily (every join key appears once
+// per match), and interning turns the dominant decode cost (string
+// allocation plus the GC traffic it feeds) into a map probe on the raw
+// bytes.
 type spillReader struct {
-	run       *spillRun
-	br        *bufio.Reader
-	remaining int
-	rec       []byte
-	intern    map[string]kb.Value
+	*runReader
+	slots  []int
+	intern map[string]kb.Value
 }
 
-// reader flushes the run and opens a sequential reader at its start.
+// reader opens a decoding reader at the run's start.
 func (r *spillRun) reader() (*spillReader, error) {
-	if err := r.w.Flush(); err != nil {
-		return nil, fmt.Errorf("query: spill flush: %w", err)
+	rr, err := r.records()
+	if err != nil {
+		return nil, err
 	}
-	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("query: spill seek: %w", err)
-	}
-	return &spillReader{run: r, br: bufio.NewReaderSize(r.f, spillBufBytes),
-		remaining: r.rows, intern: make(map[string]kb.Value)}, nil
+	return &spillReader{runReader: rr, slots: r.slots, intern: make(map[string]kb.Value)}, nil
 }
 
 // read decodes the run's next records into b from row 0 until b is full
@@ -172,35 +225,30 @@ func (r *spillRun) reader() (*spillReader, error) {
 // slots are written: every other column of b is left as it was.
 func (sr *spillReader) read(b *colBatch) (bool, error) {
 	b.n, b.sel = 0, nil
-	for sr.remaining > 0 && !b.full() {
-		if err := sr.next(b); err != nil {
+	for !b.full() {
+		rec, ok, err := sr.next()
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			break
+		}
+		if err := sr.decode(rec, b); err != nil {
 			return false, fmt.Errorf("query: spill read: %w", err)
 		}
 	}
 	return b.n > 0, nil
 }
 
-// next decodes one record into row b.n of b.
-func (sr *spillReader) next(b *colBatch) error {
-	sr.remaining--
-	n, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return err
-	}
-	if uint64(cap(sr.rec)) < n {
-		sr.rec = make([]byte, n)
-	}
-	rec := sr.rec[:n]
-	if _, err := io.ReadFull(sr.br, rec); err != nil {
-		return err
-	}
+// decode decodes one record into row b.n of b.
+func (sr *spillReader) decode(rec []byte, b *colBatch) error {
 	if len(rec) < 8 {
 		return errors.New("record truncated")
 	}
 	j := b.n
 	b.hashes[j] = binary.BigEndian.Uint64(rec[:8])
 	body := rec[8:]
-	for _, s := range sr.run.slots {
+	for _, s := range sr.slots {
 		v, consumed, err := sr.decodeField(body)
 		if err != nil {
 			return fmt.Errorf("slot %d: %w", s, err)
@@ -276,23 +324,14 @@ func (r *spillRun) replay(alloc *batchAlloc, fn func(*colBatch) error) error {
 	}
 }
 
-// close releases the run's fd and its accounted write buffer; it is
-// idempotent (the split path closes parents eagerly, the defers sweep).
-func (r *spillRun) close() {
-	if r == nil || r.closed {
-		return
-	}
-	r.closed = true
-	r.f.Close()
-	r.bud.Release(spillBufBytes)
-}
-
-// spillPart is one join partition's spill state. A partition first
-// overflows its *probe* side (pending batches buffered while the build
-// side is still streaming go to a probe run; the in-memory build store
-// survives), and degrades fully to a grace-hash join only when the build
-// store itself cannot reserve — then both sides land in runs and join()
-// completes the partition from disk within budget (graceJoin).
+// spillPart is one join partition's spill state, a hybrid grace join
+// whose two runs fill in either order. Probe rows that cannot stay
+// resident — pending batches the pool refused, and once the build side
+// overflowed, every probe row — go to the probe run. Build rows the store
+// cannot reserve go to the build run; the rows already reserved stay
+// resident. At stage end the probe run replays through the resident
+// store, and a build run completes by join(). A probe overflow alone is
+// the case whose build run is empty.
 type spillPart struct {
 	dir string
 	// alloc checks out the decode batches; its budget is the query root,
@@ -302,27 +341,16 @@ type spillPart struct {
 	// buildSlots and probeSlots are each side's run slot list.
 	buildSlots, probeSlots []int
 
-	build *spillRun // non-nil once the build side degraded
-	probe *spillRun // probe overflow (may exist with an in-memory build)
-	runs  int       // runs created, including recursion (Stats.SpillRuns)
-	bytes int64     // record bytes written across runs (Stats.SpilledBytes)
-}
-
-func (sp *spillPart) newRun(slots []int) (*spillRun, error) {
-	r, err := newSpillRun(sp.dir, sp.alloc.bud, slots)
-	if err == nil {
-		sp.runs++
-		r.acct = &sp.bytes
-	}
-	return r, err
+	build *spillRun // non-nil once the build side overflowed
+	probe *spillRun // non-nil once any probe row spilled
 }
 
 func (sp *spillPart) ensureProbe() error {
 	if sp.probe != nil {
 		return nil
 	}
-	r, err := sp.newRun(sp.probeSlots)
-	sp.probe = r
+	var err error
+	sp.probe, err = newSpillRun(sp.dir, sp.alloc.bud, sp.probeSlots)
 	return err
 }
 
@@ -330,59 +358,40 @@ func (sp *spillPart) ensureBuild() error {
 	if sp.build != nil {
 		return nil
 	}
-	r, err := sp.newRun(sp.buildSlots)
-	sp.build = r
+	var err error
+	sp.build, err = newSpillRun(sp.dir, sp.alloc.bud, sp.buildSlots)
 	return err
 }
 
+// close closes both runs; it is idempotent.
 func (sp *spillPart) close() {
-	sp.build.close()
-	sp.probe.close()
-}
-
-// join completes a fully-degraded partition: both sides live in runs.
-// probe is handed every replayed probe batch together with the build
-// store of the chunk it is joined against (batchOutput.probe).
-func (sp *spillPart) join(stp *planStep, probe func(*colBatch, *buildStore)) error {
-	defer func() {
-		sp.build.close()
-		sp.probe.close()
-		sp.build, sp.probe = nil, nil
-	}()
-	return sp.graceJoin(stp, 0, sp.build, sp.probe, probe)
-}
-
-// graceJoin joins one (build, probe) run pair within budget. The
-// workhorse is the chunked hybrid join: the build run is read once in
-// reservation-sized chunks and the probe run re-streamed against each
-// chunk — one build pass, few probe passes, no re-writing. Only when
-// the build side is so much larger than the reservation that the probe
-// would be re-read many times over does it re-partition both runs by
-// the next hash bits and recurse (each sub-pair then joins within
-// budget).
-func (sp *spillPart) graceJoin(stp *planStep, level int, build, probe *spillRun,
-	probeFn func(*colBatch, *buildStore)) error {
-	// The split decision estimates how many probe passes chunking would
-	// pay. Chunks reserve from the query root, so the proxy for a
-	// chunk's capacity is half the root cap (the spillable-pool share of
-	// the budget; the streaming-phase child is unlimited and cannot
-	// gauge this). A build run needing more than maxChunkPasses such
-	// chunks re-partitions by hash bits instead.
-	if lim := sp.alloc.bud.Limit() / 2; level < maxSpillLevel && lim > 0 &&
-		build.rows > minSplitTuples &&
-		tupleCost(sp.alloc.width)*int64(build.rows) > maxChunkPasses*lim {
-		return sp.splitAndRecurse(stp, level, build, probe, probeFn)
+	for _, r := range [2]*spillRun{sp.build, sp.probe} {
+		if r != nil {
+			r.close()
+		}
 	}
-	return sp.chunkedJoin(stp, build, probe, probeFn)
 }
 
-// chunkedJoin is the leaf grace join: stream the build run once,
-// appending decoded batches to a build store until the reservation runs
-// out, probe the whole probe run against that chunk, release, and
-// continue with the next chunk. Every (probe, build) match pair is
-// emitted exactly once — chunk boundaries partition the build side, so
-// the emitted row set is independent of where the budget happened to
-// cut.
+// totals reports the runs opened and the record bytes written across
+// them (Stats.SpillRuns, Stats.SpilledBytes).
+func (sp *spillPart) totals() (runs int, bytes int64) {
+	for _, r := range [2]*spillRun{sp.build, sp.probe} {
+		if r != nil {
+			runs++
+			bytes += r.bytes
+		}
+	}
+	return runs, bytes
+}
+
+// join is the grace join of the build run against the probe run: stream
+// the build run once, appending decoded batches to a build store until
+// the reservation runs out, probe the whole probe run against that chunk,
+// release, and continue with the next chunk. Every (probe, build) match
+// pair is emitted exactly once — chunk boundaries partition the build
+// side, so the emitted row set is independent of where the budget
+// happened to cut. probe is handed every replayed probe batch together
+// with the chunk's build store (batchOutput.probe).
 //
 // Chunks reserve against the query root, not the partition's streaming
 // share: the per-partition child limit exists to stop any one partition
@@ -390,12 +399,12 @@ func (sp *spillPart) graceJoin(stp *planStep, level int, build, probe *spillRun,
 // time the real constraint is the memory actually free under the query
 // cap — typically far more than one share, so most joins complete in a
 // single probe pass. Concurrent finishes stay safe: the root cap bounds
-// them jointly, and a crowded root just means smaller chunks.
-func (sp *spillPart) chunkedJoin(stp *planStep, build, probe *spillRun,
-	probeFn func(*colBatch, *buildStore)) error {
+// them jointly, and a crowded root just means smaller chunks, never
+// below minChunkTuples.
+func (sp *spillPart) join(stp *planStep, probe func(*colBatch, *buildStore)) error {
 	root := sp.alloc.bud
 	tc := tupleCost(sp.alloc.width)
-	br, err := build.reader()
+	br, err := sp.build.reader()
 	if err != nil {
 		return err
 	}
@@ -432,8 +441,8 @@ func (sp *spillPart) chunkedJoin(stp *planStep, build, probe *spillRun,
 			bs.appendBatch(b)
 		}
 		if bs.rows() > 0 {
-			err = probe.replay(sp.alloc, func(pb *colBatch) error {
-				probeFn(pb, bs)
+			err = sp.probe.replay(sp.alloc, func(pb *colBatch) error {
+				probe(pb, bs)
 				return nil
 			})
 		}
@@ -443,63 +452,4 @@ func (sp *spillPart) chunkedJoin(stp *planStep, build, probe *spillRun,
 			return err
 		}
 	}
-}
-
-// maxChunkPasses bounds how many probe passes the chunked join may pay
-// before re-partitioning becomes the better trade.
-const maxChunkPasses = 6
-
-// splitAndRecurse streams both runs into spillFanout sub-run pairs routed
-// by the next hash bits, closes the parents, and joins each pair in turn.
-func (sp *spillPart) splitAndRecurse(stp *planStep, level int, build, probe *spillRun,
-	probeFn func(*colBatch, *buildStore)) error {
-	var subBuild, subProbe [spillFanout]*spillRun
-	defer func() {
-		for i := 0; i < spillFanout; i++ {
-			subBuild[i].close()
-			subProbe[i].close()
-		}
-	}()
-	for i := 0; i < spillFanout; i++ {
-		var err error
-		if subBuild[i], err = sp.newRun(build.slots); err != nil {
-			return err
-		}
-		if subProbe[i], err = sp.newRun(probe.slots); err != nil {
-			return err
-		}
-	}
-	scatter := func(from *spillRun, to *[spillFanout]*spillRun) error {
-		return from.replay(sp.alloc, func(b *colBatch) error {
-			for i := 0; i < b.n; i++ {
-				if err := to[spillSub(b.hashes[i], level)].add(b, i); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if err := scatter(build, &subBuild); err != nil {
-		return err
-	}
-	if err := scatter(probe, &subProbe); err != nil {
-		return err
-	}
-	// The parents' bytes are no longer needed; release their fds before
-	// descending so the open-file high-water stays at one lineage.
-	if build != sp.build {
-		build.close()
-	}
-	if probe != sp.probe {
-		probe.close()
-	}
-	for i := 0; i < spillFanout; i++ {
-		if subBuild[i].rows == 0 || subProbe[i].rows == 0 {
-			continue // nothing can join in this sub-pair
-		}
-		if err := sp.graceJoin(stp, level+1, subBuild[i], subProbe[i], probeFn); err != nil {
-			return err
-		}
-	}
-	return nil
 }

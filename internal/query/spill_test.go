@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -280,6 +281,50 @@ func TestSpillRunTruncatedRecord(t *testing.T) {
 	}
 }
 
+// TestSpillRunCorruptLengthPrefix overwrites a run's first length
+// prefix on disk — with the largest uvarint, and with one short enough
+// to read but longer than any record the run wrote. Replay must refuse
+// the record with a spill-read error instead of sizing a buffer from the
+// prefix (the largest one panicked in make), and closing the run must
+// hand the budget back in full.
+func TestSpillRunCorruptLengthPrefix(t *testing.T) {
+	for _, prefix := range [][]byte{
+		binary.AppendUvarint(nil, math.MaxUint64),
+		binary.AppendUvarint(nil, 0x7f),
+	} {
+		root := mem.New(0)
+		alloc := newBatchAlloc(2, root)
+		run, err := newSpillRun("", root, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 4; r++ {
+			writeRow(t, run, alloc, uint64(r), kb.Term(fmt.Sprintf("k%d", r)), kb.Number(float64(r)))
+		}
+		if err := run.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.f.WriteAt(prefix, 0); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("prefix %x: replay panicked: %v", prefix, p)
+				}
+			}()
+			err = run.replay(alloc, func(*colBatch) error { return nil })
+		}()
+		if err == nil || !strings.HasPrefix(err.Error(), "query: spill read") {
+			t.Fatalf("prefix %x: replay error %v, want a spill read error", prefix, err)
+		}
+		run.close()
+		if used := root.Used(); used != 0 {
+			t.Fatalf("prefix %x: budget not released: used = %d", prefix, used)
+		}
+	}
+}
+
 // spillAdversarialEngine builds a two-source world whose KB objects draw
 // from the adversarial payload set, joined on a shared ?x chain — the
 // world where a framing or kind bug in the spill path would corrupt rows.
@@ -466,6 +511,82 @@ func TestOneWorkerBudgetSpills(t *testing.T) {
 	}
 }
 
+// probeOverflowEngine builds a world whose only join has a large probe
+// side and a tiny build side, in that order: step 0 is `?x InstanceOf
+// Item` (instances rows) and step 1 `?x Color Red`, which the planner
+// runs second because its estimate counts every Color fact (two per
+// instance) while only the first red instances match.
+func probeOverflowEngine(t testing.TB, instances, red int) (*Engine, Query) {
+	t.Helper()
+	o := ontology.New("po")
+	for _, term := range []string{"Item", "Color", "Red", "Blue", "Green"} {
+		o.MustAddTerm(term)
+	}
+	o.MustRelate("Item", ontology.AttributeOf, "Color")
+	other := ontology.New("poother")
+	other.MustAddTerm("Item")
+	store := kb.New("po")
+	for k := 0; k < instances; k++ {
+		inst := fmt.Sprintf("I%d", k)
+		store.MustAdd(inst, "InstanceOf", kb.Term("Item"))
+		store.MustAdd(inst, "Color", kb.Term("Blue"))
+		store.MustAdd(inst, "Color", kb.Term("Green"))
+		if k < red {
+			store.MustAdd(inst, "Color", kb.Term("Red"))
+		}
+	}
+	set := rules.NewSet(rules.MustParse("po.Item => poother.Item"))
+	res, err := articulation.Generate("poart", o, other, set, articulation.Options{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(res.Art, map[string]*Source{"po": {Ont: o, KB: store}, "poother": {Ont: other}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, MustParse("SELECT ?x WHERE ?x InstanceOf Item . ?x Color Red")
+}
+
+// TestSpillProbeOverflow pins the probe-overflow path deterministically:
+// the degraded partition whose build run stays empty. At one scan
+// worker every step-0 batch is sent before the first build batch, and
+// the 6 000 probe rows (some 190 batches of 1 288 accounted bytes)
+// overflow the 128 KB pool after 101 parked batches, leaving 984 bytes
+// free — room for the whole build side (4 rows of 56 bytes) in any
+// arrival order, since the pool charges every parked batch the same. The
+// root's other half holds the probe runs' write buffers and the batches
+// in flight, so it never refuses a build batch either. Every spilled
+// partition therefore writes one probe run and no build run, nothing
+// degrades hybrid, and rows and JoinedRows match the sequential
+// reference.
+func TestSpillProbeOverflow(t *testing.T) {
+	eng, q := probeOverflowEngine(t, 6000, 4)
+	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) != 4 {
+		t.Fatalf("probe-overflow world produced %d rows, want 4", len(want.Rows))
+	}
+	got, err := eng.ExecuteWith(q, Options{Workers: 1, MemoryLimit: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := got.Stats
+	if st.SpilledPartitions == 0 || st.HybridJoins != 0 {
+		t.Fatalf("want probe overflow only (spilled partitions, none hybrid): %+v", st)
+	}
+	if st.SpillRuns != st.SpilledPartitions || st.ProjectionSpills != 0 {
+		t.Fatalf("want one probe run per spilled partition, no build or projection runs: %+v", st)
+	}
+	if !want.EqualRows(got) {
+		t.Errorf("probe-overflow rows diverged: sequential %d rows, got %d", len(want.Rows), len(got.Rows))
+	}
+	if st.JoinedRows != want.Stats.JoinedRows {
+		t.Errorf("JoinedRows = %d, want %d", st.JoinedRows, want.Stats.JoinedRows)
+	}
+}
+
 // TestAdaptivePartitionCounts locks the planner-derived partition
 // sizing: a skewed world (one predicate carrying 8x the facts of
 // another) gets per-step counts proportional to the estimates — the
@@ -608,14 +729,13 @@ func (f *graceFixture) collect(got map[string]int) func(*colBatch, *buildStore) 
 	}
 }
 
-// TestGraceJoinSplitAndRecurse drives the recursive re-partitioning
-// path directly: a build run many times larger than the budget's
-// chunk-capacity proxy must be split by hash bits into sub-run pairs
-// (observable as extra runs) and still emit exactly the in-memory
-// join's match set.
-func TestGraceJoinSplitAndRecurse(t *testing.T) {
-	// Root cap 16KB: the split gate's chunk proxy is half that, so a
-	// ~1000-row build run (120KB at width 3) must re-partition.
+// TestGraceJoinOversizedBuild drives the grace join with a build run
+// many times larger than the budget: the two run buffers already fill
+// the 16KB root, so no build batch reserves and every chunk stops at the
+// minChunkTuples floor. The join must open no run beyond the two, pay at
+// most ⌈build/minChunkTuples⌉ probe passes, emit exactly the in-memory
+// join's match multiset and release every reservation.
+func TestGraceJoinOversizedBuild(t *testing.T) {
 	f := newGraceFixture(t, 16<<10)
 	const buildN = 1000
 	for i := 0; i < buildN; i++ {
@@ -628,24 +748,37 @@ func TestGraceJoinSplitAndRecurse(t *testing.T) {
 		want[fmt.Sprintf("k%d/%d/%d", i, i, i)]++
 		f.add(f.sp.probe, fmt.Sprintf("miss%d", i), 2, float64(i))
 	}
-	runsBefore := f.sp.runs
 	got := make(map[string]int)
-	if err := f.sp.join(f.stp, f.collect(got)); err != nil {
+	collect := f.collect(got)
+	passes := 0
+	var last *buildStore // each chunk builds a fresh store
+	err := f.sp.join(f.stp, func(pb *colBatch, bs *buildStore) {
+		if bs != last {
+			passes++
+			last = bs
+		}
+		collect(pb, bs)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if f.sp.runs == runsBefore {
-		t.Fatalf("oversized build run did not re-partition (runs still %d)", f.sp.runs)
+	if runs, _ := f.sp.totals(); runs != 2 {
+		t.Fatalf("join opened %d runs, want only the build and probe runs", runs)
+	}
+	if maxPasses := (buildN + minChunkTuples - 1) / minChunkTuples; passes == 0 || passes > maxPasses {
+		t.Fatalf("build run joined in %d probe passes, want 1..%d", passes, maxPasses)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("matches diverged: got %d distinct, want %d", len(got), len(want))
 	}
+	f.sp.close()
 	if used := f.root.Used(); used != 0 {
 		t.Fatalf("budget not released after join: used = %d", used)
 	}
 }
 
-// TestGraceJoinChunkCarry pins multi-chunk completion of the leaf grace
-// join: with the root cap already spent (the two run buffers fill it), no
+// TestGraceJoinChunkCarry pins multi-chunk completion of the grace join:
+// with the root cap already spent (the two run buffers fill it), no
 // build batch reserves, so every chunk stops at the minChunkTuples floor
 // and the batch that closed one chunk must open the next. The build run
 // (duplicate keys, so matches fan out) needs at least three chunks, and
@@ -671,7 +804,7 @@ func TestGraceJoinChunkCarry(t *testing.T) {
 	got := make(map[string]int)
 	collect := f.collect(got)
 	passes := 0
-	err := f.sp.chunkedJoin(f.stp, f.sp.build, f.sp.probe, func(pb *colBatch, bs *buildStore) {
+	err := f.sp.join(f.stp, func(pb *colBatch, bs *buildStore) {
 		passes++
 		collect(pb, bs)
 	})
@@ -776,6 +909,111 @@ func TestProjectionSpillMatchesInMemory(t *testing.T) {
 		if !want.EqualRows(got) {
 			t.Errorf("%s: projection-spilled rows diverged: sequential %d rows, got %d",
 				leg.name, len(want.Rows), len(got.Rows))
+		}
+	}
+}
+
+// newTestProj returns a two-cell streaming projection (SELECT slots 0
+// and 1) with a spill pool, for driving its runs directly; root is
+// unlimited, so nothing rotates unless the test calls rotate.
+func newTestProj() (*stageProj, *batchAlloc) {
+	root := mem.New(0)
+	pp := &stageProj{sel: []int{0, 1}, keys: make(map[string]struct{}), bud: root, spill: root.Child(0)}
+	return pp, newBatchAlloc(2, root)
+}
+
+// addProjRow projects the row (a, b) through addBatchRow.
+func addProjRow(pp *stageProj, alloc *batchAlloc, a, b kb.Value) {
+	bt := alloc.get()
+	defer alloc.put(bt)
+	bt.cols[0][0], bt.cols[1][0] = a, b
+	bt.n = 1
+	pp.addBatchRow(bt, 0)
+}
+
+// TestProjectionSpillRunTruncated cuts a projection run at every byte short
+// of its full length: the merge must fail with a spill-read error —
+// never panic, never report a clean end.
+func TestProjectionSpillRunTruncated(t *testing.T) {
+	pp, alloc := newTestProj()
+	for r := 0; r < 4; r++ {
+		addProjRow(pp, alloc, kb.Term(fmt.Sprintf("k\x00%d", r)), kb.Number(float64(r)))
+	}
+	pp.rotate()
+	if pp.err != nil || len(pp.runs) != 1 {
+		t.Fatalf("rotate: %d runs, err %v", len(pp.runs), pp.err)
+	}
+	defer pp.cleanup()
+	run := pp.runs[0]
+	if err := run.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := run.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := info.Size() - 1; cut >= 0; cut-- {
+		if err := run.f.Truncate(cut); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("cut at %d of %d bytes: merge panicked: %v", cut, info.Size(), p)
+				}
+			}()
+			_, err = pp.mergeRuns()
+		}()
+		if err == nil || !strings.HasPrefix(err.Error(), "query: spill read") {
+			t.Fatalf("cut at %d of %d bytes: merge error %v, want a spill read error", cut, info.Size(), err)
+		}
+	}
+}
+
+// TestProjectionSpillMergeDedup drives finish() over two runs and the
+// in-memory remainder: a row in both runs and in the remainder must come
+// out once, every row in ascending key order, and rows decoded from the
+// runs must equal the originals cell for cell (adversarial payloads).
+func TestProjectionSpillMergeDedup(t *testing.T) {
+	pp, alloc := newTestProj()
+	rowA := [2]kb.Value{kb.Term("a\x00b"), kb.Number(math.NaN())}
+	rowB := [2]kb.Value{kb.String("3000"), kb.Number(math.Copysign(0, -1))}
+	rowC := [2]kb.Value{kb.Term("\x00\xff"), kb.Number(math.Inf(1))}
+	rowD := [2]kb.Value{kb.Number(3000), kb.Term("")}
+	for _, set := range [][][2]kb.Value{{rowA, rowB}, {rowB, rowC}, {rowB, rowD}} {
+		if len(pp.rows) > 0 {
+			pp.rotate() // the previous set becomes a run; the last stays in memory
+		}
+		for _, r := range set {
+			addProjRow(pp, alloc, r[0], r[1])
+		}
+	}
+	if len(pp.runs) != 2 {
+		t.Fatalf("want two runs, got %d", len(pp.runs))
+	}
+	got, err := pp.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]kb.Value{}
+	for _, r := range [][2]kb.Value{rowA, rowB, rowC, rowD} {
+		want[string(appendValueKey(appendValueKey(nil, r[0]), r[1]))] = r
+	}
+	if len(got) != len(want) {
+		t.Fatalf("merge emitted %d rows, want %d distinct", len(got), len(want))
+	}
+	for i, kr := range got {
+		if i > 0 && got[i-1].key >= kr.key {
+			t.Fatalf("row %d out of key order (or duplicated): %q after %q", i, kr.key, got[i-1].key)
+		}
+		orig, ok := want[kr.key]
+		if !ok {
+			t.Fatalf("row %d: unknown key %q", i, kr.key)
+		}
+		for k := range orig {
+			if !sameCell(kr.row[k], orig[k]) {
+				t.Errorf("row %d cell %d: %#v, want %#v", i, k, kr.row[k], orig[k])
+			}
 		}
 	}
 }
