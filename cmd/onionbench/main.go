@@ -1,13 +1,12 @@
-// Onionbench regenerates the experiment tables of DESIGN.md /
-// EXPERIMENTS.md: the Fig. 1 / Fig. 2 reproductions (E1, E2) and the
-// quantified claims (E3..E11, E14..E18). E12, E13 and E19 were ratios
-// against executors that no longer exist; their numbers are frozen in
-// BENCH_PR2/3/10.json.
+// Onionbench prints the paper-reproduction experiment tables: the
+// Fig. 1 / Fig. 2 reproductions (E1, E2), the quantified claims
+// (E3..E10) and the planned-vs-sequential query comparison (E11), as
+// listed in bench.Experiments. Served-system numbers come from
+// benchmark/, which drives the real daemon.
 //
-//	onionbench                         # run everything
-//	onionbench -exp E3                 # one experiment
-//	onionbench -exp E11,E14,E15,E16,E17,E18 -json  # machine-readable results
-//	onionbench -list                   # list experiments
+//	onionbench              # run everything
+//	onionbench -exp E3,E11  # selected experiments
+//	onionbench -list        # list experiments without running them
 package main
 
 import (
@@ -20,47 +19,36 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment ids, comma-separated (E1..E11, E14..E18); empty runs all")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
+	exp := flag.String("exp", "", "experiment ids, comma-separated (E1..E11); empty runs all")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
 	if *list {
-		for _, t := range bench.All() {
-			fmt.Printf("%-4s %s\n", t.ID, t.Title)
+		for _, e := range bench.Experiments {
+			fmt.Println(e)
 		}
 		return
 	}
-	var tables []*bench.Table
+	exps := bench.Experiments
 	if *exp != "" {
+		exps = nil
 		for _, id := range strings.Split(*exp, ",") {
 			id = strings.TrimSpace(id)
 			if id == "" {
 				continue
 			}
-			t, ok := bench.ByID(id)
+			e, ok := bench.ByID(id)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "onionbench: unknown experiment %q (use -list)\n", id)
 				os.Exit(2)
 			}
-			tables = append(tables, t)
+			exps = append(exps, e)
 		}
-	} else {
-		tables = bench.All()
 	}
-	if *asJSON {
-		out, err := bench.ReportJSON(tables)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "onionbench: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(out)
-		return
-	}
-	for i, t := range tables {
+	for i, e := range exps {
 		if i > 0 {
 			fmt.Println()
 		}
-		fmt.Print(t.Render())
+		fmt.Print(e.Run().Render())
 	}
 }

@@ -10,8 +10,8 @@ import (
 // LockScope enforces the PR 6 review invariant in the serving layer: no
 // call that can reach file I/O, the network, or a sleep while a mutex
 // is held. The serve mutexes guard in-memory maps on the hot path — a
-// cache hit is "a short lock" by contract (that is what the E14
-// hot-cache speedup measures), and one disk read inside a critical
+// cache hit is "a short lock" by contract (that is what benchmark/'s
+// serve.cache_hit_ms measures), and one disk read inside a critical
 // section turns every concurrent cache hit into a disk-latency wait.
 //
 // The check walks each function of a package whose path ends in

@@ -1,13 +1,16 @@
-// Package bench implements the experiment harness of DESIGN.md: one
-// function per experiment (E1..E10), each returning a printable table.
-// cmd/onionbench renders them; the root-level Go benchmarks wrap the same
-// code paths with testing.B.
+// Package bench is the paper-reproduction harness: one function per
+// experiment, each returning a printable table, listed once in the
+// Experiments registry. cmd/onionbench renders them; the root-level Go
+// benchmarks wrap the same code paths with testing.B.
 //
 // The paper (EDBT 2000) has no quantitative evaluation section — its
 // figures are the architecture (Fig. 1) and the worked example (Fig. 2) —
-// so E1/E2 reproduce the figures mechanically and E3..E10 quantify the
+// so E1/E2 reproduce the figures mechanically, E3..E10 quantify the
 // paper's qualitative claims (scalability, maintainability, semi-
-// automation, light inference). EXPERIMENTS.md records outcomes.
+// automation, light inference) and E11 compares the planned query path
+// with the sequential reference. Served-system numbers (throughput,
+// latency, memory, cold start, tracing cost) are measured by benchmark/
+// on the real daemon; the README's bench matrix lists both.
 package bench
 
 import (
@@ -71,66 +74,60 @@ func timeIt(f func()) time.Duration {
 	return time.Since(start)
 }
 
-// All runs every experiment with default parameters, in order.
-func All() []*Table {
-	return []*Table{
-		E1Figure2(),
-		E2Architecture(),
-		E3Scalability(nil),
-		E4Maintenance(nil),
-		E5Algebra(nil),
-		E6Pattern(nil),
-		E7SKAT(),
-		E8Query(nil),
-		E9Inference(nil),
-		E10Incremental(nil),
-		E11ParallelQuery(nil),
-		E14ServingThroughput(nil),
-		E15BoundedMemory(nil),
-		E16ColdStart(nil),
-		E17OverloadServing(nil),
-		E18ObservabilityOverhead(nil),
-	}
+// Experiment is one registry entry: an id, its title (stated here and
+// nowhere else) and Run, which executes it at default parameters and
+// returns its labelled table.
+type Experiment struct {
+	ID    string
+	Title string
+	Run   func() *Table
 }
 
-// ByID runs one experiment by id ("E1".."E18"); ok is false for unknown
-// ids — including E12, E13 and E19, whose baseline executors were
-// removed (their numbers are frozen in BENCH_PR2/3/10.json).
-func ByID(id string) (*Table, bool) {
-	switch strings.ToUpper(id) {
-	case "E1":
-		return E1Figure2(), true
-	case "E2":
-		return E2Architecture(), true
-	case "E3":
-		return E3Scalability(nil), true
-	case "E4":
-		return E4Maintenance(nil), true
-	case "E5":
-		return E5Algebra(nil), true
-	case "E6":
-		return E6Pattern(nil), true
-	case "E7":
-		return E7SKAT(), true
-	case "E8":
-		return E8Query(nil), true
-	case "E9":
-		return E9Inference(nil), true
-	case "E10":
-		return E10Incremental(nil), true
-	case "E11":
-		return E11ParallelQuery(nil), true
-	case "E14":
-		return E14ServingThroughput(nil), true
-	case "E15":
-		return E15BoundedMemory(nil), true
-	case "E16":
-		return E16ColdStart(nil), true
-	case "E17":
-		return E17OverloadServing(nil), true
-	case "E18":
-		return E18ObservabilityOverhead(nil), true
-	default:
-		return nil, false
+// String is the experiment's -list line; it does not run anything.
+func (e Experiment) String() string { return fmt.Sprintf("%-4s %s", e.ID, e.Title) }
+
+// experiment builds a registry entry whose Run labels f's table.
+func experiment(id, title string, f func() *Table) Experiment {
+	return Experiment{ID: id, Title: title, Run: func() *Table {
+		t := f()
+		t.ID, t.Title = id, title
+		return t
+	}}
+}
+
+// Experiments is the registry, in run order. E12, E13 and E19 were
+// ratios against executors that no longer exist (frozen in
+// BENCH_PR2/3/10.json). The in-process serving experiments (cache,
+// bounded memory, cold start, overload, tracing cost) gave way to
+// benchmark/, which measures the real daemon; their last figures stay
+// in BENCH_PR*.json.
+var Experiments = []Experiment{
+	experiment("E1", "Fig. 2 reproduction — articulation of carrier and factory into transport", E1Figure2),
+	experiment("E2", "Fig. 1 architecture — full pipeline end to end", E2Architecture),
+	experiment("E3", "articulation vs. global merge — storage and build time by source count",
+		func() *Table { return E3Scalability(nil) }),
+	experiment("E4", "maintenance — source churn vs. articulation updates, by coverage",
+		func() *Table { return E4Maintenance(nil) }),
+	experiment("E5", "ontology algebra cost by source size", func() *Table { return E5Algebra(nil) }),
+	experiment("E6", "graph pattern matching cost", func() *Table { return E6Pattern(nil) }),
+	experiment("E7", "SKAT suggestion quality by matcher configuration (planted ground truth)", E7SKAT),
+	experiment("E8", "query reformulation overhead — articulation-level vs. source-qualified",
+		func() *Table { return E8Query(nil) }),
+	experiment("E9", "Horn inference — semi-naive (light) vs. naive engine",
+		func() *Table { return E9Inference(nil) }),
+	experiment("E10", "incremental composition — work per arriving source",
+		func() *Table { return E10Incremental(nil) }),
+	experiment("E11", "query execution — sequential reference vs. planned/parallel path",
+		func() *Table { return E11ParallelQuery(nil) }),
+}
+
+// ByID finds a registry entry by id, case-insensitively; ok is false
+// for unknown and retired ids.
+func ByID(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if strings.EqualFold(e.ID, id) {
+			return e, true
+		}
 	}
+	return Experiment{}, false
 }

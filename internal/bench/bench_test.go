@@ -127,15 +127,30 @@ func TestRenderAligned(t *testing.T) {
 	}
 }
 
+// TestByID checks the registry: every entry resolves by its id, ids
+// are case-insensitive, retired ids are unknown, and an entry's -list
+// line is rendered without running the experiment.
 func TestByID(t *testing.T) {
-	if _, ok := ByID("E1"); !ok {
-		t.Fatalf("E1 missing")
+	for _, e := range Experiments {
+		got, ok := ByID(e.ID)
+		if !ok || got.ID != e.ID || got.Title != e.Title {
+			t.Errorf("registry id %s does not resolve to itself: %+v, %v", e.ID, got, ok)
+		}
+		if _, ok := ByID(strings.ToLower(e.ID)); !ok {
+			t.Errorf("lowercase id %q rejected", strings.ToLower(e.ID))
+		}
+		e.Run = func() *Table { t.Fatalf("listing %s ran it", e.ID); return nil }
+		if line := e.String(); !strings.HasPrefix(line, e.ID+" ") || !strings.HasSuffix(line, " "+e.Title) || e.Title == "" {
+			t.Errorf("-list line for %s = %q", e.ID, line)
+		}
 	}
-	if _, ok := ByID("e4"); !ok {
-		t.Fatalf("lowercase id rejected")
+	for _, id := range []string{"E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E99"} {
+		if _, ok := ByID(id); ok {
+			t.Errorf("retired or unknown id %s accepted", id)
+		}
 	}
-	if _, ok := ByID("E99"); ok {
-		t.Fatalf("unknown id accepted")
+	if tab := Experiments[0].Run(); tab.ID != "E1" || tab.Title != Experiments[0].Title {
+		t.Errorf("Run did not label its table: %q %q", tab.ID, tab.Title)
 	}
 }
 

@@ -115,6 +115,104 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestJoinWorldMatchesSequential is what remains true of the frozen E12
+// experiment on its world (1500 instances per source, 3 and 5
+// conjuncts): the planned join executors return rows identical to the
+// sequential reference, at one scan worker and on a pool.
+func TestJoinWorldMatchesSequential(t *testing.T) {
+	for _, nt := range []int{3, 5} {
+		eng, q, _ := buildJoinWorld(2, 1500, nt)
+		want, err := eng.ExecuteWith(q, query.Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("join world at %d triples produced no rows", nt)
+		}
+		for _, opts := range []query.Options{{Workers: 1}, {Workers: chainWorkers}} {
+			got, err := eng.ExecuteWith(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.EqualRows(got) {
+				t.Errorf("%d triples, %+v: diverged from sequential (%d vs %d rows)", nt, opts, len(got.Rows), len(want.Rows))
+			}
+		}
+	}
+}
+
+// TestChainWorldStreamsEveryStep is what remains true of the frozen E13
+// experiment on its world (32 sources, 3 and 5 conjuncts, 8 workers and
+// 8 pinned partitions): rows identical to the sequential reference, and
+// the chain streams across every join step.
+func TestChainWorldStreamsEveryStep(t *testing.T) {
+	for _, nt := range []int{3, 5} {
+		eng, q := buildChainWorld(chainSources, chainInstances, nt, chainDup)
+		want, err := eng.ExecuteWith(q, query.Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.ExecuteWith(q, query.Options{Workers: chainWorkers, Partitions: chainWorkers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) == 0 || !want.EqualRows(got) {
+			t.Errorf("%d triples: pipeline diverged from sequential (%d vs %d rows)", nt, len(got.Rows), len(want.Rows))
+		}
+		if got.Stats.PipelinedSteps != nt-1 {
+			t.Errorf("%d triples: chain did not stream across every step: %+v", nt, got.Stats)
+		}
+	}
+}
+
+// boundedCap is the execution budget of the bounded-memory leg: far
+// below the depth-5 chain world's unbounded accounted peak, so the
+// grace-hash spill path carries the join, yet large enough that only
+// the oversized partitions degrade.
+const boundedCap = int64(8 << 20)
+
+// TestBoundedMemoryPeakUnderCap runs the depth-5 chain world once
+// unbounded and once under boundedCap, with planner-derived partitions:
+// the capped run must spill, keep its accounted peak under the cap, and
+// return rows identical to the unbounded pipeline and the sequential
+// reference, while the unbounded peak shows the cap really binds.
+func TestBoundedMemoryPeakUnderCap(t *testing.T) {
+	eng, q := buildChainWorld(chainSources, chainInstances, 5, chainDup)
+	run := func(opts query.Options) *query.Result {
+		t.Helper()
+		res, err := eng.ExecuteWith(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq := run(query.Options{Sequential: true})
+	unbounded := run(query.Options{Workers: chainWorkers})
+	capped := run(query.Options{Workers: chainWorkers, MemoryLimit: boundedCap})
+
+	if len(capped.Rows) == 0 {
+		t.Fatal("bounded run produced no rows")
+	}
+	if !capped.EqualRows(unbounded) || !capped.EqualRows(seq) {
+		t.Errorf("capped rows diverged from unbounded/sequential (%d vs %d/%d rows)",
+			len(capped.Rows), len(unbounded.Rows), len(seq.Rows))
+	}
+	st := capped.Stats
+	t.Logf("accounted peak %d of cap %d (unbounded %d), %d spilled partitions", st.BytesReserved, boundedCap, unbounded.Stats.BytesReserved, st.SpilledPartitions)
+	if st.SpilledPartitions == 0 {
+		t.Errorf("cap %d did not force spilling (unbounded peak %d)", boundedCap, unbounded.Stats.BytesReserved)
+	}
+	if st.BytesReserved > boundedCap {
+		t.Errorf("accounted peak %d exceeds cap %d", st.BytesReserved, boundedCap)
+	}
+	if unbounded.Stats.BytesReserved <= boundedCap {
+		t.Errorf("world too small: unbounded peak %d under cap %d", unbounded.Stats.BytesReserved, boundedCap)
+	}
+	if st.AdaptivePartitions == 0 {
+		t.Errorf("partition counts not planner-derived: %+v", st)
+	}
+}
+
 // TestE11PlannedBeatsSequential locks the E11 shape: rows identical in
 // every row, joins reordered, and the planned path ahead of the
 // sequential reference. The full ≥1.5x margin at n=32 is reported by

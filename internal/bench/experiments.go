@@ -23,8 +23,6 @@ import (
 // structure the paper's worked example describes.
 func E1Figure2() *Table {
 	t := &Table{
-		ID:      "E1",
-		Title:   "Fig. 2 reproduction — articulation of carrier and factory into transport",
 		Columns: []string{"structure", "expected", "got", "ok"},
 	}
 	res, carrier, factory := fixtures.GenerateTransport()
@@ -86,8 +84,6 @@ func E1Figure2() *Table {
 // query engine.
 func E2Architecture() *Table {
 	t := &Table{
-		ID:      "E2",
-		Title:   "Fig. 1 architecture — full pipeline end to end",
 		Columns: []string{"stage", "result", "ok"},
 	}
 	row := func(stage, result string, ok bool) {
@@ -161,8 +157,6 @@ func E3Scalability(ns []int) *Table {
 		ns = []int{2, 4, 8, 16, 32}
 	}
 	t := &Table{
-		ID:    "E3",
-		Title: "articulation vs. global merge — storage and build time by source count",
 		Columns: []string{"sources", "terms/src", "art stored", "merge stored",
 			"stored ratio", "art ms", "merge ms"},
 		Notes: []string{

@@ -23,8 +23,6 @@ func E4Maintenance(overlaps []float64) *Table {
 		overlaps = []float64{0.1, 0.25, 0.5, 0.75, 0.9}
 	}
 	t := &Table{
-		ID:    "E4",
-		Title: "maintenance — source churn vs. articulation updates, by coverage",
 		Columns: []string{"overlap", "coverage%", "mutations", "affected%",
 			"art rebuilds", "merge rebuilds"},
 		Notes: []string{
@@ -72,8 +70,6 @@ func E5Algebra(sizes []int) *Table {
 		sizes = []int{100, 300, 1000, 3000}
 	}
 	t := &Table{
-		ID:      "E5",
-		Title:   "ontology algebra cost by source size",
 		Columns: []string{"classes", "edges", "union ms", "intersect ms", "difference ms", "union terms"},
 	}
 	for _, n := range sizes {
@@ -115,8 +111,6 @@ func E6Pattern(sizes []int) *Table {
 		sizes = []int{100, 300, 1000, 3000}
 	}
 	t := &Table{
-		ID:      "E6",
-		Title:   "graph pattern matching cost",
 		Columns: []string{"classes", "edges", "pattern", "matches", "ms"},
 	}
 	patterns := []struct {
@@ -172,8 +166,6 @@ func E6Pattern(sizes []int) *Table {
 // semi-automation claim (§2.4).
 func E7SKAT() *Table {
 	t := &Table{
-		ID:    "E7",
-		Title: "SKAT suggestion quality by matcher configuration (planted ground truth)",
 		Columns: []string{"matcher", "suggested", "precision", "recall", "F1",
 			"expert reviews"},
 		Notes: []string{
@@ -224,8 +216,6 @@ func E8Query(scales []int) *Table {
 		scales = []int{50, 150, 400}
 	}
 	t := &Table{
-		ID:    "E8",
-		Title: "query reformulation overhead — articulation-level vs. source-qualified",
 		Columns: []string{"classes/src", "facts/src", "rows", "art ms", "qualified ms",
 			"overhead%", "conversions"},
 		Notes: []string{
@@ -340,8 +330,6 @@ func E9Inference(sizes []int) *Table {
 		sizes = []int{50, 100, 200, 400}
 	}
 	t := &Table{
-		ID:    "E9",
-		Title: "Horn inference — semi-naive (light) vs. naive engine",
 		Columns: []string{"chain facts", "derived", "semi joins", "naive joins",
 			"joins ratio", "semi ms", "naive ms"},
 		Notes: []string{
@@ -392,8 +380,6 @@ func E10Incremental(ns []int) *Table {
 		ns = []int{4, 8, 12}
 	}
 	t := &Table{
-		ID:    "E10",
-		Title: "incremental composition — work per arriving source",
 		Columns: []string{"sources", "last arrival: art work", "last arrival: re-merge work",
 			"cumulative art", "cumulative merge"},
 		Notes: []string{

@@ -24,8 +24,6 @@ func E11ParallelQuery(ns []int) *Table {
 		ns = []int{2, 4, 8, 16, 32}
 	}
 	t := &Table{
-		ID:    "E11",
-		Title: "query execution — sequential reference vs. planned/parallel path",
 		Columns: []string{"sources", "facts/src", "rows", "seq ms", "planned ms",
 			"speedup", "reordered", "identical"},
 		Notes: []string{

@@ -10,11 +10,12 @@ import (
 	"repro/internal/rules"
 )
 
-// Parameters of the deep-chain world (E15, and the frozen E13): a
-// 32-source federation whose query is a chain of keyed joins, each
-// conjunct fanning the frontier out by chainDup values per instance —
-// the shape where cross-step streaming matters most (without it the
-// frontier regrows, gets re-partitioned and re-indexed at every step).
+// Parameters of the deep-chain world (the frozen E13's, and the
+// bounded-memory test's): a 32-source federation whose query is a chain
+// of keyed joins, each conjunct fanning the frontier out by chainDup
+// values per instance — the shape where cross-step streaming matters
+// most (without it the frontier regrows, gets re-partitioned and
+// re-indexed at every step).
 const (
 	chainSources   = 32
 	chainInstances = 80

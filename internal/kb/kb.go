@@ -157,7 +157,8 @@ func New(name string) *Store {
 // construction): Restore builds the scan indexes directly and defers the
 // dedup index until the first post-restore Add needs it, which is what
 // makes loading a snapshot measurably cheaper than re-Adding every fact
-// (E16). epoch must be at least len(facts) — every insert bumped it once.
+// (BenchmarkStoreRestore vs. BenchmarkStoreAdd). epoch must be at least
+// len(facts) — every insert bumped it once.
 func Restore(name string, facts []Fact, epoch uint64) (*Store, error) {
 	s := New(name)
 	s.existing = nil // rebuilt lazily by ensureDedup

@@ -6,7 +6,8 @@
 // and their single-label Vec forms) registered against a Registry —
 // usually the package Default, which oniond serves at GET /metrics.
 // Every mutation is a single atomic op behind one atomic enabled-check,
-// so instrumented hot paths stay within the E18 overhead bar, and
+// so instrumentation adds no per-row work (query.TestTracingOffAllocs;
+// the served cost is benchmark/'s oniond.trace_overhead_pct), and
 // SetEnabled(false) gives benchmarks an uninstrumented baseline without
 // a separate build.
 //
@@ -30,7 +31,7 @@ import (
 var disabled atomic.Bool
 
 // SetEnabled turns metric collection on or off process-wide. It exists
-// for overhead benchmarks (E18's uninstrumented leg); servers leave
+// for overhead benchmarks (an uninstrumented leg); servers leave
 // collection enabled.
 func SetEnabled(on bool) { disabled.Store(!on) }
 

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fixtures"
+	"repro/internal/query"
 )
 
 // waitUntil polls cond until it holds or the test deadline-ish budget
@@ -275,4 +277,74 @@ func TestAdmissionDegradedGrantStaysExact(t *testing.T) {
 		t.Fatal("grant was not released back to the pool")
 	}
 	s.gov.pool.Release(96 << 10)
+}
+
+// TestAdmissionOverloadFleet offers 8× the admission pool from a fleet
+// of concurrent clients with the cache off, so every request faces the
+// governor. Each asks for 256KB of a 384KB pool with a 128KB ladder
+// floor: the first admission takes its full ask, the next degrades to
+// the remainder, and the rest queue (at most 2) or shed; a shed client
+// backs off briefly, as the daemon's Retry-After asks. Every request
+// must be answered or shed (the accounting closes), every answer must
+// equal the bare engine's rows even under a degraded grant, and the
+// overload must engage the governor.
+func TestAdmissionOverloadFleet(t *testing.T) {
+	const (
+		capBytes    = 384 << 10
+		ask         = 256 << 10
+		minGrant    = 128 << 10
+		queue       = 2
+		clients     = 12 // 12 × 256KB = 8× the pool
+		perClient   = 24
+		shedBackoff = 200 * time.Microsecond
+	)
+	sys, art, queries := fleetWorld(t)
+	exec := query.Options{Workers: 1}
+	want := directRows(t, sys, art, queries, exec)
+	s := New(sys, Options{
+		CacheEntries:      -1,
+		Exec:              exec,
+		AdmissionCapBytes: capBytes,
+		AdmissionQueue:    queue,
+		AdmissionMinGrant: minGrant,
+	})
+
+	var ok, shed atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				qi := (c + i) % len(queries)
+				res, _, err := s.QueryLimited(context.Background(), art, queries[qi], Limits{MemoryBytes: ask})
+				switch {
+				case err == nil:
+					ok.Add(1)
+					if !res.EqualRows(want[qi]) {
+						t.Errorf("client %d: query %d diverged from the bare engine", c, qi)
+					}
+				case errors.Is(err, ErrShed):
+					shed.Add(1)
+					time.Sleep(shedBackoff)
+				default:
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	st := s.Stats()
+	t.Logf("ok %d, shed %d; stats shed %d, degraded %d, queued %d", ok.Load(), shed.Load(), st.Shed, st.DegradedGrants, st.Queued)
+	if got := ok.Load() + shed.Load(); got != clients*perClient {
+		t.Errorf("ok %d + shed %d = %d, want %d offered", ok.Load(), shed.Load(), got, clients*perClient)
+	}
+	if ok.Load() == 0 {
+		t.Error("overload answered nothing")
+	}
+	if st.Shed == 0 && st.DegradedGrants == 0 && st.Queued == 0 {
+		t.Errorf("8x overload engaged no admission mechanism: %+v", st)
+	}
 }

@@ -53,8 +53,8 @@ const (
 // Options tune a Service.
 type Options struct {
 	// CacheEntries bounds the result cache: 0 means DefaultCacheEntries,
-	// negative disables caching entirely (every query executes; the E14
-	// baseline runs this way).
+	// negative disables caching entirely (every query executes; the
+	// benchmark/ -miss workload runs this way).
 	CacheEntries int
 	// NegativeEntries bounds the negative-result cache: empty results —
 	// provably exact under the epoch key like any other — are filed
@@ -214,7 +214,7 @@ type Service struct {
 	// sections are map/list operations — never an execution and never
 	// file I/O (the disk tier synchronises itself and is only called
 	// with mu released) — so a cache hit is a short lock, and that is
-	// exactly what the E14 hot-cache speedup measures.
+	// what benchmark/'s -hit workload (serve.cache_hit_ms) measures.
 	mu       sync.Mutex
 	cache    *resultCache // nil when caching is disabled
 	negCache *resultCache // empty results; nil when disabled

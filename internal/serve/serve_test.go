@@ -472,6 +472,107 @@ func spillWorld(t testing.TB) (*core.System, string) {
 	return sys, "spillart"
 }
 
+// fleetWorld is a two-source federation of 400 priced items each, and a
+// working set of 16 queries with distinct FILTER thresholds: each query
+// is its own cache entry, and none of them is empty.
+func fleetWorld(t testing.TB) (*core.System, string, []string) {
+	t.Helper()
+	sys := core.NewSystem()
+	for i, name := range []string{"f1", "f2"} {
+		o := ontology.New(name)
+		o.MustAddTerm("Item")
+		o.MustAddTerm("Price")
+		o.MustRelate("Item", ontology.AttributeOf, "Price")
+		if err := sys.Register(o); err != nil {
+			t.Fatal(err)
+		}
+		store := kb.New(name)
+		for k := 0; k < 400; k++ {
+			inst := fmt.Sprintf("%sI%d", name, k)
+			store.MustAdd(inst, "InstanceOf", kb.Term("Item"))
+			store.MustAdd(inst, "Price", kb.Number(float64((k*37+i*11)%1600)))
+		}
+		if err := sys.RegisterKB(store); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := rules.NewSet(rules.MustParse("f1.Item => f2.Item"))
+	if _, err := sys.Articulate("fleetart", "f1", "f2", set, articulation.Options{Lenient: true}); err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]string, 16)
+	for i := range queries {
+		queries[i] = fmt.Sprintf("SELECT ?x ?p WHERE ?x InstanceOf Item . ?x Price ?p . FILTER ?p > %d", i*100)
+	}
+	return sys, "fleetart", queries
+}
+
+// directRows answers each query on the bare engine, bypassing the
+// service: the rows every served answer must equal.
+func directRows(t testing.TB, sys *core.System, art string, queries []string, exec query.Options) []*query.Result {
+	t.Helper()
+	want := make([]*query.Result, len(queries))
+	for i, q := range queries {
+		res, err := sys.QueryWith(art, q, exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("query %d answered no rows", i)
+		}
+		want[i] = res
+	}
+	return want
+}
+
+// TestPrewarmedFleetServesFromCache serves a prewarmed working set to a
+// concurrent fleet: every request is a memory-cache hit (CacheHits rises
+// by exactly the request count, CacheMisses does not move) and every
+// answer equals the bare engine's rows.
+func TestPrewarmedFleetServesFromCache(t *testing.T) {
+	const clients, perClient = 8, 64
+	sys, art, queries := fleetWorld(t)
+	exec := query.Options{Workers: 1}
+	want := directRows(t, sys, art, queries, exec)
+	s := New(sys, Options{Exec: exec})
+	ctx := context.Background()
+	for _, q := range queries {
+		if _, err := s.Query(ctx, art, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Stats()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				qi := (c + i) % len(queries)
+				res, err := s.Query(ctx, art, queries[qi])
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				if !res.EqualRows(want[qi]) {
+					t.Errorf("client %d: query %d diverged from the bare engine", c, qi)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	after := s.Stats()
+	if hits := after.CacheHits - before.CacheHits; hits != clients*perClient {
+		t.Errorf("cache hits rose by %d, want %d", hits, clients*perClient)
+	}
+	if after.CacheMisses != before.CacheMisses {
+		t.Errorf("cache misses moved %d -> %d on a prewarmed working set", before.CacheMisses, after.CacheMisses)
+	}
+}
+
 // TestPerRequestMemoryLimit threads a per-request memory budget beside
 // the deadline: the limited request completes by spilling (counted in
 // spilled_queries), its rows are byte-identical to the unlimited run,
