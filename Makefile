@@ -20,6 +20,7 @@ race:
 # allocation guards a pipelined execution's scheduling could move — and
 # the /query encoder's, which must hold at every GOMAXPROCS — the
 # pushdown differentials the semi-join's dispatch barrier runs under, the
+# append-extended caches against fresh builds and under concurrent heals, the
 # join and projection runs' replay, merge and corrupt-input handling, the
 # grace join's chunk carry and oversized build, the probe-overflow
 # path, and the chain world's accounted peak under its memory cap),
@@ -30,6 +31,7 @@ stress:
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRun|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain|TestSpillProbeOverflow' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestBoundedMemoryPeakUnderCap ./internal/bench || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run TestQueryEncodeAllocs ./cmd/oniond || exit 1; \

@@ -201,11 +201,13 @@ func (r *Result) EqualRows(o *Result) bool {
 // reformulating each triple through the semantic bridges.
 //
 // An Engine is safe for concurrent Execute/ExecuteWith/Explain calls.
-// It caches compiled plans and per-source edge indexes, validated against
-// the sources' mutation epochs at every query: mutating a source ontology
-// or knowledge base underneath a live engine (between queries — never
-// concurrently with one) is self-healing, and only the mutated sources'
-// scan indexes are rebuilt. InvalidateCache remains as a forced flush.
+// It caches compiled plans and per-source scan indexes, validated against
+// the sources' state at every query: mutating a source ontology or
+// knowledge base underneath a live engine (between queries — never
+// concurrently with one) is self-healing. Facts appended to a source's
+// knowledge base extend that source's indexes from the last-seen fact
+// ordinal; any other change drops them for a lazy rebuild.
+// InvalidateCache remains as a forced flush.
 type Engine struct {
 	art     *articulation.Articulation
 	sources map[string]*Source
@@ -219,7 +221,46 @@ type Engine struct {
 	qualIdx  map[string]map[string]string       // source → term → qualified name
 	factQIdx map[string][]factQual              // source → fact ordinal → qualified subject/object
 	numIdx   map[string]map[string]*numIndex    // source → predicate → numeric objects sorted by value (pushdown.go)
-	epochs   []uint64                           // per-source epochs the caches were built under, in names order
+	built    []srcState                         // per-source state the caches reflect, in names order
+}
+
+// srcState is what one source's caches were built against: the ontology
+// (identity and epoch) and the knowledge base (identity, length and
+// epoch). sourceEpoch folds the two epochs into the source's EpochKey
+// component; validateEpochs needs them apart to tell an append from any
+// other change.
+type srcState struct {
+	ont   *ontology.Ontology
+	ontEp uint64
+	kb    *kb.Store
+	kbLen int
+	kbEp  uint64
+}
+
+// stateOf reads src's current state.
+func stateOf(src *Source) srcState {
+	st := srcState{ont: src.Ont, ontEp: src.Ont.Epoch(), kb: src.KB}
+	if src.KB != nil {
+		st.kbLen, st.kbEp = src.KB.Len(), src.KB.Epoch()
+	}
+	return st
+}
+
+// appendedTo reports whether cur is st plus facts appended to the same
+// store under the same ontology. Every effective insert appends exactly
+// one fact and bumps the epoch once, so the store only grew when its
+// length rose by exactly its epoch delta.
+func (st srcState) appendedTo(cur srcState) bool {
+	return st.ont == cur.ont && st.ontEp == cur.ontEp && st.kb == cur.kb && st.kb != nil &&
+		cur.kbLen > st.kbLen && uint64(cur.kbLen-st.kbLen) == cur.kbEp-st.kbEp
+}
+
+// sourceStates fills dst (len == len(e.names)) with every source's
+// current state in sorted source-name order.
+func (e *Engine) sourceStates(dst []srcState) {
+	for i, name := range e.names {
+		dst[i] = stateOf(e.sources[name])
+	}
 }
 
 // factQual is one fact's pre-qualified emission values: the subject as a
@@ -268,8 +309,8 @@ func NewEngineWith(art *articulation.Articulation, sources map[string]*Source, o
 	}
 	sort.Strings(e.names)
 	e.id = engineSeq.Add(1)
-	e.epochs = make([]uint64, len(e.names))
-	e.sourceEpochs(e.epochs)
+	e.built = make([]srcState, len(e.names))
+	e.sourceStates(e.built)
 	return e, nil
 }
 
@@ -290,14 +331,6 @@ func sourceEpoch(src *Source) uint64 {
 	return ep
 }
 
-// sourceEpochs fills dst (len == len(e.names)) with every source's
-// current epoch in sorted source-name order.
-func (e *Engine) sourceEpochs(dst []uint64) {
-	for i, name := range e.names {
-		dst[i] = sourceEpoch(e.sources[name])
-	}
-}
-
 // EpochVector returns every source's current mutation epoch in sorted
 // source-name order. Two equal vectors from the same engine guarantee
 // that no source was mutated in between, so any result computed at the
@@ -305,7 +338,9 @@ func (e *Engine) sourceEpochs(dst []uint64) {
 // layer's result cache keys on.
 func (e *Engine) EpochVector() []uint64 {
 	out := make([]uint64, len(e.names))
-	e.sourceEpochs(out)
+	for i, name := range e.names {
+		out[i] = sourceEpoch(e.sources[name])
+	}
 	return out
 }
 
@@ -325,28 +360,51 @@ func (e *Engine) EpochKey() string {
 	return string(buf)
 }
 
-// validateEpochs compares every source's current epoch against the
-// snapshot the caches were built under and heals stale state: a changed
-// source drops exactly its own edge, qualification, fact-ordinal and
-// numeric indexes, and any change flushes the plan cache wholesale
-// (compilation consults every source — term expansion probes KB
-// subjects, estimates read index cardinalities, and a mutation can even
-// un-skip a previously impossible scan — so no plan can be proven
-// unaffected). Runs at query/explain entry, so direct NewEngine users
-// need no InvalidateCache call after mutating a source.
+// validateEpochs compares every source's current state against the
+// state the caches were built under and heals stale state at query and
+// explain entry, so direct NewEngine users need no InvalidateCache call
+// after mutating a source:
+//
+//   - a source whose knowledge base only grew (same ontology, same store,
+//     length up by exactly the epoch delta) keeps its edge index, which
+//     depends on the ontology alone, and has its qualification,
+//     fact-ordinal and numeric indexes extended over the new ordinals
+//     (extendLocked) — the data in a source's difference costs no
+//     rebuild;
+//   - any other change — an ontology edit, a swapped, shrunk or
+//     inconsistently counted store — drops exactly that source's four
+//     indexes for a lazy rebuild.
+//
+// Any change flushes the plan cache wholesale: compilation consults
+// every source (term expansion probes KB subjects, estimates read index
+// cardinalities, and a mutation can even un-skip a previously impossible
+// scan), so no plan can be proven unaffected.
+//
+// The extension grows the cached structures in place. That is safe
+// because it runs under e.mu's write lock before this query — or any
+// other query of the new state — reads them: a query reaches its scans
+// only after validateEpochs returns, and e.built moves to the new state
+// only as the lock is released. Readers of the old state cannot still be
+// running, because the engine contract forbids mutating a source
+// concurrently with a query (kb.Store is single-writer; core.System
+// serialises mutators against queries).
 func (e *Engine) validateEpochs() {
-	cur := make([]uint64, len(e.names))
-	e.sourceEpochs(cur)
+	cur := make([]srcState, len(e.names))
+	e.sourceStates(cur)
 	e.mu.RLock()
-	same := slices.Equal(e.epochs, cur)
+	same := slices.Equal(e.built, cur)
 	e.mu.RUnlock()
 	if same {
 		return
 	}
 	e.mu.Lock()
-	if !slices.Equal(e.epochs, cur) {
+	if !slices.Equal(e.built, cur) {
 		for i, name := range e.names {
-			if e.epochs[i] != cur[i] {
+			switch old := e.built[i]; {
+			case old == cur[i]:
+			case old.appendedTo(cur[i]):
+				e.extendLocked(name, old.kbLen, cur[i].kbLen)
+			default:
 				delete(e.edgeIdx, name)
 				delete(e.qualIdx, name)
 				delete(e.factQIdx, name)
@@ -354,9 +412,47 @@ func (e *Engine) validateEpochs() {
 			}
 		}
 		e.plans = make(map[string]*execPlan)
-		copy(e.epochs, cur)
+		copy(e.built, cur)
 	}
 	e.mu.Unlock()
+}
+
+// extendLocked brings one source's built KB caches from fact ordinal
+// from up to to, reading only the appended facts: the qualification
+// table gains their subjects and term objects, the fact-ordinal cache
+// one entry per ordinal, and each built numeric index their numeric
+// objects. A cache not built yet stays unbuilt; its lazy build reads
+// the whole store. Caller holds e.mu for writing.
+func (e *Engine) extendLocked(name string, from, to int) {
+	store := e.sources[name].KB
+	qt := e.qualIdx[name]
+	if qt != nil {
+		for i := from; i < to; i++ {
+			addFactQuals(qt, name, store.FactAt(i))
+		}
+	}
+	// factQuals builds the qualification table first, so a built
+	// fact-ordinal cache always has one.
+	if fq := e.factQIdx[name]; fq != nil {
+		for i := from; i < to; i++ {
+			fq = append(fq, factQualOf(qt, name, store.FactAt(i)))
+		}
+		e.factQIdx[name] = fq
+	}
+	byPred := e.numIdx[name]
+	if len(byPred) == 0 {
+		return
+	}
+	added := make(map[string][]numEntry)
+	for i := from; i < to; i++ {
+		f := store.FactAt(i)
+		if byPred[f.Predicate] != nil && isIndexedNum(f.Object) {
+			added[f.Predicate] = append(added[f.Predicate], numEntry{f.Object.Num, i})
+		}
+	}
+	for pred, ents := range added {
+		byPred[pred].add(ents)
+	}
 }
 
 type binding map[string]kb.Value
@@ -628,12 +724,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 	if indexed {
 		qt = e.qualTable(name)
 	}
-	qual := func(term string) kb.Value {
-		if q, ok := qt[term]; ok {
-			return kb.Value{Kind: kb.KindTerm, Str: q}
-		}
-		return kb.Term(qualify(name, term))
-	}
+	qual := func(term string) kb.Value { return qualTerm(qt, name, term) }
 
 	// Scan ontology edges.
 	g := src.Ont.Graph()
@@ -750,11 +841,10 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		matchFact := func(f kb.Fact) bool {
 			return matchFactQ(f, kb.Value{}, kb.Value{}, false, nil, false)
 		}
+		// validateEpochs extends the fact-ordinal cache over appended
+		// facts, so it covers every ordinal the KB indexes hand out.
 		matchOrd := func(fq []factQual, i int, f kb.Fact, nf []string) bool {
-			if i < len(fq) {
-				return matchFactQ(f, fq[i].subj, fq[i].obj, true, nf, true)
-			}
-			return matchFactQ(f, kb.Value{}, kb.Value{}, false, nf, true)
+			return matchFactQ(f, fq[i].subj, fq[i].obj, true, nf, true)
 		}
 		switch {
 		case indexed && v.boundSubj != nil:

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -216,25 +218,120 @@ func TestInvalidateCacheDropsNumIndex(t *testing.T) {
 	}
 }
 
-// TestEpochBumpDropsNumIndex: a fact added inside a cached range bumps
-// the source's epoch, which drops that source's numeric index, so the
-// next answer carries the fact.
-func TestEpochBumpDropsNumIndex(t *testing.T) {
+// TestEpochBumpExtendsNumIndex: facts appended to a source's store
+// extend its numeric index in place — the same cache, now holding the
+// new ordinals and equal entry for entry to a from-scratch build — and
+// the next answer carries them. The other source's index is untouched.
+func TestEpochBumpExtendsNumIndex(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	carrierIx, factoryIx := eng.numIdx["carrier"]["Price"], eng.numIdx["factory"]["Price"]
+	if carrierIx == nil || factoryIx == nil {
+		t.Fatalf("a pushed query did not build both Price indexes: %v", eng.numIdx)
+	}
+	factoryEnts := slices.Clone(factoryIx.ents)
 	store := eng.sources["carrier"].KB
 	store.MustAdd("NewCar", "InstanceOf", kb.Term("PassengerCar"))
 	store.MustAdd("NewCar", "Price", kb.Number(500)) // 800 EUR, inside the range
 	eng.validateEpochs()
-	if eng.numIdx["carrier"] != nil {
-		t.Fatalf("an epoch bump kept the carrier numeric index")
+	if got := eng.numIdx["carrier"]["Price"]; got != carrierIx {
+		t.Fatalf("an append replaced the carrier Price index instead of extending it")
 	}
-	if eng.numIdx["factory"] == nil {
-		t.Fatalf("an epoch bump in carrier dropped factory's numeric index")
+	newOrd := store.Len() - 1
+	if !slices.ContainsFunc(carrierIx.ents, func(en numEntry) bool { return en.ord == newOrd }) {
+		t.Fatalf("extended index lacks NewCar's ordinal %d", newOrd)
+	}
+	fresh := &numIndex{}
+	store.ForEachByPredicateIndexed("Price", func(i int, f kb.Fact) bool {
+		if isIndexedNum(f.Object) {
+			fresh.ents = append(fresh.ents, numEntry{f.Object.Num, i})
+			fresh.ords = i + 1
+		}
+		return true
+	})
+	slices.SortFunc(fresh.ents, cmpNumEntry)
+	if !reflect.DeepEqual(carrierIx, fresh) {
+		t.Fatalf("extended index differs from a fresh build:\n got %+v\nwant %+v", carrierIx, fresh)
+	}
+	if eng.numIdx["factory"]["Price"] != factoryIx || !slices.Equal(factoryIx.ents, factoryEnts) {
+		t.Fatalf("an append to carrier changed factory's numeric index")
 	}
 	if got := checkPlannedMatchesSequential(t, eng, pushdownQSel); !hasRow(got, "carrier.NewCar", "800") {
 		t.Fatalf("the added fact is missing from the answer")
 	}
+}
+
+// warmCarrierCaches runs Q-sel, which builds all four of carrier's
+// caches, and fails unless it did.
+func warmCarrierCaches(t *testing.T, eng *Engine) {
+	t.Helper()
+	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	if eng.edgeIdx["carrier"] == nil || eng.qualIdx["carrier"] == nil ||
+		eng.factQIdx["carrier"] == nil || eng.numIdx["carrier"] == nil {
+		t.Fatalf("Q-sel did not build every carrier cache")
+	}
+}
+
+// checkCarrierCachesDropped validates the engine's epochs and fails
+// unless all four carrier caches went while factory's stayed.
+func checkCarrierCachesDropped(t *testing.T, eng *Engine) {
+	t.Helper()
+	factoryQual := eng.qualIdx["factory"]
+	eng.validateEpochs()
+	if eng.edgeIdx["carrier"] != nil || eng.qualIdx["carrier"] != nil ||
+		eng.factQIdx["carrier"] != nil || eng.numIdx["carrier"] != nil {
+		t.Fatalf("a non-append change kept a carrier cache")
+	}
+	if factoryQual == nil || reflect.ValueOf(eng.qualIdx["factory"]).Pointer() != reflect.ValueOf(factoryQual).Pointer() {
+		t.Fatalf("a carrier change dropped factory's caches")
+	}
+	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+}
+
+// TestOntologyEditDropsCaches is the converse of the extension: an
+// ontology edit is not an append, so it drops all four of the source's
+// caches even when facts were appended too.
+func TestOntologyEditDropsCaches(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 40)
+	warmCarrierCaches(t, eng)
+	carrier := eng.sources["carrier"]
+	carrier.KB.MustAdd("NewCar", "Price", kb.Number(500))
+	carrier.Ont.MustAddTerm("Hatchback")
+	checkCarrierCachesDropped(t, eng)
+}
+
+// TestKBSwapDropsCaches: a store swapped in place without InvalidateCache
+// is not an append even when it is the old store's length plus its epoch
+// delta — its ordinals hold other facts — so the caches are dropped.
+func TestKBSwapDropsCaches(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 40)
+	warmCarrierCaches(t, eng)
+	old := eng.sources["carrier"].KB
+	swapped := kb.New("carrier")
+	old.ForEach(func(f kb.Fact) bool {
+		swapped.MustAdd("Swapped"+f.Subject, f.Predicate, f.Object)
+		return true
+	})
+	swapped.MustAdd("SwappedNew", "InstanceOf", kb.Term("PassengerCar"))
+	if swapped.Len()-old.Len() != int(swapped.Epoch()-old.Epoch()) {
+		t.Fatalf("swapped store does not mimic an append (len %d→%d, epoch %d→%d)",
+			old.Len(), swapped.Len(), old.Epoch(), swapped.Epoch())
+	}
+	eng.sources["carrier"].KB = swapped
+	checkCarrierCachesDropped(t, eng)
+}
+
+// TestEpochLengthMismatchDropsCaches: when the store's length and epoch
+// moved by different amounts the caches cannot be extended by ordinal,
+// so they are dropped. kb.Store always moves both together, so the test
+// shifts the recorded epoch to stage the mismatch.
+func TestEpochLengthMismatchDropsCaches(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 40)
+	warmCarrierCaches(t, eng)
+	i := slices.Index(eng.names, "carrier")
+	eng.built[i].kbEp--
+	eng.sources["carrier"].KB.MustAdd("NewCar", "Price", kb.Number(500))
+	checkCarrierCachesDropped(t, eng)
 }
 
 // TestInvalidateCacheNumIndexKBSwap: swapping a Source's KB in place and

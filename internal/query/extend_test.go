@@ -1,0 +1,203 @@
+package query
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/kb"
+)
+
+// extendQueries are checked against Sequential after every append: Q-sel
+// (both Price scans pushed), a pushed > range, a three-way join, and a
+// pushed range on Weight, a predicate only factory starts with.
+var extendQueries = []Query{
+	pushdownQSel,
+	MustParse("SELECT ?x ?p WHERE ?x Price ?p . FILTER ?p > 3000"),
+	MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Vehicle . ?x Price ?p . ?x Owner ?o"),
+	MustParse("SELECT ?x ?w WHERE ?x Weight ?w . FILTER ?w >= 100"),
+}
+
+// appendRandomFacts adds 1–6 facts to one source's store, drawn to hit
+// every case the cache extension must get right: new and existing
+// subjects, prices tying stored values, ±0 and NaN, term and string
+// objects, and numbers under predicates whose numeric index has not been
+// built (Weight until the Weight query first runs, Model never).
+func appendRandomFacts(rng *rand.Rand, eng *Engine, step int) {
+	name := []string{"carrier", "factory"}[rng.Intn(2)]
+	store := eng.sources[name].KB
+	for n := 1 + rng.Intn(6); n > 0; n-- {
+		subj := fmt.Sprintf("Add%d_%d", step, n)
+		if rng.Intn(2) == 0 {
+			subj = store.FactAt(rng.Intn(store.Len())).Subject
+		}
+		var pred string
+		var obj kb.Value
+		switch rng.Intn(9) {
+		case 0:
+			pred, obj = "InstanceOf", kb.Term([]string{"PassengerCar", "SUV", "Truck", "GoodsVehicle"}[rng.Intn(4)])
+		case 1:
+			pred, obj = "Price", kb.Number(float64(rng.Intn(30000)))
+		case 2: // ties a stored value
+			var vals []float64
+			store.ForEachByPredicate("Price", func(f kb.Fact) bool {
+				if f.Object.IsNumber() {
+					vals = append(vals, f.Object.Num)
+				}
+				return true
+			})
+			pred, obj = "Price", kb.Number(vals[rng.Intn(len(vals))])
+		case 3:
+			pred, obj = "Price", kb.Number([]float64{0, math.Copysign(0, -1), math.NaN()}[rng.Intn(3)])
+		case 4:
+			pred, obj = "Price", kb.String(fmt.Sprint(rng.Intn(5000)))
+		case 5:
+			pred, obj = "Owner", kb.String(fmt.Sprintf("Owner%d", rng.Intn(60)))
+		case 6:
+			pred, obj = "Owner", kb.Term(fmt.Sprintf("Holder%d", rng.Intn(8)))
+		case 7:
+			pred, obj = "Weight", kb.Number(float64(rng.Intn(8000)))
+		default:
+			pred, obj = "Model", kb.Number(float64(rng.Intn(9)))
+		}
+		store.MustAdd(subj, pred, obj)
+	}
+}
+
+// checkCachesMatchFresh fails unless every cache eng has built equals a
+// from-scratch build of the same cache on twin, an engine over the same
+// sources whose caches InvalidateCache has just dropped.
+func checkCachesMatchFresh(t *testing.T, eng, twin *Engine) {
+	t.Helper()
+	twin.InvalidateCache()
+	for name, qt := range eng.qualIdx {
+		if !reflect.DeepEqual(qt, twin.qualTable(name)) {
+			t.Fatalf("%s: extended qualification table differs from a fresh build", name)
+		}
+	}
+	for name, fq := range eng.factQIdx {
+		if !reflect.DeepEqual(fq, twin.factQuals(name)) {
+			t.Fatalf("%s: extended fact-ordinal cache differs from a fresh build", name)
+		}
+	}
+	for name, byPred := range eng.numIdx {
+		for pred, ix := range byPred {
+			if fresh := twin.numIndex(name, pred); !reflect.DeepEqual(ix, fresh) {
+				t.Fatalf("%s %s: extended numeric index differs from a fresh build:\n got %+v\nwant %+v", name, pred, ix, fresh)
+			}
+		}
+	}
+}
+
+// TestAppendExtendedCachesMatchFresh is the extension's differential:
+// seeded interleavings of appends and queries on the scaled Fig. 2 world,
+// where after every step each extended cache equals a fresh build and
+// every query's planned rows equal Sequential's. The carrier Price index
+// and qualification table must stay the same objects throughout — grown,
+// never rebuilt.
+func TestAppendExtendedCachesMatchFresh(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			eng, _ := scaledFig2Engine(t, 400)
+			twin, err := NewEngine(eng.art, eng.sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPlannedMatchesSequential(t, eng, pushdownQSel)
+			priceIx, qt := eng.numIdx["carrier"]["Price"], eng.qualIdx["carrier"]
+			for step := 0; step < 30; step++ {
+				// One to three append bursts land before the caches
+				// heal, so one extension may span several of them.
+				for burst := rng.Intn(3); burst >= 0; burst-- {
+					appendRandomFacts(rng, eng, 3*step+burst)
+				}
+				eng.validateEpochs()
+				checkCachesMatchFresh(t, eng, twin)
+				// Weight joins the rotation halfway, so its index is
+				// built mid-run and extended afterwards.
+				qs := extendQueries[:len(extendQueries)-1]
+				if step >= 15 {
+					qs = extendQueries
+				}
+				for _, q := range qs {
+					checkPlannedMatchesSequential(t, eng, q)
+				}
+				checkCachesMatchFresh(t, eng, twin)
+			}
+			if eng.numIdx["carrier"]["Price"] != priceIx || reflect.ValueOf(eng.qualIdx["carrier"]).Pointer() != reflect.ValueOf(qt).Pointer() {
+				t.Fatalf("appends rebuilt the carrier caches instead of extending them")
+			}
+			if eng.numIdx["factory"]["Weight"] == nil {
+				t.Fatalf("the Weight query never built its index")
+			}
+		})
+	}
+}
+
+// TestAppendHealRaceHammer: after each append, 8 goroutines query at once
+// and race to heal the caches; every answer must equal Sequential's, and
+// -race must see no unsynchronised access to the extended caches.
+func TestAppendHealRaceHammer(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	eng, _ := scaledFig2Engine(t, 200)
+	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	for step := 0; step < 12; step++ {
+		appendRandomFacts(rng, eng, step)
+		got := make([]*Result, 8)
+		errs := make([]error, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g], errs[g] = eng.ExecuteWith(extendQueries[g%len(extendQueries)], Options{Workers: 1 + g%3})
+			}()
+		}
+		wg.Wait()
+		for g, res := range got {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			q := extendQueries[g%len(extendQueries)]
+			want, err := eng.ExecuteWith(q, Options{Sequential: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.EqualRows(res) {
+				t.Fatalf("step %d goroutine %d: %s diverged from sequential after a concurrent heal", step, g, q)
+			}
+		}
+	}
+}
+
+// BenchmarkQueryAfterAppend is the cost of the first pushed Q-sel after
+// a 128-fact carrier append on the Fig. 2 world scaled to 40 000
+// vehicles: the engine brings its caches up to the new state before the
+// query scans. The append itself is not timed.
+func BenchmarkQueryAfterAppend(b *testing.B) {
+	eng, _ := scaledFig2Engine(b, 40000)
+	store := eng.sources["carrier"].KB
+	if _, err := eng.Execute(pushdownQSel); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < 32; k++ {
+			inst := fmt.Sprintf("Append%d_%d", i, k)
+			store.MustAdd(inst, "InstanceOf", kb.Term("PassengerCar"))
+			store.MustAdd(inst, "Price", kb.Number(float64(500+(i*32+k)*7%20000)))
+			store.MustAdd(inst, "Owner", kb.String(fmt.Sprintf("Owner%d", k)))
+			store.MustAdd(inst, "Model", kb.String(fmt.Sprintf("M%d", k%7)))
+		}
+		b.StartTimer()
+		if _, err := eng.Execute(pushdownQSel); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -184,13 +184,13 @@ func (e *Engine) cachedPlan(q Query) (*execPlan, bool) {
 }
 
 // InvalidateCache drops the compiled plans and every per-source index
-// (edges, qualified names, fact-ordinal qualifications, numeric objects).
-// Since per-source epoch validation landed, calling it after mutating a
-// source is no longer required — every query validates the caches
-// against the sources' epochs and heals exactly the stale state — so
-// this remains only as a forced wholesale flush (for example after
-// swapping in state the epochs cannot see, such as replacing a Source's
-// Ont or KB pointer in place).
+// (edges, qualified names, fact-ordinal qualifications, numeric objects)
+// for a rebuild from scratch. Calling it after mutating a source is not
+// required — every query validates the caches against the sources'
+// state, extending a grown knowledge base's indexes and dropping any
+// other source's (validateEpochs) — so this remains only as a forced
+// wholesale flush, for example after replacing a Source's Ont or KB
+// pointer in place.
 func (e *Engine) InvalidateCache() {
 	e.mu.Lock()
 	e.plans = make(map[string]*execPlan)
@@ -198,7 +198,7 @@ func (e *Engine) InvalidateCache() {
 	e.qualIdx = make(map[string]map[string]string)
 	e.factQIdx = make(map[string][]factQual)
 	e.numIdx = make(map[string]map[string]*numIndex)
-	e.sourceEpochs(e.epochs)
+	e.sourceStates(e.built)
 	e.mu.Unlock()
 }
 
@@ -228,8 +228,9 @@ func (e *Engine) edgeIndex(name string) map[string][]graph.Edge {
 // qualTable returns the term → source-qualified-name table for one
 // source, building it lazily on first use (ontology labels, KB subjects
 // and term-valued objects). Indexed scans qualify every emitted term
-// through it instead of concatenating a fresh string per row; the table
-// is immutable once built, so scans read it without locking.
+// through it instead of concatenating a fresh string per row. Scans read
+// it without locking: it changes only in validateEpochs, which adds
+// appended facts' terms before any query of the new state runs.
 func (e *Engine) qualTable(name string) map[string]string {
 	e.mu.RLock()
 	t := e.qualIdx[name]
@@ -246,14 +247,7 @@ func (e *Engine) qualTable(name string) map[string]string {
 	}
 	if src.KB != nil {
 		src.KB.ForEach(func(f kb.Fact) bool {
-			if _, ok := built[f.Subject]; !ok {
-				built[f.Subject] = qualify(name, f.Subject)
-			}
-			if f.Object.IsTerm() {
-				if _, ok := built[f.Object.Str]; !ok {
-					built[f.Object.Str] = qualify(name, f.Object.Str)
-				}
-			}
+			addFactQuals(built, name, f)
 			return true
 		})
 	}
@@ -266,14 +260,27 @@ func (e *Engine) qualTable(name string) map[string]string {
 	return t
 }
 
+// addFactQuals adds f's subject and term object to the qualification
+// table, keeping any entry already there.
+func addFactQuals(t map[string]string, name string, f kb.Fact) {
+	if _, ok := t[f.Subject]; !ok {
+		t[f.Subject] = qualify(name, f.Subject)
+	}
+	if f.Object.IsTerm() {
+		if _, ok := t[f.Object.Str]; !ok {
+			t[f.Object.Str] = qualify(name, f.Object.Str)
+		}
+	}
+}
+
 // factQuals returns the fact-ordinal-aligned qualification cache for one
 // source's KB: entry i holds fact i's subject (and term object) already
 // qualified, sharing the qualTable's strings. Indexed scans emit through
 // it with a slice index instead of a map probe per fact — on the
 // join-heavy worlds that probe was the single largest per-row scan cost.
-// Built lazily under the same epoch discipline as qualTable; facts
-// appended after the build (ordinals past the cache's length) fall back
-// to the table.
+// Built lazily on first use; facts appended afterwards get their entries
+// from validateEpochs, so the cache covers every ordinal a query of the
+// current state can read.
 func (e *Engine) factQuals(name string) []factQual {
 	e.mu.RLock()
 	fq := e.factQIdx[name]
@@ -286,19 +293,9 @@ func (e *Engine) factQuals(name string) []factQual {
 		return nil
 	}
 	qt := e.qualTable(name)
-	qual := func(term string) kb.Value {
-		if q, ok := qt[term]; ok {
-			return kb.Value{Kind: kb.KindTerm, Str: q}
-		}
-		return kb.Term(qualify(name, term))
-	}
 	built := make([]factQual, 0, src.KB.Len())
 	src.KB.ForEach(func(f kb.Fact) bool {
-		q := factQual{subj: qual(f.Subject)}
-		if f.Object.IsTerm() {
-			q.obj = qual(f.Object.Str)
-		}
-		built = append(built, q)
+		built = append(built, factQualOf(qt, name, f))
 		return true
 	})
 	e.mu.Lock()
@@ -308,6 +305,24 @@ func (e *Engine) factQuals(name string) []factQual {
 	}
 	e.mu.Unlock()
 	return fq
+}
+
+// factQualOf is f's fact-ordinal cache entry, qualified through qt.
+func factQualOf(qt map[string]string, name string, f kb.Fact) factQual {
+	q := factQual{subj: qualTerm(qt, name, f.Subject)}
+	if f.Object.IsTerm() {
+		q.obj = qualTerm(qt, name, f.Object.Str)
+	}
+	return q
+}
+
+// qualTerm is term qualified in source name, sharing qt's string when
+// the table has one.
+func qualTerm(qt map[string]string, name, term string) kb.Value {
+	if q, ok := qt[term]; ok {
+		return kb.Value{Kind: kb.KindTerm, Str: q}
+	}
+	return kb.Term(qualify(name, term))
 }
 
 // compile reformulates every (triple, source) pair once, pushes the

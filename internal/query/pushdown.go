@@ -305,9 +305,9 @@ func (ix *numIndex) inStoreOrder(lo, hi int, fn func(ord int)) {
 }
 
 // numIndex returns the numeric index of one source predicate, building it
-// lazily on first use. Like factQuals it is dropped with the source's
-// other caches by validateEpochs and InvalidateCache; nothing is
-// maintained on the store's write path.
+// lazily on first use. Nothing is maintained on the store's write path:
+// validateEpochs merges the numeric objects of appended facts into every
+// built index (add), and drops the source's indexes on any other change.
 func (e *Engine) numIndex(name, pred string) *numIndex {
 	e.mu.RLock()
 	ix := e.numIdx[name][pred]
@@ -315,20 +315,15 @@ func (e *Engine) numIndex(name, pred string) *numIndex {
 	if ix != nil {
 		return ix
 	}
-	built := &numIndex{}
+	var ents []numEntry
 	e.sources[name].KB.ForEachByPredicateIndexed(pred, func(i int, f kb.Fact) bool {
-		if f.Object.IsNumber() && !math.IsNaN(f.Object.Num) {
-			built.ents = append(built.ents, numEntry{f.Object.Num, i})
-			built.ords = i + 1
+		if isIndexedNum(f.Object) {
+			ents = append(ents, numEntry{f.Object.Num, i})
 		}
 		return true
 	})
-	slices.SortFunc(built.ents, func(a, b numEntry) int {
-		if c := cmp.Compare(a.v, b.v); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ord, b.ord)
-	})
+	built := &numIndex{}
+	built.add(ents)
 	e.mu.Lock()
 	byPred := e.numIdx[name]
 	if byPred == nil {
@@ -341,6 +336,44 @@ func (e *Engine) numIndex(name, pred string) *numIndex {
 	}
 	e.mu.Unlock()
 	return ix
+}
+
+// isIndexedNum reports whether a fact object belongs in a numeric index.
+func isIndexedNum(v kb.Value) bool { return v.IsNumber() && !math.IsNaN(v.Num) }
+
+// add merges ents — entries whose ordinals all lie past the index's —
+// into the index, keeping it sorted by (value, ordinal). It sorts ents in
+// place and keeps it as the index when the index is empty; otherwise the
+// merged entries go to a fresh slice.
+func (ix *numIndex) add(ents []numEntry) {
+	if len(ents) == 0 {
+		return
+	}
+	for _, en := range ents {
+		ix.ords = max(ix.ords, en.ord+1)
+	}
+	slices.SortFunc(ents, cmpNumEntry)
+	old := ix.ents
+	if len(old) == 0 {
+		ix.ents = ents
+		return
+	}
+	merged := make([]numEntry, 0, len(old)+len(ents))
+	i := 0
+	for _, en := range ents {
+		k, _ := slices.BinarySearchFunc(old[i:], en, cmpNumEntry)
+		merged = append(merged, old[i:i+k]...)
+		merged = append(merged, en)
+		i += k
+	}
+	ix.ents = append(merged, old[i:]...)
+}
+
+func cmpNumEntry(a, b numEntry) int {
+	if c := cmp.Compare(a.v, b.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ord, b.ord)
 }
 
 // pushedCount is a pushed scan's exact row count: the facts inside its
