@@ -1,7 +1,7 @@
-// Benchmarks: one per experiment table of DESIGN.md (E1..E10). The
-// onionbench binary prints the full tables with parameter sweeps; these
-// benchmarks give statistically robust per-operation numbers for the same
-// code paths.
+// Benchmarks: per-operation numbers for the code paths behind the
+// paper's claims. Each section names the test that asserts the claim
+// itself; these benchmarks only time it. Served-system numbers come from
+// benchmark/, which drives the real daemon.
 package onion_test
 
 import (
@@ -22,7 +22,7 @@ import (
 	"repro/internal/workload"
 )
 
-// --- E1: Fig. 2 articulation generation ---
+// --- Fig. 2 articulation generation (fixtures.TestFigure2) ---
 
 func BenchmarkArticulateFigure2(b *testing.B) {
 	carrier, factory := fixtures.Carrier(), fixtures.Factory()
@@ -37,7 +37,7 @@ func BenchmarkArticulateFigure2(b *testing.B) {
 	}
 }
 
-// --- E2: full pipeline (SKAT session + articulation) ---
+// --- Fig. 1 pipeline: SKAT session + articulation (skat.TestRunSessionWithThresholdExpert) ---
 
 func BenchmarkPipelineSKATToArticulation(b *testing.B) {
 	carrier, factory := fixtures.Carrier(), fixtures.Factory()
@@ -53,7 +53,7 @@ func BenchmarkPipelineSKATToArticulation(b *testing.B) {
 	}
 }
 
-// --- E3/E10: incremental articulation vs. global merge ---
+// --- articulation vs. global merge (algebra.TestCompositionVsGlobalMerge) ---
 
 func scalePair(b *testing.B, classes int) (*ontology.Ontology, *ontology.Ontology, *rules.Set) {
 	b.Helper()
@@ -103,7 +103,7 @@ func BenchmarkArticulationVsMerge_GlobalMerge(b *testing.B) {
 	}
 }
 
-// --- E4: maintenance assessment ---
+// --- §5.3 maintenance assessment (articulation.TestFreeChangesLeaveArticulationUnchanged) ---
 
 func BenchmarkMaintenanceAssessChange(b *testing.B) {
 	o1, o2, set := scalePair(b, 200)
@@ -119,7 +119,7 @@ func BenchmarkMaintenanceAssessChange(b *testing.B) {
 	}
 }
 
-// --- E5: algebra operators ---
+// --- algebra operators ---
 
 func benchAlgebra(b *testing.B, op func(o1, o2 *ontology.Ontology, set *rules.Set, opts algebra.Options) error) {
 	o1, o2, set := scalePair(b, 300)
@@ -154,7 +154,7 @@ func BenchmarkAlgebraDifference(b *testing.B) {
 	})
 }
 
-// --- E6: pattern matching ---
+// --- pattern matching ---
 
 func benchPattern(b *testing.B, p *pattern.Pattern, opts pattern.Options) {
 	o := workload.Generate(workload.Spec{Name: "pat", Classes: 1000, AttrsPerClass: 0.6, Seed: 3000})
@@ -186,7 +186,7 @@ func BenchmarkPatternMatchPath3(b *testing.B) {
 }
 
 // Ablation: what adjacency-based candidate narrowing buys on a 3-node
-// path pattern (DESIGN.md calls for ablations of design choices).
+// path pattern.
 func BenchmarkPatternNarrowingAblation(b *testing.B) {
 	p := &pattern.Pattern{
 		Nodes: []pattern.Node{{Var: "x"}, {Var: "y"}, {Var: "z"}},
@@ -223,7 +223,7 @@ func BenchmarkPatternMatchAttrPair(b *testing.B) {
 	}, pattern.Options{Injective: true})
 }
 
-// --- E7: SKAT proposal generation ---
+// --- SKAT proposal generation (skat.TestStructuralLiftsRecall) ---
 
 func benchSKAT(b *testing.B, cfg skat.Config) {
 	o1, o2, _ := workload.GeneratePair(workload.PairSpec{
@@ -252,7 +252,7 @@ func BenchmarkSKATStructural(b *testing.B) {
 	benchSKAT(b, skat.Config{Lexicon: lexicon.DefaultLexicon(), MinScore: 0.55, StructuralRounds: 2})
 }
 
-// --- E8: query execution ---
+// --- query execution: articulation-level vs. source-qualified ---
 
 func queryWorld(b *testing.B) *query.Engine {
 	b.Helper()
@@ -298,7 +298,7 @@ func BenchmarkQuerySourceQualified(b *testing.B) {
 	}
 }
 
-// --- E11: sequential reference vs. planned/parallel execution ---
+// --- sequential reference vs. planned execution (bench.TestPlannedExecutionMatchesSequential) ---
 
 func BenchmarkQuerySequentialPath(b *testing.B) {
 	eng := queryWorld(b)
@@ -326,7 +326,7 @@ func BenchmarkQueryPlannedPath(b *testing.B) {
 	}
 }
 
-// --- E9: inference strategies ---
+// --- inference strategies (inference.TestNaiveAndSemiNaiveAgree) ---
 
 func ancestorEngine(b *testing.B, n int) *inference.Engine {
 	b.Helper()
@@ -363,7 +363,7 @@ func BenchmarkInferenceNaive(b *testing.B) {
 	}
 }
 
-// --- E10: incremental arrival (one step of the chain) ---
+// --- incremental arrival: one step of the chain (algebra.TestCompositionVsGlobalMerge) ---
 
 func BenchmarkIncrementalArrival(b *testing.B) {
 	// One arrival: articulate the existing articulation ontology with a

@@ -10,7 +10,9 @@ import (
 )
 
 // DiffMode selects between the paper's two difference readings (§5.3),
-// which coincide only under particular edge orientations; see DESIGN.md.
+// which coincide only under particular edge orientations;
+// TestDifferenceFormalSemantics and TestDifferenceExampleSemantics pin
+// each.
 type DiffMode int
 
 const (

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/fixtures"
@@ -10,11 +9,11 @@ import (
 )
 
 // TestPlannedExecutionMatchesSequential is the determinism regression:
-// across every experiment query world, the planned executor (the batch
-// pipeline) must return byte-identical Result rows and row ordering to
-// the sequential reference — at one scan worker and on a pool, with
-// pinned partitions, under a tiny budget, and on a plan-cache hit —
-// for single-step plans and join chains alike.
+// across every query world, the planned executor (the batch pipeline)
+// must return byte-identical Result rows and row ordering to the
+// sequential reference — at one scan worker and on a pool, with pinned
+// partitions, under a tiny budget, and on a plan-cache hit — for
+// single-step plans and join chains alike.
 func TestPlannedExecutionMatchesSequential(t *testing.T) {
 	type world struct {
 		name string
@@ -23,12 +22,12 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 	}
 	var worlds []world
 
-	// The E8 reformulation-overhead world, articulation-level and
+	// The reformulation world, queried in articulation-level and
 	// source-qualified vocabulary.
 	for _, n := range []int{50, 150} {
 		eng, artTerm, srcTerm := buildQueryWorld(n)
 		worlds = append(worlds, world{
-			name: fmt.Sprintf("E8/%d", n),
+			name: fmt.Sprintf("query/%d", n),
 			eng:  eng,
 			qs: []query.Query{
 				query.MustParse("SELECT ?x ?p WHERE ?x InstanceOf " + artTerm + " . ?x Price ?p"),
@@ -37,22 +36,22 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 		})
 	}
 
-	// The E11 multi-source fan-out world (scaled down for test speed).
-	feng, fq, _ := buildFanoutWorld(4, 300)
-	worlds = append(worlds, world{name: "E11/4", eng: feng, qs: []query.Query{fq}})
+	// The multi-source fan-out world (scaled down for test speed).
+	feng, fq := buildFanoutWorld(4, 300)
+	worlds = append(worlds, world{name: "fanout/4", eng: feng, qs: []query.Query{fq}})
 
-	// The E12 join-heavy world (scaled down): the frontier stays at full
+	// The join-heavy world (scaled down): the frontier stays at full
 	// width through every step, stressing the partitioned joins.
-	jeng, jq, _ := buildJoinWorld(2, 250, 4)
-	worlds = append(worlds, world{name: "E12/4", eng: jeng, qs: []query.Query{jq}})
+	jeng, jq := buildJoinWorld(2, 250, 4)
+	worlds = append(worlds, world{name: "join/4", eng: jeng, qs: []query.Query{jq}})
 
-	// The E13 deep-chain world (scaled down): six keyed join steps with a
+	// The deep-chain world (scaled down): six keyed join steps with a
 	// widening frontier, exercising cross-step streaming end to end.
 	ceng, cq := buildChainWorld(4, 40, 6, 2)
-	worlds = append(worlds, world{name: "E13/6", eng: ceng, qs: []query.Query{cq}})
+	worlds = append(worlds, world{name: "chain/6", eng: ceng, qs: []query.Query{cq}})
 
-	// The Fig. 2 paper world used by E1/E2, including a filter query and
-	// a constant-subject query.
+	// The Fig. 2 paper world, including a filter query and a
+	// constant-subject query.
 	res, carrier, factory := fixtures.GenerateTransport()
 	peng, err := query.NewEngine(res.Art, map[string]*query.Source{
 		"carrier": {Ont: carrier, KB: fixtures.CarrierKB()},
@@ -113,15 +112,25 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 	if spilled.Stats.SpilledPartitions == 0 || spilled.Stats.SpillRuns == 0 {
 		t.Errorf("tiny-budget chain run did not spill: %+v", spilled.Stats)
 	}
+
+	// The planner must move the fan-out world's selective Status triple
+	// ahead of the textual order.
+	planned, err := feng.ExecuteWith(fq, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.Stats.ReorderedTriples == 0 {
+		t.Errorf("planner did not reorder the fan-out world's joins: %+v", planned.Stats)
+	}
 }
 
-// TestJoinWorldMatchesSequential is what remains true of the frozen E12
-// experiment on its world (1500 instances per source, 3 and 5
-// conjuncts): the planned join executors return rows identical to the
-// sequential reference, at one scan worker and on a pool.
+// TestJoinWorldMatchesSequential checks the join world at full width
+// (1500 instances per source, 3 and 5 conjuncts): the planned join
+// executors return rows identical to the sequential reference, at one
+// scan worker and on a pool.
 func TestJoinWorldMatchesSequential(t *testing.T) {
 	for _, nt := range []int{3, 5} {
-		eng, q, _ := buildJoinWorld(2, 1500, nt)
+		eng, q := buildJoinWorld(2, 1500, nt)
 		want, err := eng.ExecuteWith(q, query.Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
@@ -141,10 +150,10 @@ func TestJoinWorldMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestChainWorldStreamsEveryStep is what remains true of the frozen E13
-// experiment on its world (32 sources, 3 and 5 conjuncts, 8 workers and
-// 8 pinned partitions): rows identical to the sequential reference, and
-// the chain streams across every join step.
+// TestChainWorldStreamsEveryStep checks the deep-chain world at full
+// size (32 sources, 3 and 5 conjuncts, 8 workers and 8 pinned
+// partitions): rows identical to the sequential reference, and the
+// chain streams across every join step.
 func TestChainWorldStreamsEveryStep(t *testing.T) {
 	for _, nt := range []int{3, 5} {
 		eng, q := buildChainWorld(chainSources, chainInstances, nt, chainDup)
@@ -210,30 +219,5 @@ func TestBoundedMemoryPeakUnderCap(t *testing.T) {
 	}
 	if st.AdaptivePartitions == 0 {
 		t.Errorf("partition counts not planner-derived: %+v", st)
-	}
-}
-
-// TestE11PlannedBeatsSequential locks the E11 shape: rows identical in
-// every row, joins reordered, and the planned path ahead of the
-// sequential reference. The full ≥1.5x margin at n=32 is reported by
-// `onionbench -exp E11`; the test asserts the direction at a small scale
-// to stay robust under CI timing noise.
-func TestE11PlannedBeatsSequential(t *testing.T) {
-	tab := E11ParallelQuery([]int{2, 8})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("E11 rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "ok" {
-			t.Errorf("E11 determinism check failed: %v", row)
-		}
-		if row[6] == "0" {
-			t.Errorf("E11 planner did not reorder joins: %v", row)
-		}
-	}
-	last := tab.Rows[len(tab.Rows)-1]
-	sp := parseFloat(t, strings.TrimSuffix(last[5], "x"))
-	if sp <= 1.0 {
-		t.Errorf("planned path not faster at largest n: %v", last)
 	}
 }

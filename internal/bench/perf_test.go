@@ -8,7 +8,7 @@ import (
 
 // Allocation-regression benchmarks: run with -benchmem (CI's bench smoke
 // does) to track per-operation allocations of the planned executors on
-// the E11 fan-out, join-heavy and deep-chain worlds.
+// the fan-out, join-heavy and deep-chain worlds.
 
 func benchWorldExec(b *testing.B, eng *query.Engine, q query.Query, opts query.Options) {
 	b.Helper()
@@ -24,27 +24,27 @@ func benchWorldExec(b *testing.B, eng *query.Engine, q query.Query, opts query.O
 	}
 }
 
-func BenchmarkE11WorldTupleJoins(b *testing.B) {
-	eng, q, _ := buildFanoutWorld(8, 500)
+func BenchmarkFanoutWorldTupleJoins(b *testing.B) {
+	eng, q := buildFanoutWorld(8, 500)
 	benchWorldExec(b, eng, q, query.Options{})
 }
 
-func BenchmarkE12WorldTupleJoins(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, 500, 4)
+func BenchmarkJoinWorldTupleJoins(b *testing.B) {
+	eng, q := buildJoinWorld(2, 500, 4)
 	benchWorldExec(b, eng, q, query.Options{})
 }
 
-// BenchmarkE19WorldBatch tracks the columnar batch pipeline on the join
+// BenchmarkJoinWorldBatch tracks the columnar batch pipeline on the join
 // world scaled to 6000 instances per source, where one execution runs
 // tens of milliseconds — for -benchmem tracking and profiling.
-func BenchmarkE19WorldBatch(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, 6000, 4)
+func BenchmarkJoinWorldBatch(b *testing.B) {
+	eng, q := buildJoinWorld(2, 6000, 4)
 	benchWorldExec(b, eng, q, query.Options{Workers: chainWorkers})
 }
 
-// BenchmarkE13WorldPipelined tracks the cross-step pipeline on the
+// BenchmarkChainWorldPipelined tracks the cross-step pipeline on the
 // deep-chain world for -benchmem.
-func BenchmarkE13WorldPipelined(b *testing.B) {
+func BenchmarkChainWorldPipelined(b *testing.B) {
 	eng, q := buildChainWorld(8, 60, 5, 2)
 	benchWorldExec(b, eng, q, query.Options{Workers: 4})
 }

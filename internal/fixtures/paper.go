@@ -3,9 +3,9 @@
 // articulation rule set that produces the transport articulation ontology,
 // and the currency-conversion functions of §4.1's functional rules.
 //
-// Tests, benchmarks (experiment E1) and the examples/transportation
-// program all build on these fixtures, so the reconstruction lives in one
-// place.
+// Tests (TestFigure2 checks the reconstruction), benchmarks and the
+// examples/transportation program all build on these fixtures, so the
+// reconstruction lives in one place.
 package fixtures
 
 import (

@@ -10,7 +10,7 @@ import (
 func ref(s string) ontology.Ref { return ontology.MustParseRef(s) }
 
 // TestFigure2 regenerates the paper's Fig. 2 articulation and checks every
-// structure the paper describes (experiment E1).
+// structure the paper describes.
 func TestFigure2(t *testing.T) {
 	res, carrier, factory := GenerateTransport()
 	art := res.Art
@@ -103,8 +103,8 @@ func TestFigure2(t *testing.T) {
 	if diff := back - 2000; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("currency round trip = %v, want 2000", back)
 	}
-	if euros <= 2000 {
-		t.Errorf("2000 GBP should exceed 2000 EUR at the fixed rate, got %v", euros)
+	if euros != 3200 {
+		t.Errorf("MyCar's 2000 GBP = %v EUR, want 3200", euros)
 	}
 
 	// Structure inheritance (§4.2): Vehicle under Transportation inside
@@ -114,6 +114,9 @@ func TestFigure2(t *testing.T) {
 	}
 	if !art.Ont.IsA("PassengerCar", "Vehicle") {
 		t.Errorf("inherited structure missing PassengerCar -> Vehicle:\n%s", art.Ont)
+	}
+	if !art.Ont.IsA("PassengerCar", "Transportation") {
+		t.Errorf("inherited structure missing PassengerCar -> Transportation:\n%s", art.Ont)
 	}
 
 	// The articulation must stay small relative to the sources — that is

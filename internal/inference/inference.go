@@ -15,8 +15,9 @@
 //
 // Two evaluation strategies are available: Run (semi-naive, delta-driven —
 // the "lighter and faster" engine) and RunNaive (recompute-everything
-// naive iteration, standing in for a heavyweight engine in the scaling
-// comparison of experiment E9). Both reach the same fixpoint.
+// naive iteration, standing in for a heavyweight engine;
+// TestNaiveAndSemiNaiveAgree compares the two). Both reach the same
+// fixpoint.
 //
 // Derived facts carry provenance: which clause fired and which body facts
 // supported it, so the articulation engine can explain suggested bridges
@@ -139,7 +140,8 @@ type Stats struct {
 	// Derived is the number of new facts produced.
 	Derived int
 	// JoinsConsidered counts candidate body matches examined — the
-	// engine-effort metric compared across strategies in experiment E9.
+	// engine-effort metric TestNaiveAndSemiNaiveAgree compares across
+	// strategies.
 	JoinsConsidered int
 }
 
@@ -314,7 +316,8 @@ func (e *Engine) Run() Stats {
 }
 
 // RunNaive evaluates to fixpoint recomputing every clause against the full
-// fact store each round — the heavyweight baseline for experiment E9.
+// fact store each round — the heavyweight baseline the light engine is
+// measured against (TestNaiveAndSemiNaiveAgree).
 func (e *Engine) RunNaive() Stats {
 	e.joins = 0
 	stats := Stats{}

@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -97,30 +98,60 @@ func TestJoinAcrossPredicates(t *testing.T) {
 	}
 }
 
+// ancestorChain is the right-linear closure anc(x,z) :- par(x,y),
+// anc(y,z) over an n-node parent chain: naive evaluation re-derives every
+// known ancestor pair each round, so the light engine's advantage grows
+// with n.
+func ancestorChain(t testing.TB, n int) *Engine {
+	e := mustEngine(t,
+		MustParseClause("anc(?x,?y) :- par(?x,?y)"),
+		MustParseClause("anc(?x,?z) :- par(?x,?y), anc(?y,?z)"))
+	for i := 0; i+1 < n; i++ {
+		e.AddFact(Fact{"par", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1)})
+	}
+	return e
+}
+
 func TestNaiveAndSemiNaiveAgree(t *testing.T) {
-	build := func() *Engine {
-		e := mustEngine(t, transitivity("S"),
-			Clause{Head: A("SI", V("x"), V("y")), Body: []Atom{A("S", V("x"), V("y"))}},
-			transitivity("SI"))
-		chain := []string{"a", "b", "c", "d", "e", "f"}
-		for i := 0; i+1 < len(chain); i++ {
-			e.AddFact(Fact{"S", chain[i], chain[i+1]})
+	cases := []struct {
+		name  string
+		build func() *Engine
+	}{
+		{"two-closures", func() *Engine {
+			e := mustEngine(t, transitivity("S"),
+				Clause{Head: A("SI", V("x"), V("y")), Body: []Atom{A("S", V("x"), V("y"))}},
+				transitivity("SI"))
+			chain := []string{"a", "b", "c", "d", "e", "f"}
+			for i := 0; i+1 < len(chain); i++ {
+				e.AddFact(Fact{"S", chain[i], chain[i+1]})
+			}
+			e.AddFact(Fact{"SI", "f", "g"})
+			return e
+		}},
+		{"anc/30", func() *Engine { return ancestorChain(t, 30) }},
+		{"anc/60", func() *Engine { return ancestorChain(t, 60) }},
+	}
+	ratio := make(map[string]float64, len(cases))
+	for _, c := range cases {
+		e1 := c.build()
+		s1 := e1.Run()
+		e2 := c.build()
+		s2 := e2.RunNaive()
+		if !reflect.DeepEqual(e1.Facts(), e2.Facts()) {
+			t.Fatalf("%s: strategies disagree:\nsemi-naive %v\nnaive %v", c.name, e1.Facts(), e2.Facts())
 		}
-		e.AddFact(Fact{"SI", "f", "g"})
-		return e
+		if s1.Derived != s2.Derived {
+			t.Fatalf("%s: derived counts differ: %d vs %d", c.name, s1.Derived, s2.Derived)
+		}
+		if s1.JoinsConsidered >= s2.JoinsConsidered {
+			t.Fatalf("%s: semi-naive should consider fewer joins: %d vs %d", c.name, s1.JoinsConsidered, s2.JoinsConsidered)
+		}
+		ratio[c.name] = float64(s2.JoinsConsidered) / float64(s1.JoinsConsidered)
 	}
-	e1 := build()
-	s1 := e1.Run()
-	e2 := build()
-	s2 := e2.RunNaive()
-	if !reflect.DeepEqual(e1.Facts(), e2.Facts()) {
-		t.Fatalf("strategies disagree:\nsemi-naive %v\nnaive %v", e1.Facts(), e2.Facts())
-	}
-	if s1.Derived != s2.Derived {
-		t.Fatalf("derived counts differ: %d vs %d", s1.Derived, s2.Derived)
-	}
-	if s1.JoinsConsidered >= s2.JoinsConsidered {
-		t.Fatalf("semi-naive should consider fewer joins: %d vs %d", s1.JoinsConsidered, s2.JoinsConsidered)
+	// The light-engine claim (§4.1): the naive/semi-naive join ratio
+	// grows with the chain.
+	if ratio["anc/60"] <= ratio["anc/30"] {
+		t.Fatalf("naive/semi-naive join ratio did not grow: %.2f at 30 facts, %.2f at 60", ratio["anc/30"], ratio["anc/60"])
 	}
 }
 

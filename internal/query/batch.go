@@ -21,7 +21,7 @@ import (
 // works over at most this many rows. 512 is the sweet spot PR 10 measured:
 // the vectorization win saturates well before that (the per-row loop
 // bodies are branch-light), fuller batches amortise the channel hop, and
-// a 1024-row capacity measured slower on the E13 chain world, where
+// a 1024-row capacity measured slower on the deep-chain world, where
 // partitions see a few hundred rows and capacity-sized columns just
 // thrash the allocator. budgetedBatchRows is the smaller capacity used
 // under Options{MemoryLimit}, keeping each batch's fixed charge

@@ -25,7 +25,8 @@ type Source struct {
 }
 
 // Stats counts the work one execution performed; the query benchmarks
-// (experiment E8) report these alongside wall-clock times.
+// (BenchmarkQueryArticulationLevel and its neighbours) report these
+// alongside wall-clock times.
 type Stats struct {
 	// SourceScans is the number of per-source triple scans.
 	SourceScans int
@@ -517,7 +518,8 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q Query, opts Options) (*Result
 
 // executeSequential is the reference execution path: textual join order,
 // unindexed scans, no plan cache, no parallelism. The determinism tests
-// and the E11 benchmark compare the planned path against it.
+// (bench.TestPlannedExecutionMatchesSequential) and
+// BenchmarkQuerySequentialPath compare the planned path against it.
 func (e *Engine) executeSequential(ctx context.Context, q Query) (*Result, error) {
 	res := &Result{Vars: q.Select}
 	res.Stats.Workers = 1

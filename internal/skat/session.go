@@ -32,8 +32,8 @@ type Expert interface {
 	Satisfied(round int, newlyAccepted int) bool
 }
 
-// SessionStats summarises a SKAT session for reporting (experiment E7
-// measures expert workload with these numbers).
+// SessionStats summarises a SKAT session: rounds run, suggestions made,
+// and the expert's reviews and decisions.
 type SessionStats struct {
 	Rounds    int
 	Reviewed  int
@@ -117,8 +117,6 @@ func (e ThresholdExpert) Satisfied(round, newlyAccepted int) bool {
 // OracleExpert is a scripted expert that knows the ground-truth
 // correspondences (used by the workload generator's planted matches):
 // it accepts a suggestion exactly when the truth table contains it.
-// Experiment E7 uses it to measure how much of the truth SKAT surfaces
-// and how much expert effort the tool saves.
 type OracleExpert struct {
 	// Truth maps left-ontology terms to their true right-ontology terms.
 	Truth map[string]string

@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/articulation"
 	"repro/internal/fixtures"
 	"repro/internal/lexicon"
 	"repro/internal/ontology"
 	"repro/internal/rules"
+	"repro/internal/workload"
 )
 
 func proposeCarrierFactory(t testing.TB, cfg Config) []Suggestion {
@@ -200,6 +202,16 @@ func TestRunSessionWithThresholdExpert(t *testing.T) {
 	if !strings.Contains(text, "carrier.Transportation => factory.Transportation") {
 		t.Fatalf("session missed exact match:\n%s", text)
 	}
+	// The confirmed rules feed the articulation engine (Fig. 1's
+	// expert loop into articulation generation).
+	res, err := articulation.Generate("auto", fixtures.Carrier(), fixtures.Factory(), set,
+		articulation.Options{InheritStructure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Art.Bridges) == 0 {
+		t.Fatalf("confirmed rules generated no bridges:\n%s", text)
+	}
 }
 
 func TestRunSessionOracleNoDuplicateReviews(t *testing.T) {
@@ -273,6 +285,29 @@ func TestEvaluateMetrics(t *testing.T) {
 	empty := Evaluate(nil, nil)
 	if empty.Precision != 0 || empty.Recall != 0 || empty.F1 != 0 {
 		t.Fatalf("empty metrics = %+v", empty)
+	}
+}
+
+// TestStructuralLiftsRecall checks the semi-automation claim (§2.4)
+// against planted ground truth: lexicon plus structural propagation
+// surfaces more of the true correspondences than exact matching.
+func TestStructuralLiftsRecall(t *testing.T) {
+	o1, o2, truth := workload.GeneratePair(workload.PairSpec{
+		Spec:          workload.Spec{Name: "sk", Classes: 150, AttrsPerClass: 0.3, Seed: 2024},
+		Overlap:       0.6,
+		SynonymRename: 0.4,
+		StyleRename:   0.3,
+		Typo:          0.1,
+		ExtraClasses:  50,
+	})
+	recall := func(cfg Config) float64 {
+		return Evaluate(TopPerLeft(Propose(o1, o2, cfg)), truth).Recall
+	}
+	exact := recall(Config{Weights: Weights{Exact: 1}, MinScore: 0.95})
+	structural := recall(Config{Lexicon: lexicon.DefaultLexicon(), MinScore: 0.55, StructuralRounds: 2})
+	t.Logf("recall: exact only %.2f, +structural %.2f", exact, structural)
+	if structural <= exact {
+		t.Fatalf("structural recall %.2f not above exact-only %.2f", structural, exact)
 	}
 }
 

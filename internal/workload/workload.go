@@ -2,10 +2,10 @@
 // planted (ground-truth) correspondences, and source-churn mutations.
 //
 // The paper's evaluation is a worked example plus qualitative claims; to
-// measure those claims (experiments E3–E7, E10 in DESIGN.md) we need
-// ontologies of controlled size, overlap and naming divergence. The
-// generators here are deterministic per seed, so every benchmark row is
-// reproducible.
+// test those claims (composition vs. global merge, §5.3 maintenance, SKAT
+// recall) we need ontologies of controlled size, overlap and naming
+// divergence. The generators here are deterministic per seed, so every
+// test and benchmark is reproducible.
 package workload
 
 import (
@@ -310,8 +310,9 @@ type Mutation struct {
 }
 
 // Mutate applies n random structural changes to o in place and returns
-// them. It drives the maintenance experiment (E4): how much source churn
-// forces articulation updates.
+// them. It drives the §5.3 maintenance test
+// (articulation.TestFreeChangesLeaveArticulationUnchanged): a change
+// outside the articulation's coverage needs no articulation update.
 func Mutate(o *ontology.Ontology, n int, seed int64) []Mutation {
 	rng := rand.New(rand.NewSource(seed))
 	var out []Mutation

@@ -115,8 +115,8 @@ func TestGeneratePairStructureCopied(t *testing.T) {
 
 func TestGeneratePairSkatRecall(t *testing.T) {
 	// End-to-end sanity: SKAT with the lexicon must recover a majority of
-	// planted correspondences at reasonable precision (experiment E7's
-	// machinery).
+	// planted correspondences at reasonable precision (the machinery of
+	// skat.TestStructuralLiftsRecall).
 	o1, o2, truth := GeneratePair(PairSpec{
 		Spec:          Spec{Name: "src", Classes: 40, Seed: 19},
 		Overlap:       0.7,

@@ -209,7 +209,7 @@ type (
 	DiffMode = algebra.DiffMode
 )
 
-// Difference semantics (see DESIGN.md on the paper's two readings).
+// Difference semantics: the paper's two readings of §5.3 (see DiffMode).
 const (
 	DiffFormal  = algebra.DiffFormal
 	DiffExample = algebra.DiffExample
