@@ -337,6 +337,8 @@ func runCheckMetrics(baseURL string) error {
 	for _, want := range []string{
 		"# TYPE onion_serve_query_seconds histogram",
 		"# TYPE onion_serve_cache_events_total counter",
+		"# TYPE onion_serve_admission_grants_total counter",
+		"# TYPE onion_serve_breaker_state gauge",
 		"# TYPE onion_query_executions_total counter",
 		"# TYPE onion_query_budget_peak_bytes histogram",
 		"# TYPE onion_persist_append_seconds histogram",

@@ -1,9 +1,11 @@
 package main
 
 import (
-	"bytes"
+	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -58,28 +60,31 @@ func TestQueryTraceParam(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint scrapes /metrics after traffic and validates the
-// exposition with the in-tree validator, plus spot-checks that serving
-// and engine series counted the queries just issued.
+// TestMetricsEndpoint scrapes /metrics after a fixed script — one miss,
+// one hit, one /mutate — and validates the exposition with the in-tree
+// validator. /stats and /metrics must be two views of one record: every
+// /stats serve counter equals its /metrics series, whatever other
+// Services the test process has run.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := fig2Server(t)
-	for i := 0; i < 2; i++ {
-		post(t, ts.URL+"/query", queryRequest{Articulation: fixtures.ArtName, Query: smokeQuery}, nil)
+	q := queryRequest{Articulation: fixtures.ArtName, Query: smokeQuery}
+	for _, want := range []string{"miss", "hit"} {
+		var r queryResponse
+		if code := post(t, ts.URL+"/query", q, &r); code != http.StatusOK || r.Outcome != want {
+			t.Fatalf("query: HTTP %d outcome %q, want %s", code, r.Outcome, want)
+		}
+	}
+	var mut mutateResponse
+	if code := post(t, ts.URL+"/mutate", mutateRequest{Source: "carrier", Facts: []factJSON{
+		{Subject: "NewCar", Predicate: "InstanceOf", Object: valueJSON{Kind: "term", Value: json.RawMessage(`"PassengerCar"`)}},
+	}}, &mut); code != http.StatusOK || mut.Added != 1 {
+		t.Fatalf("mutate: HTTP %d, %+v", code, mut)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	text := get(t, ts.URL+"/metrics")
+	if err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
+		t.Fatalf("invalid exposition: %v\n%s", err, text)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: HTTP %d err %v", resp.StatusCode, err)
-	}
-	if err := obs.ValidateExposition(bytes.NewReader(body)); err != nil {
-		t.Fatalf("invalid exposition: %v\n%s", err, body)
-	}
-	text := string(body)
 	for _, want := range []string{
 		"# TYPE onion_serve_query_seconds histogram",
 		"# TYPE onion_serve_cache_events_total counter",
@@ -92,4 +97,74 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !seriesPositive(text, "onion_serve_query_seconds_count") {
 		t.Errorf("onion_serve_query_seconds counted no queries:\n%s", text)
 	}
+
+	var stats struct {
+		Serve map[string]float64 `json:"serve"`
+	}
+	if err := json.Unmarshal([]byte(get(t, ts.URL+"/stats")), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Serve["cache_misses"] != 1 || stats.Serve["cache_hits"] != 1 || stats.Serve["mutations"] != 1 {
+		t.Fatalf("/stats serve counters = %v, want the script's miss, hit and mutation", stats.Serve)
+	}
+	m := samples(text)
+	event := func(e string) float64 { return m[`onion_serve_cache_events_total{event="`+e+`"}`] }
+	rung := func(r string) float64 { return m[`onion_serve_admission_grants_total{rung="`+r+`"}`] }
+	fromMetrics := map[string]float64{
+		"cache_hits":      event("hit"),
+		"cache_misses":    event("miss"),
+		"coalesced":       event("coalesced"),
+		"negative_hits":   event("negative_hit"),
+		"evictions":       event("eviction"),
+		"disk_hits":       event("disk_hit"),
+		"disk_demotions":  event("demotion"),
+		"mutations":       m["onion_serve_mutations_total"],
+		"spilled_queries": m["onion_serve_spilled_queries_total"],
+		"admitted":        rung("full") + rung("degraded") + rung("min"),
+		"degraded_grants": rung("degraded") + rung("min"),
+		"queued":          m["onion_serve_queue_wait_seconds_count"],
+		"queue_wait_ns":   math.Round(m["onion_serve_queue_wait_seconds_sum"] * 1e9),
+		"shed":            m["onion_serve_shed_total"],
+		"disk_faults":     m["onion_serve_disk_faults_total"],
+		"breaker_trips":   m["onion_serve_breaker_trips_total"],
+	}
+	if len(stats.Serve) != len(fromMetrics) {
+		t.Errorf("/stats has %d serve counters, the test maps %d: %v", len(stats.Serve), len(fromMetrics), stats.Serve)
+	}
+	for key, v := range stats.Serve {
+		if want, ok := fromMetrics[key]; !ok || v != want {
+			t.Errorf("/stats %s = %v, /metrics says %v (mapped %v)", key, v, want, ok)
+		}
+	}
+}
+
+// get returns the body of a GET that must answer 200.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d err %v", url, resp.StatusCode, err)
+	}
+	return string(body)
+}
+
+// samples maps each sample line of an exposition, series name and label
+// block as written, to its value.
+func samples(text string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, line := range strings.Split(text, "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || sp < 0 {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[sp+1:], 64); err == nil {
+			out[line[:sp]] = v
+		}
+	}
+	return out
 }

@@ -183,7 +183,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.Handle("GET /metrics", obs.Handler())
+	mux.Handle("GET /metrics", obs.Handler(obs.Default, s.svc.Metrics()))
 	if s.pprofOn {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)

@@ -168,7 +168,7 @@ func TestChainWorldStreamsEveryStep(t *testing.T) {
 		if len(want.Rows) == 0 || !want.EqualRows(got) {
 			t.Errorf("%d triples: pipeline diverged from sequential (%d vs %d rows)", nt, len(got.Rows), len(want.Rows))
 		}
-		if got.Stats.PipelinedSteps != nt-1 {
+		if len(got.Stats.StepPartitions) != nt {
 			t.Errorf("%d triples: chain did not stream across every step: %+v", nt, got.Stats)
 		}
 	}
@@ -217,7 +217,7 @@ func TestBoundedMemoryPeakUnderCap(t *testing.T) {
 	if unbounded.Stats.BytesReserved <= boundedCap {
 		t.Errorf("world too small: unbounded peak %d under cap %d", unbounded.Stats.BytesReserved, boundedCap)
 	}
-	if st.AdaptivePartitions == 0 {
-		t.Errorf("partition counts not planner-derived: %+v", st)
+	if len(st.StepPartitions) < 2 {
+		t.Errorf("capped chain did not pipeline: %+v", st)
 	}
 }

@@ -676,10 +676,9 @@ func (s *System) Query(artName, text string) (*query.Result, error) {
 // from its estimates — plus a MemoryLimit under which joins degrade to
 // grace-hash spilling, and the sequential reference path). The
 // returned Result's Stats carry the execution counters, including
-// JoinPartitions, StreamedBatches, PipelinedSteps and StepPartitions
-// from the partitioned scan→join pipeline and BytesReserved,
-// SpilledPartitions, SpillRuns and AdaptivePartitions from the memory
-// governor. Execution runs under the registry read lock, so mutators
+// StreamedBatches and StepPartitions (each join step's partition
+// count) from the partitioned scan→join pipeline and BytesReserved,
+// SpilledPartitions and SpillRuns from the memory governor. Execution runs under the registry read lock, so mutators
 // (Infer, Regenerate, ...) wait for in-flight queries instead of
 // racing their scans.
 func (s *System) QueryWith(artName, text string, opts query.Options) (*query.Result, error) {

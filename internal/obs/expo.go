@@ -32,15 +32,19 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, err
 }
 
-// ServeHTTP makes a Registry an http.Handler serving its exposition.
-func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	r.WriteTo(w)
+// Handler serves the registries' expositions one after another, in the
+// order given — oniond's GET /metrics writes Default, then its
+// Service's registry. No family name may appear in two of them.
+func Handler(regs ...*Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		for _, r := range regs {
+			if _, err := r.WriteTo(w); err != nil {
+				return // the client is gone; nothing more can reach it
+			}
+		}
+	})
 }
-
-// Handler returns the Default registry as an http.Handler — oniond's
-// GET /metrics endpoint.
-func Handler() http.Handler { return Default }
 
 type countingWriter struct {
 	w io.Writer
@@ -146,9 +150,9 @@ func validLabelName(s string) bool  { return labelNameRe.MatchString(s) }
 func ValidateExposition(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	typed := make(map[string]string)  // family -> type
-	sampled := make(map[string]bool)  // family -> samples seen
-	series := make(map[string]bool)   // name + sorted labelset
+	typed := make(map[string]string) // family -> type
+	sampled := make(map[string]bool) // family -> samples seen
+	series := make(map[string]bool)  // name + sorted labelset
 	hists := make(map[string]*histCheck)
 	line := 0
 	for sc.Scan() {

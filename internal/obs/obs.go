@@ -2,14 +2,14 @@
 // atomic metrics registry with Prometheus text-format exposition, and a
 // lightweight span recorder for per-query traces.
 //
-// Metrics are package-level typed handles (Counter, Gauge, Histogram,
-// and their single-label Vec forms) registered against a Registry —
-// usually the package Default, which oniond serves at GET /metrics.
-// Every mutation is a single atomic op behind one atomic enabled-check,
-// so instrumentation adds no per-row work (query.TestTracingOffAllocs;
-// the served cost is benchmark/'s oniond.trace_overhead_pct), and
-// SetEnabled(false) gives benchmarks an uninstrumented baseline without
-// a separate build.
+// Metrics are typed handles (Counter, Gauge, Histogram, and their
+// single-label Vec forms) registered against a Registry: the package
+// Default for the engine and persistence layers, and one registry per
+// serve.Service for the serving counters. oniond's GET /metrics writes
+// Default, then its Service's registry (Handler). Every mutation is a
+// single atomic op behind one atomic enabled-check, so instrumentation
+// adds no per-row work (query.TestTracingOffAllocs; the served cost is
+// benchmark/'s oniond.trace_overhead_pct).
 //
 // Tracing (trace.go) is opt-in per query: a nil *Span is the disabled
 // recorder, and every method is a nil-receiver no-op, so code threads
@@ -30,13 +30,12 @@ import (
 // The zero value means enabled: the common path loads one false bool.
 var disabled atomic.Bool
 
-// SetEnabled turns metric collection on or off process-wide. It exists
-// for overhead benchmarks (an uninstrumented leg); servers leave
-// collection enabled.
+// SetEnabled turns metric collection on or off process-wide. Its one
+// user is query.TestTracingOffAllocs, whose uninstrumented baseline runs
+// with collection off; servers leave it on. Since a serve.Service reads
+// its /stats counters from its registry, turning collection off also
+// freezes them.
 func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether metric collection is active.
-func Enabled() bool { return !disabled.Load() }
 
 // LatencyBuckets is the fixed log-scaled bucket ladder shared by every
 // latency histogram: a 1-2.5-5 progression per decade from 10µs to 10s,
@@ -296,8 +295,9 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{fams: make(map[string]*family)} }
 
-// Default is the process-wide registry every package-level metric in
-// this repo registers against; oniond serves it at GET /metrics.
+// Default is the process-wide registry the package-level engine and
+// persistence metrics register against; oniond's GET /metrics writes it
+// first.
 var Default = NewRegistry()
 
 // register returns the family for name, creating it with the given

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/query/mem"
+	"repro/internal/rowcodec"
 )
 
 // This file is the columnar batch layer under the executor
@@ -143,8 +144,8 @@ func (b *colBatch) clearRow(i int) {
 // float bits, string bytes — instead of encoding the key to rowkey bytes
 // first, so a hash pass touches each column once with no byte
 // materialisation. hashCell must respect the engine's join equality
-// (sameCell): equal cells hash equal, every NaN hashes in one class, and
-// +0/-0 may differ (they never join). A keyless (cross-product) step
+// (rowcodec.SameCell): equal cells hash equal, every NaN hashes in one
+// class, and +0/-0 may differ (they never join). A keyless (cross-product) step
 // hashes every row to the seed itself.
 const batchHashSeed = 0x9E3779B97F4A7C15
 
@@ -413,10 +414,10 @@ func (bs *buildStore) head(h uint64) int32 {
 }
 
 // keysEqualAt verifies a hash match between probe row (pb, i) and build
-// row j under the engine's join equality (sameCell per key slot).
+// row j under the engine's join equality (rowcodec.SameCell per key slot).
 func (bs *buildStore) keysEqualAt(pb *colBatch, i int, j int32, keySlots []int) bool {
 	for _, s := range keySlots {
-		if !sameCell(pb.cols[s][i], bs.cols[s][j]) {
+		if !rowcodec.SameCell(pb.cols[s][i], bs.cols[s][j]) {
 			return false
 		}
 	}

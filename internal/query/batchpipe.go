@@ -12,6 +12,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/query/mem"
+	"repro/internal/rowcodec"
 )
 
 // This file is the planned execution entry point (executePlanned) and
@@ -398,9 +399,9 @@ func (o *batchOutput) projRowFrom(src *colBatch, i int, bs *buildStore, j int32)
 	pp.buf = pp.buf[:0]
 	for k, s := range pp.sel {
 		if o.selFromBuild[k] {
-			pp.buf = appendValueKey(pp.buf, bs.cols[s][j])
+			pp.buf = rowcodec.AppendValue(pp.buf, bs.cols[s][j])
 		} else {
-			pp.buf = appendValueKey(pp.buf, src.cols[s][i])
+			pp.buf = rowcodec.AppendValue(pp.buf, src.cols[s][i])
 		}
 	}
 	if _, dup := pp.keys[string(pp.buf)]; dup {
@@ -570,9 +571,6 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	parts := make([]int, n)
 	for si := 1; si < n; si++ {
 		parts[si] = plan.stepPartCount(si, opts, workers)
-	}
-	if opts.Partitions == 0 {
-		st.AdaptivePartitions = n - 1
 	}
 
 	var stepSpans []*obs.Span
@@ -1172,12 +1170,6 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	}
 	st.ParallelScans += dispatched
 	st.ScansCancelled += cancelled
-	st.PipelinedSteps = n - 1
-	for si := 1; si < n; si++ {
-		if st.JoinPartitions < parts[si] {
-			st.JoinPartitions = parts[si]
-		}
-	}
 	st.StepPartitions = make([]int, n)
 	copy(st.StepPartitions[1:], parts[1:])
 	if in := atomic.LoadInt64(&filterInTot); in > 0 {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/ontology"
+	"repro/internal/rowcodec"
 )
 
 // Source is one knowledge source: an ontology and (optionally) the
@@ -52,20 +53,17 @@ type Stats struct {
 	// Workers is the scan worker-pool size the execution used (1 on the
 	// Sequential reference path).
 	Workers int
-	// JoinPartitions is the number of hash partitions the joins ran with
-	// (the maximum across steps; 0 on a single-step plan).
-	JoinPartitions int
 	// StreamedBatches counts column batches streamed into the joins —
 	// from scans and from step to step (0 on a single-step plan).
 	StreamedBatches int
-	// PipelinedSteps counts join steps that received their probe input
-	// streamed from the previous step — every join step of a planned
-	// execution (0 on the Sequential reference path).
-	PipelinedSteps int
 	// StepPartitions records each step's hash-partition count in join
 	// order (0 for the leading scan step; nil on the Sequential
-	// reference path). The counts decouple from Workers via
-	// Options{Partitions}.
+	// reference path and on plans the batch pipeline does not run). Its
+	// length less one is the number of join steps that received their
+	// probe input streamed from the previous step, and its maximum is
+	// the widest join's partition count. The counts are planner-derived
+	// per step unless Options{Partitions} pins them all, and decouple
+	// from Workers either way.
 	StepPartitions []int
 	// ScansCancelled counts source scans whose dispatch was skipped
 	// because a pipeline step's output was provably empty — the
@@ -95,10 +93,6 @@ type Stats struct {
 	// one probe run per spilled join partition, plus one run per
 	// projection rotation (ProjectionSpills).
 	SpillRuns int
-	// AdaptivePartitions counts join steps whose hash-partition count
-	// was derived from the planner's scan estimates (0 when
-	// Options{Partitions} pins a global count or the plan has one step).
-	AdaptivePartitions int
 	// SpilledBytes counts bytes written to the SpillRuns runs (record
 	// framing included). Deterministic for a given spilled-partition
 	// set; 0 without a memory limit.
@@ -173,9 +167,9 @@ type Result struct {
 // EqualRows reports whether two results carry the same variables and
 // cell-identical rows in the same order — the determinism contract
 // between the sequential and the planned/parallel execution paths.
-// Cells compare kind-strictly (sameCell), so an executor that returned
-// Term("3000") where another returned Number(3000) is detected as a
-// divergence even though both cells format identically.
+// Cells compare kind-strictly (rowcodec.SameCell), so an executor that
+// returned Term("3000") where another returned Number(3000) is detected
+// as a divergence even though both cells format identically.
 func (r *Result) EqualRows(o *Result) bool {
 	if o == nil || len(r.Vars) != len(o.Vars) || len(r.Rows) != len(o.Rows) {
 		return false
@@ -190,7 +184,7 @@ func (r *Result) EqualRows(o *Result) bool {
 			return false
 		}
 		for j := range r.Rows[i] {
-			if !sameCell(r.Rows[i][j], o.Rows[i][j]) {
+			if !rowcodec.SameCell(r.Rows[i][j], o.Rows[i][j]) {
 				return false
 			}
 		}
@@ -572,7 +566,7 @@ func (e *Engine) project(res *Result, rows []binding, q Query) {
 		if !ok {
 			continue
 		}
-		buf = appendRowKey(buf[:0], out)
+		buf = rowcodec.AppendRow(buf[:0], out)
 		if key := string(buf); !keys[key] {
 			keys[key] = true
 			keep = append(keep, keyedRow{key, out})
@@ -582,8 +576,8 @@ func (e *Engine) project(res *Result, rows []binding, q Query) {
 }
 
 // keyedRow pairs an output row with its encoded sort/dedup key
-// (appendRowKey), so the final sort compares precomputed keys instead of
-// re-encoding both rows on every comparison.
+// (rowcodec.AppendRow), so the final sort compares precomputed keys
+// instead of re-encoding both rows on every comparison.
 type keyedRow struct {
 	key string
 	row []kb.Value
@@ -1113,7 +1107,7 @@ func sharedVars(left, right []binding) []string {
 }
 
 // joinKey encodes a row's join key on the shared variables with the same
-// collision-free encoding the planned path keys on (appendValueKey):
+// collision-free encoding the planned path keys on (rowcodec.AppendValue):
 // kind-strict and framing-safe, so a term literally named "\x01unbound"
 // or payloads containing '\x00' cannot falsely join (the seed joined
 // Format() strings with raw separators and an in-band unbound sentinel).
@@ -1123,7 +1117,7 @@ func joinKey(b binding, vars []string) string {
 	var buf []byte
 	for _, v := range vars {
 		if val, ok := b[v]; ok {
-			buf = appendValueKey(buf, val)
+			buf = rowcodec.AppendValue(buf, val)
 		} else {
 			// Out-of-band unbound marker. 0x03 starts no value encoding
 			// (kind tags are 0..2) and cannot be manufactured inside one

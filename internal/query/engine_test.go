@@ -7,6 +7,7 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/kb"
 	"repro/internal/ontology"
+	"repro/internal/rowcodec"
 	"repro/internal/rules"
 )
 
@@ -188,8 +189,8 @@ func TestQueryDeterministicOrder(t *testing.T) {
 	}
 	// Rows are sorted and deduplicated under the shared row-key encoding.
 	for i := 1; i < len(a.Rows); i++ {
-		prev := string(appendRowKey(nil, a.Rows[i-1]))
-		cur := string(appendRowKey(nil, a.Rows[i]))
+		prev := string(rowcodec.AppendRow(nil, a.Rows[i-1]))
+		cur := string(rowcodec.AppendRow(nil, a.Rows[i]))
 		if prev >= cur {
 			t.Fatalf("rows not strictly sorted at %d", i)
 		}

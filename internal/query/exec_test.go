@@ -86,24 +86,20 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 			t.Errorf("%s JoinedRows = %d, want %d", m.name, got.Stats.JoinedRows, want.Stats.JoinedRows)
 		}
 	}
-	// The pipelined run must actually have partitioned and streamed,
-	// with the partition counts planner-derived (adaptive) rather than
-	// pinned by an Options{Partitions} override.
+	// The pipelined run must actually have partitioned and streamed
+	// (TestAdaptivePartitionCounts checks the planner-derived counts).
 	got, err := eng.ExecuteWith(q, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats.JoinPartitions < 1 {
-		t.Errorf("JoinPartitions = %d, want >= 1", got.Stats.JoinPartitions)
+	if len(got.Stats.StepPartitions) < 2 {
+		t.Errorf("pooled chain did not pipeline: %+v", got.Stats)
 	}
-	if got.Stats.AdaptivePartitions == 0 {
-		t.Errorf("default partitioning not planner-derived: %+v", got.Stats)
+	if widestStep(got.Stats) < 1 {
+		t.Errorf("StepPartitions = %v, want a partitioned join step", got.Stats.StepPartitions)
 	}
 	if got.Stats.StreamedBatches == 0 {
 		t.Errorf("no batches streamed: %+v", got.Stats)
-	}
-	if got.Stats.PipelinedSteps == 0 {
-		t.Errorf("pooled chain did not pipeline: %+v", got.Stats)
 	}
 	// The pipelined run executes on the columnar batch plane.
 	if got.Stats.Batches == 0 || got.Stats.BatchRows == 0 {
@@ -114,9 +110,33 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pinned.Stats.JoinPartitions != 4 || pinned.Stats.AdaptivePartitions != 0 {
+	if !pinnedAt(pinned.Stats, 4) {
 		t.Errorf("Partitions override not honoured: %+v", pinned.Stats)
 	}
+}
+
+// widestStep is the widest join step's partition count: the maximum of
+// StepPartitions (0 when no step was partitioned).
+func widestStep(st Stats) int {
+	w := 0
+	for _, p := range st.StepPartitions {
+		w = max(w, p)
+	}
+	return w
+}
+
+// pinnedAt reports whether the execution pipelined and every join step
+// ran with exactly parts partitions.
+func pinnedAt(st Stats, parts int) bool {
+	if len(st.StepPartitions) < 2 {
+		return false
+	}
+	for _, p := range st.StepPartitions[1:] {
+		if p != parts {
+			return false
+		}
+	}
+	return true
 }
 
 // TestTupleCrossProduct covers disconnected conjuncts (no shared slots

@@ -31,8 +31,7 @@ var (
 )
 
 // recordQueryMetrics folds one successful planned execution's stats
-// into the package metrics. Gated on obs.Enabled at each mutation (a
-// single atomic load when disabled, the uninstrumented baseline).
+// into the package metrics.
 func recordQueryMetrics(st *Stats) {
 	cache := "compiled"
 	if st.PlanCacheHit {
@@ -42,6 +41,10 @@ func recordQueryMetrics(st *Stats) {
 	qmSpillRuns.Add(uint64(st.SpillRuns))
 	qmSpilledBytes.Add(uint64(st.SpilledBytes))
 	qmSpilledPartitions.Add(uint64(st.SpilledPartitions))
-	qmJoinPartitions.Observe(float64(st.JoinPartitions))
+	widest := 0
+	for _, p := range st.StepPartitions {
+		widest = max(widest, p)
+	}
+	qmJoinPartitions.Observe(float64(widest))
 	qmBudgetPeak.Observe(float64(st.BytesReserved))
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/query/mem"
+	"repro/internal/rowcodec"
 )
 
 // This file holds the pieces of the cross-step pipeline that are not
@@ -102,7 +103,7 @@ func newStageProj(q Query, plan *execPlan, bud, pool *mem.Budget, dir string) *s
 func (pp *stageProj) addBatchRow(b *colBatch, i int) {
 	pp.buf = pp.buf[:0]
 	for _, s := range pp.sel {
-		pp.buf = appendValueKey(pp.buf, b.cols[s][i])
+		pp.buf = rowcodec.AppendValue(pp.buf, b.cols[s][i])
 	}
 	if _, dup := pp.keys[string(pp.buf)]; dup {
 		return

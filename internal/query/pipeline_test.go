@@ -104,14 +104,8 @@ func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats.PipelinedSteps != steps-1 {
-		t.Errorf("PipelinedSteps = %d, want %d", got.Stats.PipelinedSteps, steps-1)
-	}
-	if got.Stats.JoinPartitions != 7 {
-		t.Errorf("JoinPartitions = %d, want 7 (decoupled from 4 workers)", got.Stats.JoinPartitions)
-	}
-	if len(got.Stats.StepPartitions) != steps || got.Stats.StepPartitions[0] != 0 || got.Stats.StepPartitions[1] != 7 {
-		t.Errorf("StepPartitions = %v, want [0 7 7 ...]", got.Stats.StepPartitions)
+	if len(got.Stats.StepPartitions) != steps || got.Stats.StepPartitions[0] != 0 || !pinnedAt(got.Stats, 7) {
+		t.Errorf("StepPartitions = %v, want [0 7 7 ...] (%d steps, 7 partitions decoupled from 4 workers)", got.Stats.StepPartitions, steps)
 	}
 	if got.Stats.StreamedBatches == 0 {
 		t.Errorf("no batches streamed: %+v", got.Stats)

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/kb"
+	"repro/internal/rowcodec"
 )
 
 // This file makes the last stage's streaming projection (stageProj,
@@ -163,13 +164,13 @@ func (pp *stageProj) cleanup() {
 }
 
 // decodeProjKey reconstructs a projected row from its key — the key is
-// appendValueKey over the SELECT cells, so it decodes cell by cell.
+// rowcodec.AppendValue over the SELECT cells, so it decodes cell by cell.
 func decodeProjKey(key []byte, selN int) ([]kb.Value, error) {
 	//lint:onion-ignore the caller (mergeRuns) charges projRowCost to the root for every merged row it retains; decode itself holds nothing past return
 	row := make([]kb.Value, selN)
 	body := key
 	for k := 0; k < selN; k++ {
-		v, consumed, err := decodeValueKey(body)
+		v, consumed, err := rowcodec.DecodeValue(body)
 		if err != nil {
 			return nil, fmt.Errorf("query: projection spill cell %d: %w", k, err)
 		}

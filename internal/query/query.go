@@ -32,9 +32,9 @@
 // Options{MemoryLimit} partitions and projections degrade to spill runs.
 //
 // All row keys — hash-join keys, projection dedup keys and the final
-// sort — share one kind-tagged, framing-safe value encoding (rowkey.go),
-// so adversarial payloads (embedded NUL bytes, kind-colliding formats)
-// cannot collapse distinct rows or falsely join.
+// sort — share one kind-tagged, framing-safe value encoding
+// (internal/rowcodec), so adversarial payloads (embedded NUL bytes,
+// kind-colliding formats) cannot collapse distinct rows or falsely join.
 //
 // The seed's sequential reference (Options{Sequential}: textual join
 // order, unindexed scans, binding maps) is kept as the oracle of the

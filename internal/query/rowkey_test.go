@@ -8,11 +8,12 @@ import (
 	"repro/internal/kb"
 	"repro/internal/ontology"
 	"repro/internal/query/mem"
+	"repro/internal/rowcodec"
 	"repro/internal/rules"
 )
 
 // vkey encodes one value with the shared row/join key encoding.
-func vkey(v kb.Value) string { return string(appendValueKey(nil, v)) }
+func vkey(v kb.Value) string { return string(rowcodec.AppendValue(nil, v)) }
 
 // TestAppendValueKeyKindStrict locks the shared encoding's kind tags:
 // values that format identically but differ in kind must produce
@@ -36,7 +37,7 @@ func TestAppendValueKeyFraming(t *testing.T) {
 	mk := func(vals ...kb.Value) string {
 		var buf []byte
 		for _, v := range vals {
-			buf = appendValueKey(buf, v)
+			buf = rowcodec.AppendValue(buf, v)
 		}
 		return string(buf)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/query/mem"
+	"repro/internal/rowcodec"
 )
 
 // This file is the grace-hash spilling machinery of the memory-governed
@@ -26,10 +27,11 @@ import (
 // checked out of the query's batchAlloc, so every completion path builds
 // the live path's buildStore and runs its match loop (batchOutput.probe).
 // A record is the row's key hash plus only the side's bound slots, each
-// in the framing-safe rowkey encoding (appendValueKey/decodeValueKey), so
-// spilled rows round-trip kind-strictly: a spilled row can never collapse
-// with, or diverge from, its in-memory twin — the tiny-budget determinism
-// suite forces every join to spill and still demands byte-identical rows.
+// in the framing-safe row-key encoding (rowcodec.AppendValue, inverted by
+// rowcodec.DecodeValue), so spilled rows round-trip kind-strictly: a
+// spilled row can never collapse with, or diverge from, its in-memory
+// twin — the tiny-budget determinism suite forces every join to spill
+// and still demands byte-identical rows.
 
 const (
 	// valueBytes is the accounting cost of one kb.Value slot (struct
@@ -153,8 +155,8 @@ func (rr *runReader) next() ([]byte, bool, error) {
 }
 
 // spillRun is one join run of (hash, row) records, the row's slots
-// encoded by appendValueKey — the same kind-tagged framing the joins key
-// on.
+// encoded by rowcodec.AppendValue — the same kind-tagged framing the
+// joins key on.
 type spillRun struct {
 	*runFile
 	// slots is the run's slot list: the slots bound in the rows of its
@@ -178,7 +180,7 @@ func newSpillRun(dir string, bud *mem.Budget, slots []int) (*spillRun, error) {
 func (r *spillRun) add(b *colBatch, i int) error {
 	rec := binary.BigEndian.AppendUint64(r.buf[:0], b.hashes[i])
 	for _, s := range r.slots {
-		rec = appendValueKey(rec, b.cols[s][i])
+		rec = rowcodec.AppendValue(rec, b.cols[s][i])
 	}
 	r.buf = rec
 	return r.write(rec)
@@ -268,7 +270,7 @@ func (sr *spillReader) decode(rec []byte, b *colBatch) error {
 // nothing on a hit). Numbers decode inline — no allocation to save.
 func (sr *spillReader) decodeField(body []byte) (kb.Value, int, error) {
 	if len(body) > 0 && kb.ValueKind(body[0]) == kb.KindNumber {
-		return decodeValueKey(body)
+		return rowcodec.DecodeValue(body)
 	}
 	// Frame the field (payload up to its unescaped terminator) so the
 	// raw bytes can key the intern table. The scan starts past the kind
@@ -280,7 +282,7 @@ func (sr *spillReader) decodeField(body []byte) (kb.Value, int, error) {
 			i++
 		}
 		if i >= len(body) {
-			return decodeValueKey(body) // let the decoder report the error
+			return rowcodec.DecodeValue(body) // let the decoder report the error
 		}
 		if i+1 < len(body) && body[i+1] == 0xff {
 			end = i + 2
@@ -292,7 +294,7 @@ func (sr *spillReader) decodeField(body []byte) (kb.Value, int, error) {
 	if v, ok := sr.intern[string(body[:end])]; ok {
 		return v, end, nil
 	}
-	v, consumed, err := decodeValueKey(body[:end])
+	v, consumed, err := rowcodec.DecodeValue(body[:end])
 	if err != nil {
 		return v, consumed, err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/ontology"
 	"repro/internal/query/mem"
+	"repro/internal/rowcodec"
 	"repro/internal/rules"
 )
 
@@ -40,14 +41,14 @@ var adversarialValues = []kb.Value{
 	kb.Number(-2.5),
 }
 
-// TestValueKeyRoundTrip locks decodeValueKey as the exact inverse of
-// appendValueKey — the property the spill wire format rests on. NaN is
-// the one non-identity: every NaN decodes to the canonical quiet NaN,
-// which is equal to the original under the engine's semantics.
+// TestValueKeyRoundTrip locks rowcodec.DecodeValue as the exact inverse
+// of rowcodec.AppendValue — the property the spill wire format rests on.
+// NaN is the one non-identity: every NaN decodes to the canonical quiet
+// NaN, which is equal to the original under the engine's semantics.
 func TestValueKeyRoundTrip(t *testing.T) {
 	for _, v := range adversarialValues {
-		enc := appendValueKey(nil, v)
-		got, n, err := decodeValueKey(enc)
+		enc := rowcodec.AppendValue(nil, v)
+		got, n, err := rowcodec.DecodeValue(enc)
 		if err != nil {
 			t.Errorf("%v: decode error: %v", v, err)
 			continue
@@ -55,27 +56,27 @@ func TestValueKeyRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Errorf("%v: consumed %d of %d bytes", v, n, len(enc))
 		}
-		if !sameCell(v, got) {
+		if !rowcodec.SameCell(v, got) {
 			t.Errorf("round-trip diverged: %#v -> %#v", v, got)
 		}
 		// Re-encoding the decoded value must reproduce the bytes — the
 		// byte-identical-rows contract of the spill leg.
-		if string(appendValueKey(nil, got)) != string(enc) {
+		if string(rowcodec.AppendValue(nil, got)) != string(enc) {
 			t.Errorf("%v: re-encode differs from original encoding", v)
 		}
 	}
 	// Concatenated fields decode in sequence without framing drift.
 	var buf []byte
 	for _, v := range adversarialValues {
-		buf = appendValueKey(buf, v)
+		buf = rowcodec.AppendValue(buf, v)
 	}
 	rest := buf
 	for i, v := range adversarialValues {
-		got, n, err := decodeValueKey(rest)
+		got, n, err := rowcodec.DecodeValue(rest)
 		if err != nil {
 			t.Fatalf("field %d: %v", i, err)
 		}
-		if !sameCell(v, got) {
+		if !rowcodec.SameCell(v, got) {
 			t.Fatalf("field %d diverged: %#v -> %#v", i, v, got)
 		}
 		rest = rest[n:]
@@ -95,7 +96,7 @@ func TestDecodeValueKeyRejectsMalformed(t *testing.T) {
 		{byte(kb.KindTerm), 'a'},    // unterminated payload
 		{7, 'a', 0},                 // unknown kind tag
 	} {
-		if _, _, err := decodeValueKey(bad); err == nil {
+		if _, _, err := rowcodec.DecodeValue(bad); err == nil {
 			t.Errorf("decode(%v) accepted malformed input", bad)
 		}
 	}
@@ -117,15 +118,15 @@ func FuzzValueKeyRoundTrip(f *testing.F) {
 		default:
 			v = kb.Number(n)
 		}
-		enc := appendValueKey(nil, v)
-		got, used, err := decodeValueKey(enc)
+		enc := rowcodec.AppendValue(nil, v)
+		got, used, err := rowcodec.DecodeValue(enc)
 		if err != nil {
 			t.Fatalf("decode(%#v): %v", v, err)
 		}
 		if used != len(enc) {
 			t.Fatalf("decode(%#v) consumed %d of %d", v, used, len(enc))
 		}
-		if !sameCell(v, got) {
+		if !rowcodec.SameCell(v, got) {
 			t.Fatalf("round-trip diverged: %#v -> %#v", v, got)
 		}
 	})
@@ -188,7 +189,7 @@ func TestSpillRunRoundTrip(t *testing.T) {
 					t.Errorf("%d records: row %d: hash %x, want %x", count, r, b.hashes[i], hashes[r])
 				}
 				for _, s := range listed {
-					if !sameCell(b.cols[s][i], want[r][s]) {
+					if !rowcodec.SameCell(b.cols[s][i], want[r][s]) {
 						t.Errorf("%d records: row %d slot %d: %#v, want %#v", count, r, s, b.cols[s][i], want[r][s])
 					}
 				}
@@ -229,7 +230,7 @@ func TestSpillRunRoundTrip(t *testing.T) {
 				break
 			}
 			for i := 0; i < b.n; i++ {
-				if !sameCell(b.cols[unlisted][i], sentinel) {
+				if !rowcodec.SameCell(b.cols[unlisted][i], sentinel) {
 					t.Fatalf("%d records: row %d: unlisted slot overwritten with %#v", count, got+i, b.cols[unlisted][i])
 				}
 			}
@@ -647,8 +648,8 @@ func TestAdaptivePartitionCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats.AdaptivePartitions == 0 {
-		t.Fatalf("execution not adaptive: %+v", got.Stats)
+	if len(got.Stats.StepPartitions) < 2 {
+		t.Fatalf("execution did not pipeline: %+v", got.Stats)
 	}
 	// The recorded per-step counts must match the explained plan.
 	seen := map[int]bool{}
@@ -663,7 +664,7 @@ func TestAdaptivePartitionCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pinned.Stats.AdaptivePartitions != 0 || pinned.Stats.JoinPartitions != 5 {
+	if !pinnedAt(pinned.Stats, 5) {
 		t.Fatalf("Partitions override not pinned: %+v", pinned.Stats)
 	}
 	seq, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -997,7 +998,7 @@ func TestProjectionSpillMergeDedup(t *testing.T) {
 	}
 	want := map[string][2]kb.Value{}
 	for _, r := range [][2]kb.Value{rowA, rowB, rowC, rowD} {
-		want[string(appendValueKey(appendValueKey(nil, r[0]), r[1]))] = r
+		want[string(rowcodec.AppendValue(rowcodec.AppendValue(nil, r[0]), r[1]))] = r
 	}
 	if len(got) != len(want) {
 		t.Fatalf("merge emitted %d rows, want %d distinct", len(got), len(want))
@@ -1011,7 +1012,7 @@ func TestProjectionSpillMergeDedup(t *testing.T) {
 			t.Fatalf("row %d: unknown key %q", i, kr.key)
 		}
 		for k := range orig {
-			if !sameCell(kr.row[k], orig[k]) {
+			if !rowcodec.SameCell(kr.row[k], orig[k]) {
 				t.Errorf("row %d cell %d: %#v, want %#v", i, k, kr.row[k], orig[k])
 			}
 		}
@@ -1102,7 +1103,7 @@ func TestHybridGraceJoin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
-		if parts := got.Stats.JoinPartitions; parts > 8 || got.Stats.SpilledPartitions != parts {
+		if parts := widestStep(got.Stats); parts > 8 || got.Stats.SpilledPartitions != parts {
 			t.Fatalf("%s: want every one of at most 8 partitions spilled: %+v", leg.name, got.Stats)
 		}
 		if got.Stats.HybridJoins == 0 {

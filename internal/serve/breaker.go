@@ -3,6 +3,8 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Circuit-breaker defaults: the disk tier degrades to memory-only after
@@ -39,28 +41,32 @@ type breaker struct {
 	state     int
 	failures  int // consecutive, resets on any success
 	openedAt  time.Time
-	tripCount uint64
+
+	// gauge mirrors state and trips counts openings, both in the
+	// owning Service's registry.
+	gauge *obs.Gauge
+	trips *obs.Counter
 
 	// now is a test hook; nil means time.Now.
 	now func() time.Time
 }
 
-func newBreaker() *breaker {
-	return &breaker{threshold: breakerThreshold, cooldown: breakerCooldown}
+func newBreaker(m *metrics) *breaker {
+	return &breaker{threshold: breakerThreshold, cooldown: breakerCooldown,
+		gauge: m.breakerState, trips: m.breakerTrips}
 }
 
-// publish mirrors the state into the process-wide breaker gauge
-// (0 closed, 1 probing, 2 open). Called with b.mu held — a gauge set is
-// one atomic store, never I/O. The gauge is last-writer-wins across
-// breakers; oniond runs exactly one disk tier.
+// publish mirrors the state into the breaker gauge (0 closed,
+// 1 probing, 2 open). Called with b.mu held — a gauge set is one atomic
+// store, never I/O.
 func (b *breaker) publish() {
 	switch b.state {
 	case breakerClosed:
-		smBreakerState.Set(0)
+		b.gauge.Set(0)
 	case breakerProbing:
-		smBreakerState.Set(1)
+		b.gauge.Set(1)
 	default:
-		smBreakerState.Set(2)
+		b.gauge.Set(2)
 	}
 }
 
@@ -108,19 +114,12 @@ func (b *breaker) record(err error) {
 	b.failures++
 	if b.state == breakerProbing || b.failures >= b.threshold {
 		if b.state != breakerOpen {
-			b.tripCount++
+			b.trips.Inc()
 		}
 		b.state = breakerOpen
 		b.openedAt = b.clock()
 		b.publish()
 	}
-}
-
-// trips returns how many times the breaker has opened.
-func (b *breaker) trips() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tripCount
 }
 
 // isOpen reports whether the tier is currently degraded (open or mid-

@@ -8,10 +8,10 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/kb"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rowcodec"
 	"repro/internal/vfs"
@@ -48,7 +48,7 @@ type diskCache struct {
 	brk     *breaker
 	retries int           // I/O retries after the first attempt
 	backoff time.Duration // first retry's sleep; doubles per retry
-	faults  atomic.Uint64 // failed I/O attempts (each retry counts)
+	faults  *obs.Counter  // failed I/O attempts (each retry counts)
 }
 
 const (
@@ -61,16 +61,12 @@ const (
 	diskRetryBackoff = 2 * time.Millisecond
 )
 
-// newDiskCache opens the disk tier on the real filesystem.
-func newDiskCache(dir string, capacity int) (*diskCache, error) {
-	return newDiskCacheFS(dir, capacity, vfs.OS{})
-}
-
 // newDiskCacheFS opens (creating if needed) the disk tier's directory
 // over an injectable filesystem and clears leftover entries: cache keys
 // embed the process-unique engine id, so entries from a previous
-// process can never hit again.
-func newDiskCacheFS(dir string, capacity int, fsys vfs.FS) (*diskCache, error) {
+// process can never hit again. The tier records its faults and breaker
+// state in m.
+func newDiskCacheFS(dir string, capacity int, fsys vfs.FS, m *metrics) (*diskCache, error) {
 	if capacity <= 0 {
 		capacity = defaultDiskCache
 	}
@@ -86,7 +82,7 @@ func newDiskCacheFS(dir string, capacity int, fsys vfs.FS) (*diskCache, error) {
 	}
 	return &diskCache{
 		fs: fsys, dir: dir, cap: capacity, items: make(map[string]string),
-		brk: newBreaker(), retries: diskRetries, backoff: diskRetryBackoff,
+		brk: newBreaker(m), faults: m.diskFaults, retries: diskRetries, backoff: diskRetryBackoff,
 	}, nil
 }
 
@@ -104,7 +100,7 @@ func (c *diskCache) retryIO(op func() error) error {
 		if err = op(); err == nil {
 			return nil
 		}
-		c.faults.Add(1)
+		c.faults.Inc()
 	}
 	return err
 }

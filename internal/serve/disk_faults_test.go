@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ import (
 func faultyDiskCache(t *testing.T, capacity int) (*vfs.Faulty, *diskCache) {
 	t.Helper()
 	fsys := vfs.NewFaulty(vfs.OS{})
-	c, err := newDiskCacheFS(t.TempDir(), capacity, fsys)
+	c, err := newDiskCacheFS(t.TempDir(), capacity, fsys, newMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestDiskReadRetryHealsTransient(t *testing.T) {
 	if !ok || !got.EqualRows(res) {
 		t.Fatalf("get after transient fault: ok=%v", ok)
 	}
-	if f := c.faults.Load(); f != 1 {
+	if f := c.faults.Value(); f != 1 {
 		t.Fatalf("faults = %d, want 1 (the healed attempt)", f)
 	}
 	if c.brk.isOpen() {
@@ -72,9 +73,9 @@ func TestDiskBreakerOpensAndRecloses(t *testing.T) {
 			t.Fatalf("get %d succeeded under a persistent fault", i)
 		}
 	}
-	if !c.brk.isOpen() || c.brk.trips() != 1 {
+	if !c.brk.isOpen() || c.brk.trips.Value() != 1 {
 		t.Fatalf("breaker open=%v trips=%d after threshold failures, want open, 1 trip",
-			c.brk.isOpen(), c.brk.trips())
+			c.brk.isOpen(), c.brk.trips.Value())
 	}
 	// Open breaker: misses are instant and touch no file at all.
 	opsBefore := fsys.Ops()
@@ -97,9 +98,9 @@ func TestDiskBreakerOpensAndRecloses(t *testing.T) {
 	if !ok || !got.EqualRows(res) {
 		t.Fatalf("probe get after recovery: ok=%v", ok)
 	}
-	if c.brk.isOpen() || c.brk.trips() != 1 {
+	if c.brk.isOpen() || c.brk.trips.Value() != 1 {
 		t.Fatalf("breaker open=%v trips=%d after successful probe, want closed, 1 trip",
-			c.brk.isOpen(), c.brk.trips())
+			c.brk.isOpen(), c.brk.trips.Value())
 	}
 }
 
@@ -118,9 +119,9 @@ func TestDiskFailedProbeReopens(t *testing.T) {
 	c.get("k") // trips immediately (threshold 1)
 	now = now.Add(c.brk.cooldown + time.Millisecond)
 	c.get("k") // the probe fails against the still-broken device
-	if !c.brk.isOpen() || c.brk.trips() != 2 {
+	if !c.brk.isOpen() || c.brk.trips.Value() != 2 {
 		t.Fatalf("breaker open=%v trips=%d after failed probe, want open, 2 trips",
-			c.brk.isOpen(), c.brk.trips())
+			c.brk.isOpen(), c.brk.trips.Value())
 	}
 }
 
@@ -139,9 +140,9 @@ func TestDiskCorruptEntryDoesNotTripBreaker(t *testing.T) {
 	if _, ok := c.get("k"); ok {
 		t.Fatal("corrupt entry served")
 	}
-	if c.brk.isOpen() || c.faults.Load() != 0 {
+	if c.brk.isOpen() || c.faults.Value() != 0 {
 		t.Fatalf("corruption moved device-health signals: open=%v faults=%d",
-			c.brk.isOpen(), c.faults.Load())
+			c.brk.isOpen(), c.faults.Value())
 	}
 	// The slot is reusable immediately.
 	if !c.put("k", res) {
@@ -216,4 +217,58 @@ func TestDiskOutageNeverFailsQueries(t *testing.T) {
 	if !s.disk.brk.isOpen() {
 		t.Fatal("breaker closed while the device is still dead")
 	}
+}
+
+// TestBreakerStatePerService runs two Services in one process: each
+// reports its own disk-tier breaker in its own registry, so healthy I/O
+// on one cannot overwrite the other's open state.
+func TestBreakerStatePerService(t *testing.T) {
+	tripped, healthy := paperService(t, Options{}), paperService(t, Options{})
+	fsys := vfs.NewFaulty(vfs.OS{})
+	if err := tripped.EnableDiskCacheFS(t.TempDir(), 4, fsys); err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.EnableDiskCache(t.TempDir(), 4); err != nil {
+		t.Fatal(err)
+	}
+	c := tripped.disk
+	c.retries = 0
+	c.brk.threshold = 1
+	if !c.put("k", testResult()) {
+		t.Fatal("put failed")
+	}
+	fsys.Inject(vfs.Rule{Op: vfs.OpRead, Err: syscall.EIO})
+	if _, ok := c.get("k"); ok || !c.brk.isOpen() {
+		t.Fatalf("faulted get: ok=%v open=%v, want a miss that trips the breaker", ok, c.brk.isOpen())
+	}
+	// The healthy tier's breaker records a success and publishes closed.
+	if !healthy.disk.put("k", testResult()) {
+		t.Fatal("healthy put failed")
+	}
+	if got := breakerState(t, tripped); got != "2" {
+		t.Errorf("tripped service breaker_state = %s, want 2 (open)", got)
+	}
+	if got := breakerState(t, healthy); got != "0" {
+		t.Errorf("healthy service breaker_state = %s, want 0 (closed)", got)
+	}
+	if a, b := tripped.Stats().BreakerTrips, healthy.Stats().BreakerTrips; a != 1 || b != 0 {
+		t.Errorf("breaker_trips = %d and %d, want 1 and 0", a, b)
+	}
+}
+
+// breakerState reads onion_serve_breaker_state from the service's
+// registry exposition.
+func breakerState(t *testing.T, s *Service) string {
+	t.Helper()
+	var b strings.Builder
+	if _, err := s.Metrics().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "onion_serve_breaker_state "); ok {
+			return v
+		}
+	}
+	t.Fatalf("no onion_serve_breaker_state sample in:\n%s", b.String())
+	return ""
 }

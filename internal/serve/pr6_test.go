@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/query"
+	"repro/internal/vfs"
 )
 
 // TestCacheKeyAdversarialNames pins the framing fix in cacheKey. The old
@@ -204,7 +205,7 @@ func TestDiskCacheTier(t *testing.T) {
 // original position in the eviction order and was evicted as "oldest"
 // ahead of genuinely cold entries.
 func TestDiskCacheRefreshOnRedemote(t *testing.T) {
-	c, err := newDiskCache(t.TempDir(), 2)
+	c, err := newDiskCacheFS(t.TempDir(), 2, vfs.OS{}, newMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestDiskCacheCorruptionAndStaleWipe(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("leftover"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := newDiskCache(dir, 2)
+	c, err := newDiskCacheFS(dir, 2, vfs.OS{}, newMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}

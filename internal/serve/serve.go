@@ -31,8 +31,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -151,7 +151,8 @@ type Stats struct {
 	// execution to run under a tighter budget (and typically spill).
 	DegradedGrants uint64 `json:"degraded_grants"`
 	// QueueWaitNs accumulates nanoseconds spent waiting in the
-	// admission queue, across admitted and expired waiters alike.
+	// admission queue, across admitted and expired waiters alike: the
+	// queue-wait histogram's sum, rounded to the nanosecond.
 	QueueWaitNs uint64 `json:"queue_wait_ns"`
 	// DiskFaults counts failed disk-tier I/O attempts (every failed
 	// try, including ones a retry then healed). Corrupt entries do not
@@ -178,7 +179,8 @@ const (
 	// context expired before capacity freed up (ErrQueueTimeout).
 	OutcomeQueued
 	// OutcomeShed: refused immediately by admission control — pool
-	// exhausted and queue full (ErrShed).
+	// exhausted and queue full (ErrShed). It stays last: the latency
+	// histograms are an array sized by it (metrics.dur).
 	OutcomeShed
 )
 
@@ -231,20 +233,8 @@ type Service struct {
 	// flight is registered, so a whole coalition waits (and pays) once.
 	gov *governor
 
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	coalesced   atomic.Uint64
-	negHits     atomic.Uint64
-	evictions   atomic.Uint64
-	mutations   atomic.Uint64
-	spilled     atomic.Uint64
-	diskHits    atomic.Uint64
-	demotions   atomic.Uint64
-	admitted    atomic.Uint64
-	queued      atomic.Uint64
-	shed        atomic.Uint64
-	degraded    atomic.Uint64
-	queueWaitNs atomic.Uint64
+	// m is the one record of every serving quantity (metrics.go).
+	m *metrics
 
 	// leaderGate, when non-nil, runs on the singleflight leader between
 	// registering its flight and executing — a test hook that lets the
@@ -258,7 +248,7 @@ type Service struct {
 
 // New returns a Service over the system.
 func New(sys *core.System, opts Options) *Service {
-	s := &Service{sys: sys, opts: opts, flights: make(map[string]*flight)}
+	s := &Service{sys: sys, opts: opts, flights: make(map[string]*flight), m: newMetrics()}
 	if opts.CacheEntries >= 0 {
 		n := opts.CacheEntries
 		if n == 0 {
@@ -303,7 +293,7 @@ func (s *Service) EnableDiskCacheFS(dir string, entries int, fsys vfs.FS) error 
 	// Open the tier (directory creation, stale-entry sweep — file I/O)
 	// before re-taking the lock: even a setup-path critical section must
 	// never span disk work (onionlint:lockscope enforces this).
-	d, err := newDiskCacheFS(dir, entries, fsys)
+	d, err := newDiskCacheFS(dir, entries, fsys, s.m)
 	if err != nil {
 		return err
 	}
@@ -318,8 +308,7 @@ func (s *Service) EnableDiskCacheFS(dir string, entries int, fsys vfs.FS) error 
 // never extend the global critical section — a slow disk stalls only
 // disk-tier traffic, never memory-cache hits.
 func (s *Service) demote(evicted []*cacheEntry) {
-	s.evictions.Add(uint64(len(evicted)))
-	smEvEviction.Add(uint64(len(evicted)))
+	s.m.evictions.Add(uint64(len(evicted)))
 	if s.disk == nil {
 		return
 	}
@@ -328,8 +317,7 @@ func (s *Service) demote(evicted []*cacheEntry) {
 			continue
 		}
 		if s.disk.put(e.key, e.res) {
-			s.demotions.Add(1)
-			smEvDemotion.Inc()
+			s.m.demotions.Inc()
 		}
 	}
 }
@@ -337,40 +325,41 @@ func (s *Service) demote(evicted []*cacheEntry) {
 // System returns the underlying registry, for read-side endpoints.
 func (s *Service) System() *core.System { return s.sys }
 
-// Stats returns a point-in-time snapshot of the traffic counters. Each
-// field is loaded atomically, but the struct is not one consistent cut:
-// traffic keeps advancing while the snapshot assembles, so fields can
-// reflect slightly different instants. What the snapshot does guarantee
-// is that a derived counter never exceeds the total that bounds it:
-// every such child (degraded grants, spilled queries, disk demotions,
-// queue-wait time) is incremented *after* its parent on the serving
-// paths, so loading the child before the parent here means any child
-// increment the snapshot sees has its parent increment included in the
-// later parent load. (The previous version loaded parents first, so a
-// concurrent degraded admission could surface as degraded_grants >
-// admitted in the snapshot.)
+// Metrics returns the registry holding the service's serving
+// counters — the one record Stats reads — for exposition (oniond's
+// GET /metrics writes it after obs.Default).
+func (s *Service) Metrics() *obs.Registry { return s.m.reg }
+
+// Stats returns a point-in-time snapshot of the traffic counters, read
+// from the Metrics registry. Each value is loaded atomically, but the
+// struct is not one consistent cut: traffic keeps advancing while it
+// assembles. What it does guarantee is that a child never exceeds the
+// total that bounds it. Admitted and DegradedGrants are sums over the
+// same rung loads; Queued and QueueWaitNs are the queue-wait
+// histogram's count and sum, and a histogram observation counts before
+// it sums. Spilled queries and disk demotions are incremented after
+// their parents (misses, evictions) on the serving paths, so loading
+// each child before its parent means every child increment seen has its
+// parent's included.
 func (s *Service) Stats() Stats {
+	m := s.m
 	var st Stats
-	if s.disk != nil {
-		st.DiskFaults = s.disk.faults.Load()
-		st.BreakerTrips = s.disk.brk.trips()
-	}
-	// Children before parents, per the invariant pairs above.
-	st.DegradedGrants = s.degraded.Load()
-	st.Admitted = s.admitted.Load()
-	st.QueueWaitNs = s.queueWaitNs.Load()
-	st.Queued = s.queued.Load()
-	st.SpilledQueries = s.spilled.Load()
-	st.CacheMisses = s.misses.Load()
-	st.DiskDemotions = s.demotions.Load()
-	st.Evictions = s.evictions.Load()
-	// Independent counters, in declaration order.
-	st.CacheHits = s.hits.Load()
-	st.Coalesced = s.coalesced.Load()
-	st.NegativeHits = s.negHits.Load()
-	st.Mutations = s.mutations.Load()
-	st.DiskHits = s.diskHits.Load()
-	st.Shed = s.shed.Load()
+	st.DegradedGrants = m.rungDegraded.Value() + m.rungMin.Value()
+	st.Admitted = st.DegradedGrants + m.rungFull.Value()
+	st.QueueWaitNs = uint64(math.Round(m.queueWait.Sum() * 1e9))
+	st.Queued = m.queueWait.Count()
+	st.SpilledQueries = m.spilled.Value()
+	st.CacheMisses = m.misses.Value()
+	st.DiskDemotions = m.demotions.Value()
+	st.Evictions = m.evictions.Value()
+	st.CacheHits = m.hits.Value()
+	st.Coalesced = m.coalesced.Value()
+	st.NegativeHits = m.negHits.Value()
+	st.Mutations = m.mutations.Value()
+	st.DiskHits = m.diskHits.Value()
+	st.Shed = m.shed.Value()
+	st.DiskFaults = m.diskFaults.Value()
+	st.BreakerTrips = m.breakerTrips.Value()
 	return st
 }
 
@@ -435,7 +424,7 @@ func (s *Service) DoLimited(ctx context.Context, artName string, q query.Query, 
 func (s *Service) doLimited(ctx context.Context, artName string, q query.Query, lim Limits, sp *obs.Span) (*query.Result, Outcome, error) {
 	t0 := time.Now()
 	res, out, err := s.answer(ctx, artName, q, lim, sp)
-	durFor(out).ObserveSince(t0)
+	s.m.dur[out].ObserveSince(t0)
 	return res, out, err
 }
 
@@ -467,8 +456,7 @@ func (s *Service) answer(ctx context.Context, artName string, q query.Query, lim
 		if s.cache != nil {
 			if res, ok := s.cache.get(key); ok {
 				s.mu.Unlock()
-				s.hits.Add(1)
-				smEvHit.Inc()
+				s.m.hits.Inc()
 				cacheSpan(sp, "memory")
 				return res, OutcomeHit, nil
 			}
@@ -476,8 +464,7 @@ func (s *Service) answer(ctx context.Context, artName string, q query.Query, lim
 		if s.negCache != nil {
 			if res, ok := s.negCache.get(key); ok {
 				s.mu.Unlock()
-				s.negHits.Add(1)
-				smEvNegHit.Inc()
+				s.m.negHits.Inc()
 				cacheSpan(sp, "negative")
 				return res, OutcomeHit, nil
 			}
@@ -496,8 +483,7 @@ func (s *Service) answer(ctx context.Context, artName string, q query.Query, lim
 				evicted := s.cache.put(key, res)
 				s.mu.Unlock()
 				s.demote(evicted)
-				s.diskHits.Add(1)
-				smEvDiskHit.Inc()
+				s.m.diskHits.Inc()
 				cacheSpan(sp, "disk")
 				return res, OutcomeHit, nil
 			}
@@ -506,8 +492,7 @@ func (s *Service) answer(ctx context.Context, artName string, q query.Query, lim
 			// promoted this key while the lock was released.
 			if res, ok := s.cache.get(key); ok {
 				s.mu.Unlock()
-				s.hits.Add(1)
-				smEvHit.Inc()
+				s.m.hits.Inc()
 				cacheSpan(sp, "memory")
 				return res, OutcomeHit, nil
 			}
@@ -517,13 +502,11 @@ func (s *Service) answer(ctx context.Context, artName string, q query.Query, lim
 			f = &flight{done: make(chan struct{})}
 			s.flights[key] = f
 			s.mu.Unlock()
-			s.misses.Add(1)
-			smEvMiss.Inc()
+			s.m.misses.Inc()
 			return s.lead(ctx, artName, q, key, f, lim, sp)
 		}
 		s.mu.Unlock()
-		s.coalesced.Add(1)
-		smEvCoalesced.Inc()
+		s.m.coalesced.Inc()
 		var ws *obs.Span
 		if sp != nil {
 			ws = sp.Child("coalesce.wait")
@@ -616,13 +599,11 @@ func (s *Service) lead(ctx context.Context, artName string, q query.Query, key s
 		}
 		adm, err := s.gov.acquire(ctx, exec.MemoryLimit)
 		if adm.queued {
-			s.queued.Add(1)
-			s.queueWaitNs.Add(uint64(adm.waitNs))
-			smQueueWait.Observe(float64(adm.waitNs) / 1e9)
+			s.m.queueWait.Observe(float64(adm.waitNs) / 1e9)
 			as.SetInt("queue_wait_ns", adm.waitNs)
 		}
 		if err != nil {
-			s.shed.Add(1)
+			s.m.shed.Inc()
 			out := OutcomeShed
 			if adm.queued {
 				out = OutcomeQueued
@@ -635,16 +616,11 @@ func (s *Service) lead(ctx context.Context, artName string, q query.Query, key s
 			completed = true
 			return nil, out, err
 		}
-		// Counter order matters to Stats(): admitted first, then the
-		// degraded child, so a snapshot loading children before parents
-		// never sees degraded_grants > admitted.
-		s.admitted.Add(1)
-		rung, rungName := smRungFull, "full"
+		rung, rungName := s.m.rungFull, "full"
 		if adm.degraded {
-			s.degraded.Add(1)
-			rung, rungName = smRungDegraded, "degraded"
+			rung, rungName = s.m.rungDegraded, "degraded"
 			if adm.granted <= s.gov.minGrant {
-				rung, rungName = smRungMin, "min"
+				rung, rungName = s.m.rungMin, "min"
 			}
 		}
 		rung.Inc()
@@ -669,8 +645,7 @@ func (s *Service) lead(ctx context.Context, artName string, q query.Query, key s
 	}
 	res, epoch, err := s.sys.ExecuteVersioned(ctx, artName, q, exec)
 	if err == nil && res.Stats.SpilledPartitions > 0 {
-		s.spilled.Add(1)
-		smSpilled.Inc()
+		s.m.spilled.Inc()
 	}
 	f.res, f.err, execEpoch = res, err, epoch
 	completed = true
@@ -688,7 +663,7 @@ func (s *Service) lead(ctx context.Context, artName string, q query.Query, key s
 // recompute.
 func (s *Service) AddFacts(source string, facts []kb.Fact) (int, error) {
 	added, err := s.sys.AddFacts(source, facts)
-	s.mutations.Add(uint64(added))
+	s.m.mutations.Add(uint64(added))
 	return added, err
 }
 
