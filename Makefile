@@ -20,10 +20,12 @@ race:
 # allocation guards a pipelined execution's scheduling could move — and
 # the /query encoder's, which must hold at every GOMAXPROCS — the
 # pushdown differentials the semi-join's dispatch barrier runs under, the
-# append-extended caches against fresh builds and under concurrent heals, the
-# join and projection runs' replay, merge and corrupt-input handling, the
-# grace join's chunk carry and oversized build, the probe-overflow
-# path, and the chain world's accounted peak under its memory cap),
+# engine's per-source index records both extended by appends — against
+# fresh builds and under concurrent heals — and replaced on any other
+# change or after InvalidateCache, the join and projection runs' replay,
+# merge and corrupt-input handling, the grace join's chunk carry and
+# oversized build, the probe-overflow path, and the chain world's
+# accounted peak under its memory cap),
 # repeated single-core, dual-core and oversubscribed. A cached `ok` would
 # hide a flake, hence -count. Must report 0 failures.
 stress:
@@ -31,7 +33,7 @@ stress:
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential' ./internal/query || exit 1; \
-		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer|TestOntologyEditDropsCaches|TestKBSwapDropsCaches|TestEpochLengthMismatchDropsCaches|TestInvalidateCache' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRun|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain|TestSpillProbeOverflow' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestBoundedMemoryPeakUnderCap ./internal/bench || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run TestQueryEncodeAllocs ./cmd/oniond || exit 1; \

@@ -196,12 +196,12 @@ func (r *Result) EqualRows(o *Result) bool {
 // reformulating each triple through the semantic bridges.
 //
 // An Engine is safe for concurrent Execute/ExecuteWith/Explain calls.
-// It caches compiled plans and per-source scan indexes, validated against
-// the sources' state at every query: mutating a source ontology or
-// knowledge base underneath a live engine (between queries — never
-// concurrently with one) is self-healing. Facts appended to a source's
-// knowledge base extend that source's indexes from the last-seen fact
-// ordinal; any other change drops them for a lazy rebuild.
+// It caches compiled plans and, per source, one record of scan indexes
+// (sourceIndex), validated against the sources' state at every query:
+// mutating a source ontology or knowledge base underneath a live engine
+// (between queries — never concurrently with one) is self-healing. Facts
+// appended to a source's knowledge base extend its record from the
+// last-seen fact ordinal; any other change replaces the record whole.
 // InvalidateCache remains as a forced flush.
 type Engine struct {
 	art     *articulation.Articulation
@@ -210,16 +210,12 @@ type Engine struct {
 	opts    Options  // defaults for Execute
 	id      uint64   // process-unique engine identity (EpochKey component)
 
-	mu       sync.RWMutex
-	plans    map[string]*execPlan
-	edgeIdx  map[string]map[string][]graph.Edge // source → edge label → edges
-	qualIdx  map[string]map[string]string       // source → term → qualified name
-	factQIdx map[string][]factQual              // source → fact ordinal → qualified subject/object
-	numIdx   map[string]map[string]*numIndex    // source → predicate → numeric objects sorted by value (pushdown.go)
-	built    []srcState                         // per-source state the caches reflect, in names order
+	mu      sync.RWMutex
+	plans   map[string]*execPlan
+	indexes map[string]*sourceIndex // source → its scan indexes, built by validateEpochs
 }
 
-// srcState is what one source's caches were built against: the ontology
+// srcState is what one source's record was built against: the ontology
 // (identity and epoch) and the knowledge base (identity, length and
 // epoch). sourceEpoch folds the two epochs into the source's EpochKey
 // component; validateEpochs needs them apart to tell an append from any
@@ -250,12 +246,17 @@ func (st srcState) appendedTo(cur srcState) bool {
 		cur.kbLen > st.kbLen && uint64(cur.kbLen-st.kbLen) == cur.kbEp-st.kbEp
 }
 
-// sourceStates fills dst (len == len(e.names)) with every source's
-// current state in sorted source-name order.
-func (e *Engine) sourceStates(dst []srcState) {
-	for i, name := range e.names {
-		dst[i] = stateOf(e.sources[name])
-	}
+// sourceIndex is everything indexed scans derive from one source, as of
+// state: the edge-label index and the ontology half of the qualification
+// table, which depend on the ontology alone; the KB half of that table and
+// the fact-ordinal cache, which extend fills over a range of fact
+// ordinals; and the numeric indexes numIndex has built so far.
+type sourceIndex struct {
+	state srcState
+	edges map[string][]graph.Edge // edge label → edges
+	quals map[string]string       // term → qualified name
+	facts []factQual              // fact ordinal → qualified subject/object
+	nums  map[string]*numIndex    // predicate → numeric objects sorted by value (pushdown.go)
 }
 
 // factQual is one fact's pre-qualified emission values: the subject as a
@@ -265,6 +266,64 @@ func (e *Engine) sourceStates(dst []srcState) {
 type factQual struct {
 	subj kb.Value
 	obj  kb.Value // KindTerm iff the fact's object is a term
+}
+
+// newSourceIndex builds name's record at cur: the ontology-derived tables,
+// then an extension from fact ordinal 0.
+func newSourceIndex(name string, cur srcState) *sourceIndex {
+	g := cur.ont.Graph()
+	rec := &sourceIndex{
+		state: srcState{ont: cur.ont, ontEp: cur.ontEp, kb: cur.kb},
+		edges: make(map[string][]graph.Edge),
+		quals: make(map[string]string),
+		nums:  make(map[string]*numIndex),
+	}
+	for _, edge := range g.Edges() {
+		rec.edges[edge.Label] = append(rec.edges[edge.Label], edge)
+	}
+	for _, id := range g.Nodes() {
+		l := g.Label(id)
+		rec.quals[l] = qualify(name, l)
+	}
+	rec.extend(name, cur)
+	return rec
+}
+
+// extend brings rec's KB-derived tables up to cur, reading only the facts
+// past rec's state: the qualification table gains their subjects and term
+// objects, the fact-ordinal cache one entry per ordinal, and each built
+// numeric index their numbers. It is the tables' one writer — a first
+// build extends an empty record. Caller holds e.mu for writing, or owns
+// rec alone.
+func (rec *sourceIndex) extend(name string, cur srcState) {
+	rec.facts = slices.Grow(rec.facts, cur.kbLen-rec.state.kbLen)
+	added := make(map[string][]numEntry)
+	for i := rec.state.kbLen; i < cur.kbLen; i++ {
+		f := cur.kb.FactAt(i)
+		fq := factQual{subj: rec.qualified(name, f.Subject)}
+		if f.Object.IsTerm() {
+			fq.obj = rec.qualified(name, f.Object.Str)
+		}
+		rec.facts = append(rec.facts, fq)
+		if rec.nums[f.Predicate] != nil && isIndexedNum(f.Object) {
+			added[f.Predicate] = append(added[f.Predicate], numEntry{f.Object.Num, i})
+		}
+	}
+	for pred, ents := range added {
+		rec.nums[pred].add(ents)
+	}
+	rec.state = cur
+}
+
+// qualified is term qualified in source name, entered in the qualification
+// table on first sight so every later use shares the one string.
+func (rec *sourceIndex) qualified(name, term string) kb.Value {
+	q, ok := rec.quals[term]
+	if !ok {
+		q = qualify(name, term)
+		rec.quals[term] = q
+	}
+	return kb.Value{Kind: kb.KindTerm, Str: q}
 }
 
 // NewEngine builds an engine over the articulation and its sources. The
@@ -280,14 +339,11 @@ func NewEngineWith(art *articulation.Articulation, sources map[string]*Source, o
 		return nil, fmt.Errorf("query: nil articulation")
 	}
 	e := &Engine{
-		art:      art,
-		sources:  make(map[string]*Source, len(sources)+1),
-		opts:     opts,
-		plans:    make(map[string]*execPlan),
-		edgeIdx:  make(map[string]map[string][]graph.Edge),
-		qualIdx:  make(map[string]map[string]string),
-		factQIdx: make(map[string][]factQual),
-		numIdx:   make(map[string]map[string]*numIndex),
+		art:     art,
+		sources: make(map[string]*Source, len(sources)+1),
+		opts:    opts,
+		plans:   make(map[string]*execPlan),
+		indexes: make(map[string]*sourceIndex),
 	}
 	e.sources[art.Ont.Name()] = &Source{Ont: art.Ont}
 	for name, s := range sources {
@@ -304,8 +360,6 @@ func NewEngineWith(art *articulation.Articulation, sources map[string]*Source, o
 	}
 	sort.Strings(e.names)
 	e.id = engineSeq.Add(1)
-	e.built = make([]srcState, len(e.names))
-	e.sourceStates(e.built)
 	return e, nil
 }
 
@@ -356,97 +410,77 @@ func (e *Engine) EpochKey() string {
 }
 
 // validateEpochs compares every source's current state against the
-// state the caches were built under and heals stale state at query and
+// state its record was built at and heals stale records at query and
 // explain entry, so direct NewEngine users need no InvalidateCache call
-// after mutating a source:
+// after mutating a source. Each source's record is
 //
-//   - a source whose knowledge base only grew (same ontology, same store,
-//     length up by exactly the epoch delta) keeps its edge index, which
-//     depends on the ontology alone, and has its qualification,
-//     fact-ordinal and numeric indexes extended over the new ordinals
-//     (extendLocked) — the data in a source's difference costs no
-//     rebuild;
-//   - any other change — an ontology edit, a swapped, shrunk or
-//     inconsistently counted store — drops exactly that source's four
-//     indexes for a lazy rebuild.
+//   - kept when the source is unchanged;
+//   - extended over the new fact ordinals when its knowledge base only
+//     grew (same ontology, same store, length up by exactly the epoch
+//     delta) — the data in a source's difference costs no rebuild;
+//   - replaced whole — built at this query by the same extension from
+//     ordinal 0 — on any other change: an ontology edit, a swapped, shrunk
+//     or inconsistently counted store, or a record InvalidateCache dropped.
 //
 // Any change flushes the plan cache wholesale: compilation consults
 // every source (term expansion probes KB subjects, estimates read index
 // cardinalities, and a mutation can even un-skip a previously impossible
 // scan), so no plan can be proven unaffected.
 //
-// The extension grows the cached structures in place. That is safe
-// because it runs under e.mu's write lock before this query — or any
-// other query of the new state — reads them: a query reaches its scans
-// only after validateEpochs returns, and e.built moves to the new state
-// only as the lock is released. Readers of the old state cannot still be
+// The extension grows a record in place. That is safe because it runs
+// under e.mu's write lock before this query — or any other query of the
+// new state — reads the record: a query reaches its scans only after
+// validateEpochs returns. Readers of the old state cannot still be
 // running, because the engine contract forbids mutating a source
 // concurrently with a query (kb.Store is single-writer; core.System
 // serialises mutators against queries).
 func (e *Engine) validateEpochs() {
-	cur := make([]srcState, len(e.names))
-	e.sourceStates(cur)
 	e.mu.RLock()
-	same := slices.Equal(e.built, cur)
+	fresh := e.freshLocked()
 	e.mu.RUnlock()
-	if same {
+	if fresh {
 		return
 	}
 	e.mu.Lock()
-	if !slices.Equal(e.built, cur) {
-		for i, name := range e.names {
-			switch old := e.built[i]; {
-			case old == cur[i]:
-			case old.appendedTo(cur[i]):
-				e.extendLocked(name, old.kbLen, cur[i].kbLen)
+	if !e.freshLocked() {
+		for _, name := range e.names {
+			cur := stateOf(e.sources[name])
+			switch rec := e.indexes[name]; {
+			case rec != nil && rec.state == cur:
+			case rec != nil && rec.state.appendedTo(cur):
+				rec.extend(name, cur)
 			default:
-				delete(e.edgeIdx, name)
-				delete(e.qualIdx, name)
-				delete(e.factQIdx, name)
-				delete(e.numIdx, name)
+				e.indexes[name] = newSourceIndex(name, cur)
 			}
 		}
 		e.plans = make(map[string]*execPlan)
-		copy(e.built, cur)
 	}
 	e.mu.Unlock()
 }
 
-// extendLocked brings one source's built KB caches from fact ordinal
-// from up to to, reading only the appended facts: the qualification
-// table gains their subjects and term objects, the fact-ordinal cache
-// one entry per ordinal, and each built numeric index their numeric
-// objects. A cache not built yet stays unbuilt; its lazy build reads
-// the whole store. Caller holds e.mu for writing.
-func (e *Engine) extendLocked(name string, from, to int) {
-	store := e.sources[name].KB
-	qt := e.qualIdx[name]
-	if qt != nil {
-		for i := from; i < to; i++ {
-			addFactQuals(qt, name, store.FactAt(i))
+// freshLocked reports whether every source has a record of its current
+// state. Caller holds e.mu.
+func (e *Engine) freshLocked() bool {
+	for _, name := range e.names {
+		if rec := e.indexes[name]; rec == nil || rec.state != stateOf(e.sources[name]) {
+			return false
 		}
 	}
-	// factQuals builds the qualification table first, so a built
-	// fact-ordinal cache always has one.
-	if fq := e.factQIdx[name]; fq != nil {
-		for i := from; i < to; i++ {
-			fq = append(fq, factQualOf(qt, name, store.FactAt(i)))
+	return true
+}
+
+// index returns name's record. validateEpochs built it at this query's
+// entry; if a concurrent InvalidateCache has dropped it since, validating
+// again rebuilds it for the same, unmutated state.
+func (e *Engine) index(name string) *sourceIndex {
+	for {
+		e.mu.RLock()
+		rec := e.indexes[name]
+		e.mu.RUnlock()
+		if rec != nil {
+			return rec
 		}
-		e.factQIdx[name] = fq
-	}
-	byPred := e.numIdx[name]
-	if len(byPred) == 0 {
-		return
-	}
-	added := make(map[string][]numEntry)
-	for i := from; i < to; i++ {
-		f := store.FactAt(i)
-		if byPred[f.Predicate] != nil && isIndexedNum(f.Object) {
-			added[f.Predicate] = append(added[f.Predicate], numEntry{f.Object.Num, i})
-		}
-	}
-	for pred, ents := range added {
-		byPred[pred].add(ents)
+		e.validateEpochs()
 	}
 }
 
@@ -712,13 +746,15 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 	}
 	isArt := name == e.art.Ont.Name()
 
-	// Indexed scans qualify emitted terms through the per-source table
-	// (one string per distinct term, ever) instead of concatenating a
-	// fresh "source.term" string per row. The sequential reference keeps
-	// the seed's per-row concatenation.
+	// Indexed scans read the source's record: they qualify emitted terms
+	// through its table (one string per distinct term, ever) instead of
+	// concatenating a fresh "source.term" string per row. The sequential
+	// reference keeps the seed's per-row concatenation.
+	var rec *sourceIndex
 	var qt map[string]string
 	if indexed {
-		qt = e.qualTable(name)
+		rec = e.index(name)
+		qt = rec.quals
 	}
 	qual := func(term string) kb.Value { return qualTerm(qt, name, term) }
 
@@ -747,9 +783,8 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		// A pushed scan's filters compare numbers and edge objects are
 		// terms, so no edge row could survive them.
 		if v.pushed == nil {
-			idx := e.edgeIndex(name)
 			for _, p := range v.predList {
-				for _, edge := range idx[p] {
+				for _, edge := range rec.edges[p] {
 					if v.boundSubj != nil {
 						if _, ok := v.boundSubj.has[qual(g.Label(edge.From)).Str]; !ok {
 							continue
@@ -837,8 +872,8 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		matchFact := func(f kb.Fact) bool {
 			return matchFactQ(f, kb.Value{}, kb.Value{}, false, nil, false)
 		}
-		// validateEpochs extends the fact-ordinal cache over appended
-		// facts, so it covers every ordinal the KB indexes hand out.
+		// validateEpochs extended the record to the store's length, so its
+		// fact-ordinal cache covers every ordinal the KB indexes hand out.
 		matchOrd := func(fq []factQual, i int, f kb.Fact, nf []string) bool {
 			return matchFactQ(f, fq[i].subj, fq[i].obj, true, nf, true)
 		}
@@ -850,7 +885,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 			// qualified, so this source's are exactly those carrying its
 			// prefix. The walk follows the set's first-seen order, so the
 			// rows come out in the same order on every execution.
-			fq := e.factQuals(name)
+			fq := rec.facts
 			nfs := make(map[string][]string, len(v.predList))
 			for _, p := range v.predList {
 				nfs[p] = e.normFuncNames(name, p)
@@ -870,13 +905,13 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 				})
 			}
 		case indexed && v.preds != nil:
-			fq := e.factQuals(name)
+			fq := rec.facts
 			for k, p := range v.predList {
 				nf := e.normFuncNames(name, p)
 				if v.pushed != nil && v.pushed[k].live(nf, e.art.Funcs) {
 					// Only the facts whose source-unit value lies in the
 					// pushed range are read, and so converted.
-					ix := e.numIndex(name, p)
+					ix := e.numIndex(rec, p)
 					lo, hi := ix.span(v.pushed[k].rng)
 					ix.inStoreOrder(lo, hi, func(i int) {
 						matchOrd(fq, i, src.KB.FactAt(i), nf)

@@ -151,7 +151,7 @@ func TestInvalidateCacheStillForcesFlush(t *testing.T) {
 // ordinal while the sequential reference reads the new store.
 func TestInvalidateCacheDropsFactQuals(t *testing.T) {
 	eng, q := projWideEngine(t, 8)
-	if _, err := eng.ExecuteWith(q, Options{Workers: 1}); err != nil { // builds factQIdx
+	if _, err := eng.ExecuteWith(q, Options{Workers: 1}); err != nil { // builds the fact-ordinal cache
 		t.Fatal(err)
 	}
 	swapped := kb.New("pw1")
@@ -205,16 +205,23 @@ func checkPlannedMatchesSequential(t *testing.T, eng *Engine, q Query) *Result {
 }
 
 // TestInvalidateCacheDropsNumIndex: the numeric index goes with the
-// other per-source caches on an explicit flush.
+// rest of its source's record on an explicit flush. A scan reaching the
+// dropped record — as one running beside the flush would — gets a record
+// rebuilt for the same state, without the numeric index.
 func TestInvalidateCacheDropsNumIndex(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
-	if eng.numIdx["carrier"]["Price"] == nil {
+	old := eng.indexes["carrier"]
+	if old.nums["Price"] == nil {
 		t.Fatalf("a pushed query did not build the carrier Price index")
 	}
 	eng.InvalidateCache()
-	if len(eng.numIdx) != 0 {
-		t.Fatalf("InvalidateCache kept the numeric index: %v", eng.numIdx)
+	if len(eng.indexes) != 0 {
+		t.Fatalf("InvalidateCache kept %d records", len(eng.indexes))
+	}
+	rec := eng.index("carrier")
+	if rec == old || rec.state != old.state || len(rec.nums) != 0 {
+		t.Fatalf("reading a dropped record did not rebuild it for the same state without a numeric index")
 	}
 }
 
@@ -225,16 +232,16 @@ func TestInvalidateCacheDropsNumIndex(t *testing.T) {
 func TestEpochBumpExtendsNumIndex(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
-	carrierIx, factoryIx := eng.numIdx["carrier"]["Price"], eng.numIdx["factory"]["Price"]
+	carrierIx, factoryIx := eng.indexes["carrier"].nums["Price"], eng.indexes["factory"].nums["Price"]
 	if carrierIx == nil || factoryIx == nil {
-		t.Fatalf("a pushed query did not build both Price indexes: %v", eng.numIdx)
+		t.Fatalf("a pushed query did not build both Price indexes")
 	}
 	factoryEnts := slices.Clone(factoryIx.ents)
 	store := eng.sources["carrier"].KB
 	store.MustAdd("NewCar", "InstanceOf", kb.Term("PassengerCar"))
 	store.MustAdd("NewCar", "Price", kb.Number(500)) // 800 EUR, inside the range
 	eng.validateEpochs()
-	if got := eng.numIdx["carrier"]["Price"]; got != carrierIx {
+	if got := eng.indexes["carrier"].nums["Price"]; got != carrierIx {
 		t.Fatalf("an append replaced the carrier Price index instead of extending it")
 	}
 	newOrd := store.Len() - 1
@@ -253,7 +260,7 @@ func TestEpochBumpExtendsNumIndex(t *testing.T) {
 	if !reflect.DeepEqual(carrierIx, fresh) {
 		t.Fatalf("extended index differs from a fresh build:\n got %+v\nwant %+v", carrierIx, fresh)
 	}
-	if eng.numIdx["factory"]["Price"] != factoryIx || !slices.Equal(factoryIx.ents, factoryEnts) {
+	if eng.indexes["factory"].nums["Price"] != factoryIx || !slices.Equal(factoryIx.ents, factoryEnts) {
 		t.Fatalf("an append to carrier changed factory's numeric index")
 	}
 	if got := checkPlannedMatchesSequential(t, eng, pushdownQSel); !hasRow(got, "carrier.NewCar", "800") {
@@ -261,48 +268,49 @@ func TestEpochBumpExtendsNumIndex(t *testing.T) {
 	}
 }
 
-// warmCarrierCaches runs Q-sel, which builds all four of carrier's
-// caches, and fails unless it did.
+// warmCarrierCaches runs Q-sel, which reads every table of carrier's
+// record and builds its Price index, and fails unless it did.
 func warmCarrierCaches(t *testing.T, eng *Engine) {
 	t.Helper()
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
-	if eng.edgeIdx["carrier"] == nil || eng.qualIdx["carrier"] == nil ||
-		eng.factQIdx["carrier"] == nil || eng.numIdx["carrier"] == nil {
-		t.Fatalf("Q-sel did not build every carrier cache")
+	rec := eng.indexes["carrier"]
+	if rec == nil || len(rec.edges) == 0 || len(rec.quals) == 0 || len(rec.facts) == 0 || rec.nums["Price"] == nil {
+		t.Fatalf("Q-sel did not build every carrier table")
 	}
 }
 
-// checkCarrierCachesDropped validates the engine's epochs and fails
-// unless all four carrier caches went while factory's stayed.
-func checkCarrierCachesDropped(t *testing.T, eng *Engine) {
+// checkCarrierRecordReplaced validates the engine's epochs and fails
+// unless carrier got a new record of its current state, without the old
+// one's numeric index, while factory kept its record.
+func checkCarrierRecordReplaced(t *testing.T, eng *Engine) {
 	t.Helper()
-	factoryQual := eng.qualIdx["factory"]
+	carrier, factory := eng.indexes["carrier"], eng.indexes["factory"]
 	eng.validateEpochs()
-	if eng.edgeIdx["carrier"] != nil || eng.qualIdx["carrier"] != nil ||
-		eng.factQIdx["carrier"] != nil || eng.numIdx["carrier"] != nil {
-		t.Fatalf("a non-append change kept a carrier cache")
+	rec := eng.indexes["carrier"]
+	if rec == carrier || len(rec.nums) != 0 || rec.state != stateOf(eng.sources["carrier"]) {
+		t.Fatalf("a non-append change kept carrier's record or its numeric index")
 	}
-	if factoryQual == nil || reflect.ValueOf(eng.qualIdx["factory"]).Pointer() != reflect.ValueOf(factoryQual).Pointer() {
-		t.Fatalf("a carrier change dropped factory's caches")
+	if eng.indexes["factory"] != factory {
+		t.Fatalf("a carrier change replaced factory's record")
 	}
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
 }
 
 // TestOntologyEditDropsCaches is the converse of the extension: an
-// ontology edit is not an append, so it drops all four of the source's
-// caches even when facts were appended too.
+// ontology edit is not an append, so it replaces the source's record even
+// when facts were appended too.
 func TestOntologyEditDropsCaches(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
 	warmCarrierCaches(t, eng)
 	carrier := eng.sources["carrier"]
 	carrier.KB.MustAdd("NewCar", "Price", kb.Number(500))
 	carrier.Ont.MustAddTerm("Hatchback")
-	checkCarrierCachesDropped(t, eng)
+	checkCarrierRecordReplaced(t, eng)
 }
 
 // TestKBSwapDropsCaches: a store swapped in place without InvalidateCache
 // is not an append even when it is the old store's length plus its epoch
-// delta — its ordinals hold other facts — so the caches are dropped.
+// delta — its ordinals hold other facts — so the record is replaced.
 func TestKBSwapDropsCaches(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
 	warmCarrierCaches(t, eng)
@@ -318,20 +326,19 @@ func TestKBSwapDropsCaches(t *testing.T) {
 			old.Len(), swapped.Len(), old.Epoch(), swapped.Epoch())
 	}
 	eng.sources["carrier"].KB = swapped
-	checkCarrierCachesDropped(t, eng)
+	checkCarrierRecordReplaced(t, eng)
 }
 
 // TestEpochLengthMismatchDropsCaches: when the store's length and epoch
-// moved by different amounts the caches cannot be extended by ordinal,
-// so they are dropped. kb.Store always moves both together, so the test
-// shifts the recorded epoch to stage the mismatch.
+// moved by different amounts the record cannot be extended by ordinal,
+// so it is replaced. kb.Store always moves both together, so the test
+// shifts the record's epoch to stage the mismatch.
 func TestEpochLengthMismatchDropsCaches(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
 	warmCarrierCaches(t, eng)
-	i := slices.Index(eng.names, "carrier")
-	eng.built[i].kbEp--
+	eng.indexes["carrier"].state.kbEp--
 	eng.sources["carrier"].KB.MustAdd("NewCar", "Price", kb.Number(500))
-	checkCarrierCachesDropped(t, eng)
+	checkCarrierRecordReplaced(t, eng)
 }
 
 // TestInvalidateCacheNumIndexKBSwap: swapping a Source's KB in place and

@@ -67,26 +67,28 @@ func appendRandomFacts(rng *rand.Rand, eng *Engine, step int) {
 	}
 }
 
-// checkCachesMatchFresh fails unless every cache eng has built equals a
-// from-scratch build of the same cache on twin, an engine over the same
-// sources whose caches InvalidateCache has just dropped.
+// checkCachesMatchFresh fails unless every source's record on eng equals
+// a from-scratch build on twin, an engine over the same sources whose
+// records InvalidateCache has just dropped: the same state, tables and
+// numeric indexes (each built fresh on twin).
 func checkCachesMatchFresh(t *testing.T, eng, twin *Engine) {
 	t.Helper()
 	twin.InvalidateCache()
-	for name, qt := range eng.qualIdx {
-		if !reflect.DeepEqual(qt, twin.qualTable(name)) {
+	twin.validateEpochs()
+	for name, rec := range eng.indexes {
+		fresh := twin.indexes[name]
+		if rec.state != fresh.state || !reflect.DeepEqual(rec.edges, fresh.edges) {
+			t.Fatalf("%s: extended record's state or edge index differs from a fresh build", name)
+		}
+		if !reflect.DeepEqual(rec.quals, fresh.quals) {
 			t.Fatalf("%s: extended qualification table differs from a fresh build", name)
 		}
-	}
-	for name, fq := range eng.factQIdx {
-		if !reflect.DeepEqual(fq, twin.factQuals(name)) {
+		if !reflect.DeepEqual(rec.facts, fresh.facts) {
 			t.Fatalf("%s: extended fact-ordinal cache differs from a fresh build", name)
 		}
-	}
-	for name, byPred := range eng.numIdx {
-		for pred, ix := range byPred {
-			if fresh := twin.numIndex(name, pred); !reflect.DeepEqual(ix, fresh) {
-				t.Fatalf("%s %s: extended numeric index differs from a fresh build:\n got %+v\nwant %+v", name, pred, ix, fresh)
+		for pred, ix := range rec.nums {
+			if want := twin.numIndex(fresh, pred); !reflect.DeepEqual(ix, want) {
+				t.Fatalf("%s %s: extended numeric index differs from a fresh build:\n got %+v\nwant %+v", name, pred, ix, want)
 			}
 		}
 	}
@@ -95,9 +97,9 @@ func checkCachesMatchFresh(t *testing.T, eng, twin *Engine) {
 // TestAppendExtendedCachesMatchFresh is the extension's differential:
 // seeded interleavings of appends and queries on the scaled Fig. 2 world,
 // where after every step each extended cache equals a fresh build and
-// every query's planned rows equal Sequential's. The carrier Price index
-// and qualification table must stay the same objects throughout — grown,
-// never rebuilt.
+// every query's planned rows equal Sequential's. The carrier record and
+// its Price index must stay the same objects throughout — grown, never
+// rebuilt.
 func TestAppendExtendedCachesMatchFresh(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -108,7 +110,8 @@ func TestAppendExtendedCachesMatchFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkPlannedMatchesSequential(t, eng, pushdownQSel)
-			priceIx, qt := eng.numIdx["carrier"]["Price"], eng.qualIdx["carrier"]
+			carrier := eng.indexes["carrier"]
+			priceIx := carrier.nums["Price"]
 			for step := 0; step < 30; step++ {
 				// One to three append bursts land before the caches
 				// heal, so one extension may span several of them.
@@ -128,10 +131,10 @@ func TestAppendExtendedCachesMatchFresh(t *testing.T) {
 				}
 				checkCachesMatchFresh(t, eng, twin)
 			}
-			if eng.numIdx["carrier"]["Price"] != priceIx || reflect.ValueOf(eng.qualIdx["carrier"]).Pointer() != reflect.ValueOf(qt).Pointer() {
-				t.Fatalf("appends rebuilt the carrier caches instead of extending them")
+			if priceIx == nil || eng.indexes["carrier"] != carrier || carrier.nums["Price"] != priceIx {
+				t.Fatalf("appends rebuilt the carrier record instead of extending it")
 			}
-			if eng.numIdx["factory"]["Weight"] == nil {
+			if eng.indexes["factory"].nums["Weight"] == nil {
 				t.Fatalf("the Weight query never built its index")
 			}
 		})

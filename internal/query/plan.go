@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/graph"
 	"repro/internal/kb"
 	"repro/internal/obs"
 )
@@ -183,137 +182,18 @@ func (e *Engine) cachedPlan(q Query) (*execPlan, bool) {
 	return p, false
 }
 
-// InvalidateCache drops the compiled plans and every per-source index
-// (edges, qualified names, fact-ordinal qualifications, numeric objects)
-// for a rebuild from scratch. Calling it after mutating a source is not
-// required — every query validates the caches against the sources'
-// state, extending a grown knowledge base's indexes and dropping any
-// other source's (validateEpochs) — so this remains only as a forced
-// wholesale flush, for example after replacing a Source's Ont or KB
-// pointer in place.
+// InvalidateCache drops the compiled plans and every source's record of
+// scan indexes (edges, qualified names, fact-ordinal qualifications,
+// numeric objects); the next query builds the records from scratch.
+// Calling it after mutating a source is not required — every query
+// validates the records against the sources' state, extending a grown
+// knowledge base's record and replacing any other changed source's
+// (validateEpochs) — so this remains only as a forced wholesale flush.
 func (e *Engine) InvalidateCache() {
 	e.mu.Lock()
 	e.plans = make(map[string]*execPlan)
-	e.edgeIdx = make(map[string]map[string][]graph.Edge)
-	e.qualIdx = make(map[string]map[string]string)
-	e.factQIdx = make(map[string][]factQual)
-	e.numIdx = make(map[string]map[string]*numIndex)
-	e.sourceStates(e.built)
+	clear(e.indexes)
 	e.mu.Unlock()
-}
-
-// edgeIndex returns the label → edges index for one source, building it
-// lazily on first use.
-func (e *Engine) edgeIndex(name string) map[string][]graph.Edge {
-	e.mu.RLock()
-	idx := e.edgeIdx[name]
-	e.mu.RUnlock()
-	if idx != nil {
-		return idx
-	}
-	g := e.sources[name].Ont.Graph()
-	built := make(map[string][]graph.Edge)
-	for _, edge := range g.Edges() {
-		built[edge.Label] = append(built[edge.Label], edge)
-	}
-	e.mu.Lock()
-	if idx = e.edgeIdx[name]; idx == nil {
-		e.edgeIdx[name] = built
-		idx = built
-	}
-	e.mu.Unlock()
-	return idx
-}
-
-// qualTable returns the term → source-qualified-name table for one
-// source, building it lazily on first use (ontology labels, KB subjects
-// and term-valued objects). Indexed scans qualify every emitted term
-// through it instead of concatenating a fresh string per row. Scans read
-// it without locking: it changes only in validateEpochs, which adds
-// appended facts' terms before any query of the new state runs.
-func (e *Engine) qualTable(name string) map[string]string {
-	e.mu.RLock()
-	t := e.qualIdx[name]
-	e.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	src := e.sources[name]
-	built := make(map[string]string)
-	g := src.Ont.Graph()
-	for _, id := range g.Nodes() {
-		l := g.Label(id)
-		built[l] = qualify(name, l)
-	}
-	if src.KB != nil {
-		src.KB.ForEach(func(f kb.Fact) bool {
-			addFactQuals(built, name, f)
-			return true
-		})
-	}
-	e.mu.Lock()
-	if t = e.qualIdx[name]; t == nil {
-		e.qualIdx[name] = built
-		t = built
-	}
-	e.mu.Unlock()
-	return t
-}
-
-// addFactQuals adds f's subject and term object to the qualification
-// table, keeping any entry already there.
-func addFactQuals(t map[string]string, name string, f kb.Fact) {
-	if _, ok := t[f.Subject]; !ok {
-		t[f.Subject] = qualify(name, f.Subject)
-	}
-	if f.Object.IsTerm() {
-		if _, ok := t[f.Object.Str]; !ok {
-			t[f.Object.Str] = qualify(name, f.Object.Str)
-		}
-	}
-}
-
-// factQuals returns the fact-ordinal-aligned qualification cache for one
-// source's KB: entry i holds fact i's subject (and term object) already
-// qualified, sharing the qualTable's strings. Indexed scans emit through
-// it with a slice index instead of a map probe per fact — on the
-// join-heavy worlds that probe was the single largest per-row scan cost.
-// Built lazily on first use; facts appended afterwards get their entries
-// from validateEpochs, so the cache covers every ordinal a query of the
-// current state can read.
-func (e *Engine) factQuals(name string) []factQual {
-	e.mu.RLock()
-	fq := e.factQIdx[name]
-	e.mu.RUnlock()
-	if fq != nil {
-		return fq
-	}
-	src := e.sources[name]
-	if src.KB == nil {
-		return nil
-	}
-	qt := e.qualTable(name)
-	built := make([]factQual, 0, src.KB.Len())
-	src.KB.ForEach(func(f kb.Fact) bool {
-		built = append(built, factQualOf(qt, name, f))
-		return true
-	})
-	e.mu.Lock()
-	if fq = e.factQIdx[name]; fq == nil {
-		e.factQIdx[name] = built
-		fq = built
-	}
-	e.mu.Unlock()
-	return fq
-}
-
-// factQualOf is f's fact-ordinal cache entry, qualified through qt.
-func factQualOf(qt map[string]string, name string, f kb.Fact) factQual {
-	q := factQual{subj: qualTerm(qt, name, f.Subject)}
-	if f.Object.IsTerm() {
-		q.obj = qualTerm(qt, name, f.Object.Str)
-	}
-	return q
 }
 
 // qualTerm is term qualified in source name, sharing qt's string when
@@ -532,7 +412,7 @@ func (e *Engine) estimateScan(name string, src *Source, v scanView) int {
 	g := src.Ont.Graph()
 	edges := g.NumEdges()
 	if v.preds != nil {
-		idx := e.edgeIndex(name)
+		idx := e.index(name).edges
 		edges = 0
 		for p := range v.preds {
 			edges += len(idx[p])

@@ -304,19 +304,20 @@ func (ix *numIndex) inStoreOrder(lo, hi int, fn func(ord int)) {
 	}
 }
 
-// numIndex returns the numeric index of one source predicate, building it
-// lazily on first use. Nothing is maintained on the store's write path:
-// validateEpochs merges the numeric objects of appended facts into every
-// built index (add), and drops the source's indexes on any other change.
-func (e *Engine) numIndex(name, pred string) *numIndex {
+// numIndex returns the numeric index of one predicate in rec's source,
+// building it on first use — the one table of a record built lazily, per
+// predicate. Nothing is maintained on the store's write path: the
+// record's extension merges appended facts' numbers into every built
+// index, and any other change replaces the record (validateEpochs).
+func (e *Engine) numIndex(rec *sourceIndex, pred string) *numIndex {
 	e.mu.RLock()
-	ix := e.numIdx[name][pred]
+	ix := rec.nums[pred]
 	e.mu.RUnlock()
 	if ix != nil {
 		return ix
 	}
 	var ents []numEntry
-	e.sources[name].KB.ForEachByPredicateIndexed(pred, func(i int, f kb.Fact) bool {
+	rec.state.kb.ForEachByPredicateIndexed(pred, func(i int, f kb.Fact) bool {
 		if isIndexedNum(f.Object) {
 			ents = append(ents, numEntry{f.Object.Num, i})
 		}
@@ -325,13 +326,8 @@ func (e *Engine) numIndex(name, pred string) *numIndex {
 	built := &numIndex{}
 	built.add(ents)
 	e.mu.Lock()
-	byPred := e.numIdx[name]
-	if byPred == nil {
-		byPred = make(map[string]*numIndex)
-		e.numIdx[name] = byPred
-	}
-	if ix = byPred[pred]; ix == nil {
-		byPred[pred] = built
+	if ix = rec.nums[pred]; ix == nil {
+		rec.nums[pred] = built
 		ix = built
 	}
 	e.mu.Unlock()
@@ -382,9 +378,9 @@ func (e *Engine) pushedCount(name string, v scanView) int {
 	if e.sources[name].KB == nil || name == e.art.Ont.Name() {
 		return 0
 	}
-	n := 0
+	rec, n := e.index(name), 0
 	for _, pp := range v.pushed {
-		lo, hi := e.numIndex(name, pp.pred).span(pp.rng)
+		lo, hi := e.numIndex(rec, pp.pred).span(pp.rng)
 		n += hi - lo
 	}
 	return n
