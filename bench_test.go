@@ -5,6 +5,7 @@
 package onion_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -280,7 +281,7 @@ func BenchmarkQueryArticulationLevel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Execute(q); err != nil {
+		if _, err := runQuery(eng, q, query.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,7 +293,7 @@ func BenchmarkQuerySourceQualified(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Execute(q); err != nil {
+		if _, err := runQuery(eng, q, query.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +308,7 @@ func BenchmarkQuerySequentialPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteWith(q, opts); err != nil {
+		if _, err := runQuery(eng, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,7 +321,7 @@ func BenchmarkQueryPlannedPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteWith(q, opts); err != nil {
+		if _, err := runQuery(eng, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,4 +393,9 @@ func BenchmarkIncrementalArrival(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// runQuery executes q on eng under opts with no deadline.
+func runQuery(eng *query.Engine, q query.Query, opts query.Options) (*query.Result, error) {
+	return eng.Execute(context.Background(), q, opts)
 }

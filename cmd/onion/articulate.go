@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -199,7 +200,11 @@ func cmdQuery(args []string) error {
 		}
 	}
 	if *explain {
-		plan, err := sys.Explain(*af.name, *qtext)
+		q, err := onion.ParseQuery(*qtext)
+		if err != nil {
+			return err
+		}
+		plan, _, err := sys.Explain(context.Background(), *af.name, q, onion.QueryOptions{}, false)
 		if err != nil {
 			return err
 		}

@@ -88,14 +88,16 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 		{"hit", smokeQuery, serve.Limits{}},
 		{"budgeted", "SELECT ?x ?p WHERE ?x Price ?p . ?x InstanceOf Vehicle", serve.Limits{MemoryBytes: 1}},
 	} {
-		res, out, err := svc.QueryLimited(ctx, fixtures.ArtName, c.query, c.lim)
+		res, out, err := svc.Answer(ctx, fixtures.ArtName, query.MustParse(c.query), c.lim, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkEncoding(t, c.name, res, out.String(), nil)
 		checkEncoding(t, c.name+"/coalesced", res, serve.OutcomeCoalesced.String(), nil)
 	}
-	res, out, root, err := svc.QueryTraced(ctx, fixtures.ArtName, "SELECT ?x WHERE ?x InstanceOf Vehicle", serve.Limits{})
+	root := obs.NewTrace("request")
+	res, out, err := svc.Answer(ctx, fixtures.ArtName, query.MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle"), serve.Limits{}, root)
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,25 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/fixtures"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // TestQueryTraceParam checks the wire contract for tracing: trace=1 (or
@@ -167,4 +176,76 @@ func samples(text string) map[string]float64 {
 		}
 	}
 	return out
+}
+
+// lockedBuffer is an io.Writer safe to read while the server logs.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSlowQueryLogTrace checks the span tree of the slow-query line,
+// whose request root handleQuery makes: an answered query's root carries
+// the articulation, query and outcome attributes Answer sets, then the
+// request id; a query that fails to parse still logs a finished request
+// root carrying the articulation and the request id.
+func TestSlowQueryLogTrace(t *testing.T) {
+	sys := core.NewSystem()
+	if err := loadFig2(sys); err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(serve.New(sys, serve.Options{}))
+	h.slowQuery = time.Nanosecond
+	ts := httptest.NewServer(h.routes())
+	t.Cleanup(ts.Close)
+	var logs lockedBuffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+
+	post(t, ts.URL+"/query", queryRequest{Articulation: fixtures.ArtName, Query: smokeQuery}, nil)
+	post(t, ts.URL+"/query", queryRequest{Articulation: fixtures.ArtName, Query: "SELECT bogus"}, nil)
+	var lines []slowQueryLine
+	for _, l := range strings.Split(logs.String(), "\n") {
+		if _, js, ok := strings.Cut(l, "slow-query "); ok {
+			var e slowQueryLine
+			if err := json.Unmarshal([]byte(js), &e); err != nil {
+				t.Fatalf("slow-query line %q: %v", l, err)
+			}
+			lines = append(lines, e)
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("logged %d slow-query lines, want 2:\n%s", len(lines), logs.String())
+	}
+	for i, want := range [][]string{
+		{"articulation", "query", "outcome", "request_id"},
+		{"articulation", "request_id"},
+	} {
+		root := lines[i].Trace
+		if root == nil || root.Name != "request" || root.DurNs <= 0 {
+			t.Fatalf("line %d: trace root = %+v, want an ended request span", i, root)
+		}
+		var keys []string
+		for _, a := range root.Attrs {
+			keys = append(keys, a.Key)
+		}
+		if !slices.Equal(keys, want) {
+			t.Errorf("line %d: root attrs %v, want keys %v", i, root.Attrs, want)
+		}
+		if lines[i].Outcome != "miss" {
+			t.Errorf("line %d: outcome %q, want miss", i, lines[i].Outcome)
+		}
+	}
 }

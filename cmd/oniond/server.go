@@ -329,20 +329,24 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// log needs one for every query it might report, so a configured
 	// threshold forces tracing on the service call either way.
 	wantTrace := req.Trace || r.URL.Query().Get("trace") == "1"
-	var (
-		res     *query.Result
-		outcome serve.Outcome
-		root    *obs.Span
-		err     error
-	)
-	t0 := time.Now()
+	var root *obs.Span
 	if wantTrace || s.slowQuery > 0 {
-		res, outcome, root, err = s.svc.QueryTraced(ctx, req.Articulation, req.Query, lim)
-		if info != nil {
-			root.SetAttr("request_id", info.id)
-		}
+		root = obs.NewTrace("request")
+	}
+	var res *query.Result
+	outcome := serve.OutcomeMiss
+	t0 := time.Now()
+	q, err := query.Parse(req.Query)
+	if err == nil {
+		res, outcome, err = s.svc.Answer(ctx, req.Articulation, q, lim, root)
 	} else {
-		res, outcome, err = s.svc.QueryLimited(ctx, req.Articulation, req.Query, lim)
+		// Answer annotates the roots it sees; one that fails to parse
+		// still names its articulation in the slow-query log.
+		root.SetAttr("articulation", req.Articulation)
+	}
+	root.End()
+	if info != nil {
+		root.SetAttr("request_id", info.id)
 	}
 	dur := time.Since(t0)
 	if info != nil {

@@ -16,8 +16,9 @@ import (
 // Scope: packages whose import path ends in serve, oniond, core or
 // query — the request path from HTTP handler to scan dispatch. Entry
 // points without an incoming context (main, bench harnesses, the
-// documented context-free convenience APIs like Engine.Execute) are not
-// flagged: the rule is about *dropping* a context you were handed.
+// documented context-free convenience APIs core.System.Query and
+// QueryWith) are not flagged: the rule is about *dropping* a context you
+// were handed.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "request-path functions (serve, oniond, core, query) that receive a context " +

@@ -1,12 +1,18 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/fixtures"
 	"repro/internal/query"
 )
+
+// runQuery executes q on eng under opts with no deadline.
+func runQuery(eng *query.Engine, q query.Query, opts query.Options) (*query.Result, error) {
+	return eng.Execute(context.Background(), q, opts)
+}
 
 // TestPlannedExecutionMatchesSequential is the determinism regression:
 // across every query world, the planned executor (the batch pipeline)
@@ -84,12 +90,12 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 	}
 	for _, w := range worlds {
 		for qi, q := range w.qs {
-			want, err := w.eng.ExecuteWith(q, query.Options{Sequential: true})
+			want, err := runQuery(w.eng, q, query.Options{Sequential: true})
 			if err != nil {
 				t.Fatalf("%s q%d sequential: %v", w.name, qi, err)
 			}
 			for _, m := range modes {
-				got, err := w.eng.ExecuteWith(q, m.opts)
+				got, err := runQuery(w.eng, q, m.opts)
 				if err != nil {
 					t.Fatalf("%s q%d %s: %v", w.name, qi, m.name, err)
 				}
@@ -105,7 +111,7 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 	// deep-chain world (the other worlds may or may not cross their
 	// per-partition reservations; the chain world's frontier always
 	// does).
-	spilled, err := ceng.ExecuteWith(cq, query.Options{Workers: 8, MemoryLimit: 1 << 14})
+	spilled, err := runQuery(ceng, cq, query.Options{Workers: 8, MemoryLimit: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +121,7 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 
 	// The planner must move the fan-out world's selective Status triple
 	// ahead of the textual order.
-	planned, err := feng.ExecuteWith(fq, query.Options{})
+	planned, err := runQuery(feng, fq, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +137,7 @@ func TestPlannedExecutionMatchesSequential(t *testing.T) {
 func TestJoinWorldMatchesSequential(t *testing.T) {
 	for _, nt := range []int{3, 5} {
 		eng, q := buildJoinWorld(2, 1500, nt)
-		want, err := eng.ExecuteWith(q, query.Options{Sequential: true})
+		want, err := runQuery(eng, q, query.Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +145,7 @@ func TestJoinWorldMatchesSequential(t *testing.T) {
 			t.Fatalf("join world at %d triples produced no rows", nt)
 		}
 		for _, opts := range []query.Options{{Workers: 1}, {Workers: chainWorkers}} {
-			got, err := eng.ExecuteWith(q, opts)
+			got, err := runQuery(eng, q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,11 +163,11 @@ func TestJoinWorldMatchesSequential(t *testing.T) {
 func TestChainWorldStreamsEveryStep(t *testing.T) {
 	for _, nt := range []int{3, 5} {
 		eng, q := buildChainWorld(chainSources, chainInstances, nt, chainDup)
-		want, err := eng.ExecuteWith(q, query.Options{Sequential: true})
+		want, err := runQuery(eng, q, query.Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.ExecuteWith(q, query.Options{Workers: chainWorkers, Partitions: chainWorkers})
+		got, err := runQuery(eng, q, query.Options{Workers: chainWorkers, Partitions: chainWorkers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +195,7 @@ func TestBoundedMemoryPeakUnderCap(t *testing.T) {
 	eng, q := buildChainWorld(chainSources, chainInstances, 5, chainDup)
 	run := func(opts query.Options) *query.Result {
 		t.Helper()
-		res, err := eng.ExecuteWith(q, opts)
+		res, err := runQuery(eng, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func TestE2AllStagesPass(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query engine: %v", err)
 	}
-	qr, err := eng.Execute(query.MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
+	qr, err := runQuery(eng, query.MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"), query.Options{})
 	if err != nil || len(qr.Rows) == 0 || qr.Stats.Conversions == 0 {
 		t.Errorf("query engine: err %v, want rows and conversions, got %+v", err, qr)
 	}
@@ -174,7 +174,7 @@ func TestE11PlannedBeatsSequential(t *testing.T) {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			var err error
-			if res, err = eng.ExecuteWith(q, opts); err != nil {
+			if res, err = runQuery(eng, q, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,7 +186,7 @@ func TestE11PlannedBeatsSequential(t *testing.T) {
 		resSeq, dSeq := timeReps(eng, q, query.Options{Sequential: true})
 		// One cold run compiles and caches the plan; the timed runs are
 		// the warm path.
-		if _, err := eng.ExecuteWith(q, query.Options{}); err != nil {
+		if _, err := runQuery(eng, q, query.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		resPar, dPar := timeReps(eng, q, query.Options{})

@@ -12,13 +12,13 @@ import (
 
 func benchWorldExec(b *testing.B, eng *query.Engine, q query.Query, opts query.Options) {
 	b.Helper()
-	if _, err := eng.ExecuteWith(q, opts); err != nil { // warm plan + indexes
+	if _, err := runQuery(eng, q, opts); err != nil { // warm plan + indexes
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteWith(q, opts); err != nil {
+		if _, err := runQuery(eng, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

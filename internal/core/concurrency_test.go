@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -50,7 +51,7 @@ func TestConcurrentSystemQueries(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := s.Explain(fixtures.ArtName, q); err != nil {
+					if _, _, err := s.Explain(context.Background(), fixtures.ArtName, query.MustParse(q), query.Options{}, false); err != nil {
 						errs <- err
 						return
 					}
@@ -131,30 +132,34 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 	}
 }
 
+// engineOf returns the engine s resolves for the Fig. 2 articulation,
+// read under the registry lock the way Execute reads it.
+func engineOf(t *testing.T, s *System) *query.Engine {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, err := s.engineLocked(fixtures.ArtName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestEngineCacheInvalidation checks the two invalidation regimes: data
 // mutations (Infer, AddFacts) keep the cached engine — its epoch check
 // self-heals the stale plan/index state — while structural mutations
 // (re-registering a KB) still drop engines wholesale.
 func TestEngineCacheInvalidation(t *testing.T) {
 	s := paperSystem(t)
-	e1, err := s.QueryEngine(fixtures.ArtName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := s.QueryEngine(fixtures.ArtName)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := engineOf(t, s)
+	e2 := engineOf(t, s)
 	if e1 != e2 {
 		t.Fatalf("engine not cached across calls")
 	}
 	if _, err := s.Infer("carrier"); err != nil {
 		t.Fatal(err)
 	}
-	e3, err := s.QueryEngine(fixtures.ArtName)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e3 := engineOf(t, s)
 	if e3 != e1 {
 		t.Fatalf("Infer dropped the cached engine; epochs should self-heal it instead")
 	}
@@ -166,10 +171,7 @@ func TestEngineCacheInvalidation(t *testing.T) {
 	if err := s.RegisterKB(fixtures.CarrierKB()); err != nil {
 		t.Fatal(err)
 	}
-	e4, err := s.QueryEngine(fixtures.ArtName)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e4 := engineOf(t, s)
 	if e4 == e1 {
 		t.Fatalf("engine cache not invalidated by RegisterKB")
 	}

@@ -36,7 +36,7 @@ import (
 // compose: an articulation can be articulated with a further source
 // (§4.2).
 //
-// A System is safe for concurrent use: read operations (Query, Explain,
+// A System is safe for concurrent use: read operations (Execute, Explain,
 // lookups, algebra) run concurrently, while mutating operations
 // (Register, RegisterKB, Load, Drop, Articulate, Regenerate, Infer,
 // AddFacts, SetLexicon) serialise against everything else. Structural
@@ -621,18 +621,6 @@ func (s *System) Difference(artName string, swap bool, mode algebra.DiffMode) (*
 	return algebra.DifferenceWith(a, b, art, algebra.Options{DiffMode: mode})
 }
 
-// QueryEngine returns the query engine over a registered articulation,
-// its two sources and their knowledge bases. Engines are cached (they
-// hold compiled plans and scan indexes) and invalidated whenever the
-// system mutates. An engine used directly is not synchronised with
-// System mutations — prefer Query/QueryWith, which execute under the
-// registry read lock, when mutators may run concurrently.
-func (s *System) QueryEngine(artName string) (*query.Engine, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.engineLocked(artName)
-}
-
 // engineLocked returns the cached or freshly built engine. Callers hold
 // s.mu (read or write), so no mutation — and therefore no cache
 // invalidation — can interleave between building and storing.
@@ -670,29 +658,14 @@ func (s *System) Query(artName, text string) (*query.Result, error) {
 	return s.QueryWith(artName, text, query.Options{})
 }
 
-// QueryWith is Query with explicit execution options (worker-pool size
-// and join partitioning — every planned query runs as a cross-step
-// streaming pipeline whose per-step partition counts the planner derives
-// from its estimates — plus a MemoryLimit under which joins degrade to
-// grace-hash spilling, and the sequential reference path). The
-// returned Result's Stats carry the execution counters, including
-// StreamedBatches and StepPartitions (each join step's partition
-// count) from the partitioned scan→join pipeline and BytesReserved,
-// SpilledPartitions and SpillRuns from the memory governor. Execution runs under the registry read lock, so mutators
-// (Infer, Regenerate, ...) wait for in-flight queries instead of
-// racing their scans.
+// QueryWith is Query under explicit execution options (query.Options):
+// the returned Result's Stats carry the execution's counters.
 func (s *System) QueryWith(artName, text string, opts query.Options) (*query.Result, error) {
-	return s.QueryCtx(context.Background(), artName, text, opts)
-}
-
-// QueryCtx is QueryWith under a context: cancellation or deadline expiry
-// stops further scan dispatch and returns ctx.Err().
-func (s *System) QueryCtx(ctx context.Context, artName, text string, opts query.Options) (*query.Result, error) {
 	q, err := query.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := s.ExecuteVersioned(ctx, artName, q, opts)
+	res, _, err := s.Execute(context.Background(), artName, q, opts)
 	return res, err
 }
 
@@ -710,12 +683,14 @@ func (s *System) QueryEpochKey(artName string) (string, error) {
 	return e.EpochKey(), nil
 }
 
-// ExecuteVersioned executes a parsed query under the registry read lock
-// and returns the epoch key the execution ran at. Mutators are excluded
-// for the whole execution, so the key exactly versions the returned
-// rows: a result cached under it may be served for as long as the
-// articulation's epoch key still matches.
-func (s *System) ExecuteVersioned(ctx context.Context, artName string, q query.Query, opts query.Options) (*query.Result, string, error) {
+// Execute executes a parsed query against a registered articulation
+// under ctx and opts (query.Engine.Execute), and returns the epoch key
+// the execution ran at. It runs under the registry read lock, so
+// mutators (Infer, Regenerate, AddFacts, ...) wait for in-flight queries
+// instead of racing their scans, and the key exactly versions the
+// returned rows: a result cached under it may be served for as long as
+// the articulation's epoch key still matches.
+func (s *System) Execute(ctx context.Context, artName string, q query.Query, opts query.Options) (*query.Result, string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, err := s.engineLocked(artName)
@@ -723,45 +698,27 @@ func (s *System) ExecuteVersioned(ctx context.Context, artName string, q query.Q
 		return nil, "", err
 	}
 	key := e.EpochKey()
-	res, err := e.ExecuteCtx(ctx, q, opts)
+	res, err := e.Execute(ctx, q, opts)
 	if err != nil {
 		return nil, "", err
 	}
 	return res, key, nil
 }
 
-// Explain reformulates a query against a registered articulation without
-// executing it, returning the per-triple, per-source scan plan.
-func (s *System) Explain(artName, text string) (*query.Plan, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, err := s.engineLocked(artName)
-	if err != nil {
-		return nil, err
-	}
-	return e.Explain(q)
-}
-
-// ExplainAnalyze reformulates and executes a query, returning the plan
-// annotated with per-step actual row counts and durations alongside the
-// result. Runs under the registry read lock like ExecuteVersioned, so
-// the plan and the execution see the same epoch.
-func (s *System) ExplainAnalyze(ctx context.Context, artName, text string, opts query.Options) (*query.Plan, *query.Result, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, nil, err
-	}
+// Explain reformulates a parsed query against a registered articulation
+// under opts, returning the per-triple, per-source scan plan; with
+// analyze it also executes the query and annotates the plan with the
+// measured actuals (query.Engine.Explain). It runs under the registry
+// read lock like Execute, so the plan and the execution see the same
+// epoch.
+func (s *System) Explain(ctx context.Context, artName string, q query.Query, opts query.Options, analyze bool) (*query.Plan, *query.Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, err := s.engineLocked(artName)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.ExplainAnalyze(ctx, q, opts)
+	return e.Explain(ctx, q, opts, analyze)
 }
 
 // Infer expands a registered ontology with the consequences of its

@@ -93,14 +93,14 @@ func TestExecuteVersioned(t *testing.T) {
 	s := paperSystem(t)
 	q := query.MustParse(vehiclePriceQ)
 	ctx := context.Background()
-	r1, k1, err := s.ExecuteVersioned(ctx, fixtures.ArtName, q, query.Options{})
+	r1, k1, err := s.Execute(ctx, fixtures.ArtName, q, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k2, err := s.QueryEpochKey(fixtures.ArtName); err != nil || k2 != k1 {
 		t.Fatalf("QueryEpochKey = %q (err %v), want %q", k2, err, k1)
 	}
-	r2, k2, err := s.ExecuteVersioned(ctx, fixtures.ArtName, q, query.Options{Workers: 4})
+	r2, k2, err := s.Execute(ctx, fixtures.ArtName, q, query.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +110,14 @@ func TestExecuteVersioned(t *testing.T) {
 	if err := s.AddFact("carrier", "Z1", "InstanceOf", kb.Term("SUV")); err != nil {
 		t.Fatal(err)
 	}
-	_, k3, err := s.ExecuteVersioned(ctx, fixtures.ArtName, q, query.Options{})
+	_, k3, err := s.Execute(ctx, fixtures.ArtName, q, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k3 == k1 {
 		t.Fatalf("epoch key unchanged after mutation")
 	}
-	if _, _, err := s.ExecuteVersioned(ctx, "nope", q, query.Options{}); err == nil {
+	if _, _, err := s.Execute(ctx, "nope", q, query.Options{}); err == nil {
 		t.Fatalf("unknown articulation accepted")
 	}
 }
@@ -128,10 +128,11 @@ func TestQueryCtxCancellation(t *testing.T) {
 	s := paperSystem(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.QueryCtx(ctx, fixtures.ArtName, vehiclePriceQ, query.Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryCtx returned %v, want context.Canceled", err)
+	q := query.MustParse(vehiclePriceQ)
+	if _, _, err := s.Execute(ctx, fixtures.ArtName, q, query.Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute returned %v, want context.Canceled", err)
 	}
-	if res, err := s.QueryCtx(context.Background(), fixtures.ArtName, vehiclePriceQ, query.Options{}); err != nil || len(res.Rows) == 0 {
+	if res, _, err := s.Execute(context.Background(), fixtures.ArtName, q, query.Options{}); err != nil || len(res.Rows) == 0 {
 		t.Fatalf("live ctx query failed: %v", err)
 	}
 }

@@ -60,14 +60,14 @@ func TestBatchBoundaryRowCounts(t *testing.T) {
 	for _, n := range []int{batchRows - 1, batchRows, batchRows + 1, 2*batchRows + 3} {
 		t.Run(fmt.Sprintf("rows-%d", n), func(t *testing.T) {
 			eng, q := batchEdgeEngine(t, n)
-			want, err := eng.ExecuteWith(q, Options{Sequential: true})
+			want, err := runQuery(eng, q, Options{Sequential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(want.Rows) != 2*n {
 				t.Fatalf("sequential rows = %d, want %d", len(want.Rows), 2*n)
 			}
-			batch, err := eng.ExecuteWith(q, Options{Workers: 4})
+			batch, err := runQuery(eng, q, Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestBatchBoundaryRowCounts(t *testing.T) {
 			}
 			// The budgeted capacity (budgetedBatchRows) divides the same
 			// row counts differently; the edge must hold there too.
-			budgeted, err := eng.ExecuteWith(q, Options{Workers: 4, MemoryLimit: 1 << 14})
+			budgeted, err := runQuery(eng, q, Options{Workers: 4, MemoryLimit: 1 << 14})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestBatchSelectionMaskAllZero(t *testing.T) {
 		{"batch-budgeted", Options{Workers: 4, MemoryLimit: 1 << 14}},
 		{"one-worker", Options{Workers: 1}},
 	} {
-		got, err := eng.ExecuteWith(dead, leg.opts)
+		got, err := runQuery(eng, dead, leg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
@@ -117,14 +117,14 @@ func TestBatchSelectionMaskAllZero(t *testing.T) {
 	// those rows, byte-identical to the reference.
 	oneLeft := MustParse(fmt.Sprintf(
 		"SELECT ?x ?v WHERE ?x InstanceOf Item . ?x P ?v . ?x P2 ?w . FILTER ?v >= %d", batchRows+4))
-	want, err := eng.ExecuteWith(oneLeft, Options{Sequential: true})
+	want, err := runQuery(eng, oneLeft, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Rows) != 2 {
 		t.Fatalf("single-survivor filter: sequential rows = %d, want 2", len(want.Rows))
 	}
-	got, err := eng.ExecuteWith(oneLeft, Options{Workers: 4})
+	got, err := runQuery(eng, oneLeft, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestBatchEmptyStep(t *testing.T) {
 		{"batch-budgeted", Options{Workers: 4, MemoryLimit: 1 << 14}},
 		{"one-worker", Options{Workers: 1}},
 	} {
-		got, err := eng.ExecuteWith(empty, leg.opts)
+		got, err := runQuery(eng, empty, leg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
@@ -175,7 +175,7 @@ func TestBatchDeterminismAcrossProcs(t *testing.T) {
 	for _, w := range worlds {
 		t.Run(w.name, func(t *testing.T) {
 			eng, q := w.build(t)
-			want, err := eng.ExecuteWith(q, Options{Sequential: true})
+			want, err := runQuery(eng, q, Options{Sequential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func TestBatchDeterminismAcrossProcs(t *testing.T) {
 						{"batch-16k-parts-1", Options{Workers: 4, Partitions: 1, MemoryLimit: 1 << 14}},
 					}
 					for _, leg := range legs {
-						got, err := eng.ExecuteWith(q, leg.opts)
+						got, err := runQuery(eng, q, leg.opts)
 						if err != nil {
 							t.Fatalf("%s: %v", leg.name, err)
 						}

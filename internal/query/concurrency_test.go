@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ func TestConcurrentMixedQueriesAreSafe(t *testing.T) {
 	}
 	want := make([]*Result, len(queries))
 	for i, qs := range queries {
-		ref, err := eng.ExecuteWith(MustParse(qs), Options{Sequential: true})
+		ref, err := runQuery(eng, MustParse(qs), Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestConcurrentMixedQueriesAreSafe(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				qi := (g + i) % len(queries)
 				opts := Options{Workers: 1 + (g+i)%4}
-				got, err := eng.ExecuteWith(MustParse(queries[qi]), opts)
+				got, err := runQuery(eng, MustParse(queries[qi]), opts)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d query %d: %w", g, qi, err)
 					return
@@ -71,11 +72,11 @@ func TestConcurrentExplainAndExecute(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				if g%2 == 0 {
-					if _, err := eng.Explain(q); err != nil {
+					if _, _, err := eng.Explain(context.Background(), q, Options{}, false); err != nil {
 						errs <- err
 						return
 					}
-				} else if _, err := eng.ExecuteWith(q, Options{Workers: 2}); err != nil {
+				} else if _, err := runQuery(eng, q, Options{Workers: 2}); err != nil {
 					errs <- err
 					return
 				}
@@ -100,7 +101,7 @@ func TestInvalidateCacheUnderLoad(t *testing.T) {
 	}
 	want := make([]*Result, len(queries))
 	for i, q := range queries {
-		ref, err := eng.ExecuteWith(q, Options{Sequential: true})
+		ref, err := runQuery(eng, q, Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestInvalidateCacheUnderLoad(t *testing.T) {
 					continue
 				}
 				qi := (g + i) % len(queries)
-				got, err := eng.ExecuteWith(queries[qi], Options{Workers: 2})
+				got, err := runQuery(eng, queries[qi], Options{Workers: 2})
 				if err != nil {
 					errs <- err
 					return

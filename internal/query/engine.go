@@ -195,7 +195,7 @@ func (r *Result) EqualRows(o *Result) bool {
 // Engine executes articulation-level queries against the sources by
 // reformulating each triple through the semantic bridges.
 //
-// An Engine is safe for concurrent Execute/ExecuteWith/Explain calls.
+// An Engine is safe for concurrent Execute and Explain calls.
 // It caches compiled plans and, per source, one record of scan indexes
 // (sourceIndex), validated against the sources' state at every query:
 // mutating a source ontology or knowledge base underneath a live engine
@@ -207,7 +207,6 @@ type Engine struct {
 	art     *articulation.Articulation
 	sources map[string]*Source
 	names   []string // sorted source names, articulation first
-	opts    Options  // defaults for Execute
 	id      uint64   // process-unique engine identity (EpochKey component)
 
 	mu      sync.RWMutex
@@ -330,18 +329,12 @@ func (rec *sourceIndex) qualified(name, term string) kb.Value {
 // articulation ontology itself participates as a source (without a KB), so
 // queries can ask about articulation-level structure directly.
 func NewEngine(art *articulation.Articulation, sources map[string]*Source) (*Engine, error) {
-	return NewEngineWith(art, sources, Options{})
-}
-
-// NewEngineWith is NewEngine with default execution options for Execute.
-func NewEngineWith(art *articulation.Articulation, sources map[string]*Source, opts Options) (*Engine, error) {
 	if art == nil {
 		return nil, fmt.Errorf("query: nil articulation")
 	}
 	e := &Engine{
 		art:     art,
 		sources: make(map[string]*Source, len(sources)+1),
-		opts:    opts,
 		plans:   make(map[string]*execPlan),
 		indexes: make(map[string]*sourceIndex),
 	}
@@ -486,25 +479,13 @@ func (e *Engine) index(name string) *sourceIndex {
 
 type binding map[string]kb.Value
 
-// Execute runs the query with the engine's default options (the planned,
-// parallel path unless the engine was built with Options{Sequential: true}).
-func (e *Engine) Execute(q Query) (*Result, error) {
-	return e.ExecuteWith(q, e.opts)
-}
-
-// ExecuteWith runs the query with explicit execution options. Results are
-// byte-identical across option combinations; only Stats and wall-clock
-// time differ.
-func (e *Engine) ExecuteWith(q Query, opts Options) (*Result, error) {
-	return e.ExecuteCtx(context.Background(), q, opts)
-}
-
-// ExecuteCtx is ExecuteWith under a context: cancellation or deadline
-// expiry stops further scan dispatch (scans already running finish — a
-// single scan is never interrupted mid-walk) and the call returns
-// ctx.Err() instead of a partial result. The serving layer threads
-// per-request deadlines through here.
-func (e *Engine) ExecuteCtx(ctx context.Context, q Query, opts Options) (*Result, error) {
+// Execute runs the query under opts. Results are byte-identical across
+// option combinations; only Stats and wall-clock time differ. Context
+// cancellation or deadline expiry stops further scan dispatch (scans
+// already running finish — a single scan is never interrupted mid-walk)
+// and the call returns ctx.Err() instead of a partial result. The
+// serving layer threads per-request deadlines through here.
+func (e *Engine) Execute(ctx context.Context, q Query, opts Options) (*Result, error) {
 	// Tracing: re-root the option's parent span on this execution so
 	// every child recorded below hangs off one "query.execute" span.
 	// opts is a value copy, so overwriting Trace is local to this call.

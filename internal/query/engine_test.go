@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/articulation"
@@ -10,6 +11,12 @@ import (
 	"repro/internal/rowcodec"
 	"repro/internal/rules"
 )
+
+// runQuery executes q on e under opts with no deadline — Engine.Execute
+// for tests that do not exercise cancellation.
+func runQuery(e *Engine, q Query, opts Options) (*Result, error) {
+	return e.Execute(context.Background(), q, opts)
+}
 
 // paperPieces returns the Fig. 2 articulation and its sources.
 func paperPieces(t testing.TB) (*articulationResult, *ontologyT, *ontologyT) {
@@ -34,7 +41,7 @@ func paperEngine(t testing.TB) *Engine {
 
 func rows(t testing.TB, e *Engine, q string) *Result {
 	t.Helper()
-	res, err := e.Execute(MustParse(q))
+	res, err := runQuery(e, MustParse(q), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +230,7 @@ func TestNewEngineValidation(t *testing.T) {
 
 func TestExecuteInvalidQuery(t *testing.T) {
 	e := paperEngine(t)
-	if _, err := e.Execute(Query{}); err == nil {
+	if _, err := runQuery(e, Query{}, Options{}); err == nil {
 		t.Fatalf("invalid query executed")
 	}
 }
@@ -284,7 +291,7 @@ func TestRepeatedVariableEnforcesEquality(t *testing.T) {
 	eng := likesEngine(t)
 	q := MustParse("SELECT ?x WHERE ?x Likes ?x")
 	for _, opts := range []Options{{Sequential: true}, {}, {Workers: 4}} {
-		res, err := eng.ExecuteWith(q, opts)
+		res, err := runQuery(eng, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,11 +310,11 @@ func TestPlanCacheDistinguishesValueKinds(t *testing.T) {
 	qTerm := Query{Select: []string{"x"}, Where: []Triple{{S: C(kb.Term("5")), P: C(kb.Term("Likes")), O: V("x")}}}
 	qNum := Query{Select: []string{"x"}, Where: []Triple{{S: C(kb.Number(5)), P: C(kb.Term("Likes")), O: V("x")}}}
 	for _, q := range []Query{qTerm, qNum} {
-		want, err := eng.ExecuteWith(q, Options{Sequential: true})
+		want, err := runQuery(eng, q, Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.ExecuteWith(q, Options{})
+		got, err := runQuery(eng, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

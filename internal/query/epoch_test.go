@@ -106,7 +106,7 @@ func TestEpochVectorAndKey(t *testing.T) {
 	if k2 := e.EpochKey(); k2 != k1 {
 		t.Fatalf("EpochKey unstable without mutation")
 	}
-	if _, err := e.Execute(MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle")); err != nil {
+	if _, err := runQuery(e, MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle"), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if k2 := e.EpochKey(); k2 != k1 {
@@ -151,7 +151,7 @@ func TestInvalidateCacheStillForcesFlush(t *testing.T) {
 // ordinal while the sequential reference reads the new store.
 func TestInvalidateCacheDropsFactQuals(t *testing.T) {
 	eng, q := projWideEngine(t, 8)
-	if _, err := eng.ExecuteWith(q, Options{Workers: 1}); err != nil { // builds the fact-ordinal cache
+	if _, err := runQuery(eng, q, Options{Workers: 1}); err != nil { // builds the fact-ordinal cache
 		t.Fatal(err)
 	}
 	swapped := kb.New("pw1")
@@ -162,7 +162,7 @@ func TestInvalidateCacheDropsFactQuals(t *testing.T) {
 	}
 	eng.sources["pw1"].KB = swapped
 	eng.InvalidateCache()
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestInvalidateCacheDropsFactQuals(t *testing.T) {
 		t.Fatalf("sequential does not read the swapped store: %v", want.Rows)
 	}
 	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 16}} {
-		got, err := eng.ExecuteWith(q, opts)
+		got, err := runQuery(eng, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,12 +188,12 @@ var pushdownQSel = MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Pric
 // budget) and fails on any divergence from the Sequential rows.
 func checkPlannedMatchesSequential(t *testing.T, eng *Engine, q Query) *Result {
 	t.Helper()
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 16}} {
-		got, err := eng.ExecuteWith(q, opts)
+		got, err := runQuery(eng, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,12 +384,12 @@ func TestExecuteCtxCancellation(t *testing.T) {
 		{Workers: 4, MemoryLimit: 1 << 16},
 	}
 	for _, opts := range modes {
-		if _, err := eng.ExecuteCtx(cancelled, q, opts); !errors.Is(err, context.Canceled) {
+		if _, err := eng.Execute(cancelled, q, opts); !errors.Is(err, context.Canceled) {
 			t.Errorf("%+v: pre-cancelled ctx returned %v, want context.Canceled", opts, err)
 		}
 		// A generous deadline must not disturb the result.
 		ctx, stop := context.WithTimeout(done, time.Minute)
-		res, err := eng.ExecuteCtx(ctx, q, opts)
+		res, err := eng.Execute(ctx, q, opts)
 		stop()
 		if err != nil || len(res.Rows) == 0 {
 			t.Errorf("%+v: deadline run failed: %v", opts, err)
@@ -401,7 +401,7 @@ func TestExecuteCtxCancellation(t *testing.T) {
 	defer stop()
 	time.Sleep(time.Millisecond)
 	for _, opts := range modes {
-		if _, err := eng.ExecuteCtx(expired, q, opts); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := eng.Execute(expired, q, opts); !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%+v: expired deadline returned %v", opts, err)
 		}
 	}

@@ -60,7 +60,7 @@ func joinHeavyEngine(t testing.TB, instances int) (*Engine, Query) {
 // budget — against the sequential reference on the join-heavy world.
 func TestTupleExecutorMatchesReferences(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 300)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 		{"batch-16k-budget", Options{Workers: 4, MemoryLimit: 1 << 14}},
 	}
 	for _, m := range modes {
-		got, err := eng.ExecuteWith(q, m.opts)
+		got, err := runQuery(eng, q, m.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -91,7 +91,7 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 	}
 	// The pipelined run must actually have partitioned and streamed
 	// (TestAdaptivePartitionCounts checks the planner-derived counts).
-	got, err := eng.ExecuteWith(q, Options{Workers: 4})
+	got, err := runQuery(eng, q, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 		t.Errorf("default pipeline did not batch: %+v", got.Stats)
 	}
 	// An explicit global Partitions override still pins every step.
-	pinned, err := eng.ExecuteWith(q, Options{Workers: 4, Partitions: 4})
+	pinned, err := runQuery(eng, q, Options{Workers: 4, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTupleCrossProduct(t *testing.T) {
 		MustParse(`SELECT ?x ?y WHERE ?x InstanceOf Item . ?y Price 51`),
 		MustParse(`SELECT ?x ?y ?q ?z WHERE ?x InstanceOf Item . ?y Price 51 . ?y Qty ?q . ?z Qty 2`),
 	} {
-		want, err := eng.ExecuteWith(q, Options{Sequential: true})
+		want, err := runQuery(eng, q, Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestTupleCrossProduct(t *testing.T) {
 			{Workers: 1}, {Workers: 4},
 			{Workers: 1, MemoryLimit: 1 << 14}, {Workers: 4, MemoryLimit: 1 << 14},
 		} {
-			got, err := eng.ExecuteWith(q, opts)
+			got, err := runQuery(eng, q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,11 +182,11 @@ func TestTupleCrossProduct(t *testing.T) {
 func TestPartitionedJoinRaceHammer(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 120)
 	q2 := MustParse(`SELECT ?x ?q WHERE ?x InstanceOf Item . ?x Qty ?q . ?x Region R2`)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := eng.ExecuteWith(q2, Options{Sequential: true})
+	want2, err := runQuery(eng, q2, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestPartitionedJoinRaceHammer(t *testing.T) {
 				if (g+i)%2 == 1 {
 					qi, ref = q2, want2
 				}
-				got, err := eng.ExecuteWith(qi, Options{Workers: 2 + (g+i)%3})
+				got, err := runQuery(eng, qi, Options{Workers: 2 + (g+i)%3})
 				if err != nil {
 					errs <- err
 					return
@@ -241,7 +241,7 @@ func TestPerRowBatchAllocs(t *testing.T) {
 		for i, instances := range []int{200, 800} {
 			eng, q := joinHeavyEngine(t, instances)
 			run := func() *Result {
-				res, err := eng.ExecuteWith(q, opts)
+				res, err := runQuery(eng, q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -294,7 +294,7 @@ func TestNaNJoinMatchesReference(t *testing.T) {
 	eng.sources["jh1"].KB.MustAdd("nanB", "Qty", kb.Number(nan))
 	eng.InvalidateCache()
 	q := MustParse("SELECT ?x ?y WHERE ?x Price ?p . ?y Qty ?p")
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestNaNJoinMatchesReference(t *testing.T) {
 		t.Fatalf("sequential reference did not join NaN prices: %v", want.Rows)
 	}
 	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 14}} {
-		got, err := eng.ExecuteWith(q, opts)
+		got, err := runQuery(eng, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ type TriplePlan struct {
 	StreamsInto   int
 	StreamKeyVars []string
 	// Partitions is the hash-partition count this step's join runs with
-	// under the engine's default options: planner-derived from the scan
+	// under the explained options: planner-derived from the scan
 	// estimates (skew-aware) unless Options{Partitions} pins a global
 	// count (0 for the leading scan step).
 	Partitions int
@@ -77,21 +77,20 @@ type Plan struct {
 	// Slots is the tuple layout: Slots[i] is the variable stored at
 	// slot i.
 	Slots []string
-	// Workers is the worker-pool size the engine's default options
-	// resolve to.
+	// Workers is the worker-pool size the explained options resolve to.
 	Workers int
 	// Partitions is the widest hash-partition count across the join
 	// steps (each step's own count is in its TriplePlan.Partitions;
 	// Options{Partitions} pins them all; 0 on a single-step plan).
 	Partitions int
-	// MemoryLimit is the engine default options' execution budget in
-	// bytes (0 = unlimited): joins that cannot reserve within it degrade
-	// to grace-hash spilling.
+	// MemoryLimit is the explained options' execution budget in bytes
+	// (0 = unlimited): joins that cannot reserve within it degrade to
+	// grace-hash spilling.
 	MemoryLimit int64
 	// Triples are the WHERE conjuncts in execution (join) order.
 	Triples []TriplePlan
-	// Analyzed is true when the plan came from ExplainAnalyze: the query
-	// actually ran, and ActualRows/ActualNs (whole query) plus each
+	// Analyzed is true when the plan came from an analyzing Explain: the
+	// query actually ran, and ActualRows/ActualNs (whole query) plus each
 	// TriplePlan's actuals record what the execution measured against
 	// the planner's estimates. Per-step actuals are populated on the
 	// planned path (StepRows); the Sequential reference path reports
@@ -169,22 +168,31 @@ func setOrStar(ss []string) string {
 	return "{" + strings.Join(ss, ", ") + "}"
 }
 
-// Explain compiles the query without executing it, returning the
-// per-triple, per-source scan plan in join order together with the slot
-// assignment. It shares the plan cache with execution, so explaining a
-// query warms its plan.
-func (e *Engine) Explain(q Query) (*Plan, error) {
+// Explain compiles the query under opts, returning the per-triple,
+// per-source scan plan in join order together with the slot assignment
+// and the worker, partition and memory settings opts resolve to. It
+// shares the plan cache with execution, so explaining a query warms its
+// plan.
+//
+// With analyze (EXPLAIN ANALYZE) it also executes the query under ctx
+// and opts and annotates the plan with the measured actuals: the
+// whole-query row count and wall time, and — on the planned path, which
+// records Stats.StepRows/StepDurNs — each step's emitted rows and
+// duration next to the planner's estimates. The executed Result is
+// returned alongside (nil without analyze), so callers get the rows,
+// full Stats and (when opts.Trace is set) the span tree in one call.
+func (e *Engine) Explain(ctx context.Context, q Query, opts Options, analyze bool) (*Plan, *Result, error) {
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.validateEpochs()
 	ep, _ := e.cachedPlan(q)
-	workers := resolveWorkers(e.opts)
+	workers := resolveWorkers(opts)
 	plan := &Plan{
 		Query:       q.String(),
 		Slots:       append([]string(nil), ep.slotNames...),
 		Workers:     workers,
-		MemoryLimit: e.opts.MemoryLimit,
+		MemoryLimit: opts.MemoryLimit,
 	}
 	for i, stp := range ep.steps {
 		tp := TriplePlan{
@@ -196,9 +204,9 @@ func (e *Engine) Explain(q Query) (*Plan, error) {
 			StreamsInto: -1,
 		}
 		// Per-step partition counts from the function the executor
-		// calls, under the engine's default options.
+		// calls, under the same options.
 		if i > 0 {
-			tp.Partitions = ep.stepPartCount(i, e.opts, workers)
+			tp.Partitions = ep.stepPartCount(i, opts, workers)
 			plan.Partitions = max(plan.Partitions, tp.Partitions)
 		}
 		if i+1 < len(ep.steps) {
@@ -226,23 +234,11 @@ func (e *Engine) Explain(q Query) (*Plan, error) {
 		}
 		plan.Triples = append(plan.Triples, tp)
 	}
-	return plan, nil
-}
-
-// ExplainAnalyze executes the query under opts and returns its plan
-// annotated with the execution's measured actuals (EXPLAIN ANALYZE):
-// the whole-query row count and wall time on the Plan, and — on the
-// planned path, which records Stats.StepRows/StepDurNs — each step's
-// emitted rows and duration next to the planner's estimates.
-// The executed Result is returned alongside so callers get the rows,
-// full Stats and (when opts.Trace is set) the span tree in one call.
-func (e *Engine) ExplainAnalyze(ctx context.Context, q Query, opts Options) (*Plan, *Result, error) {
-	plan, err := e.Explain(q)
-	if err != nil {
-		return nil, nil, err
+	if !analyze {
+		return plan, nil, nil
 	}
 	t0 := time.Now()
-	res, err := e.ExecuteCtx(ctx, q, opts)
+	res, err := e.Execute(ctx, q, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestExplainShowsExpansions(t *testing.T) {
 	e := paperEngine(t)
-	plan, err := e.Explain(MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle"))
+	plan, _, err := e.Explain(context.Background(), MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle"), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestExplainShowsExpansions(t *testing.T) {
 
 func TestExplainPrunesImpossibleSources(t *testing.T) {
 	e := paperEngine(t)
-	plan, err := e.Explain(MustParse("SELECT ?x WHERE ?x InstanceOf carrier.SUV"))
+	plan, _, err := e.Explain(context.Background(), MustParse("SELECT ?x WHERE ?x InstanceOf carrier.SUV"), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestExplainPrunesImpossibleSources(t *testing.T) {
 
 func TestExplainString(t *testing.T) {
 	e := paperEngine(t)
-	plan, err := e.Explain(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
+	plan, _, err := e.Explain(context.Background(), MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +101,16 @@ func TestExplainString(t *testing.T) {
 // with partition counts from the executor's own stepPartCount.
 func TestExplainShowsPipelineEdges(t *testing.T) {
 	res, carrier, factory := paperPieces(t)
-	e, err := NewEngineWith(res.Art, map[string]*Source{
+	e, err := NewEngine(res.Art, map[string]*Source{
 		"carrier": {Ont: carrier},
 		"factory": {Ont: factory},
-	}, Options{Workers: 4, Partitions: 3})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := e.Explain(MustParse(
-		"SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . ?x ?r ?y . ?y ?r2 ?z"))
+	pinned := Options{Workers: 4, Partitions: 3}
+	plan, _, err := e.Explain(context.Background(), MustParse(
+		"SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . ?x ?r ?y . ?y ?r2 ?z"), pinned, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,23 +135,16 @@ func TestExplainShowsPipelineEdges(t *testing.T) {
 
 	// The Fig. 2 two-triple plan streams too, at any worker count, with
 	// the per-step partition count the executor computes.
-	one, err := NewEngineWith(res.Art, map[string]*Source{
-		"carrier": {Ont: carrier},
-		"factory": {Ont: factory},
-	}, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []*Engine{e, one} {
-		p2, err := eng.Explain(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
+	for _, opts := range []Options{pinned, {Workers: 1}} {
+		p2, _, err := e.Explain(context.Background(), MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"), opts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p2.Triples[0].StreamsInto != 1 || p2.Triples[1].StreamsInto != -1 {
 			t.Fatalf("workers %d: two-triple plan edges %+v", p2.Workers, p2.Triples)
 		}
-		ep, _ := eng.cachedPlan(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
-		if want := ep.stepPartCount(1, eng.opts, p2.Workers); p2.Triples[1].Partitions != want || p2.Partitions != want {
+		ep, _ := e.cachedPlan(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
+		if want := ep.stepPartCount(1, opts, p2.Workers); p2.Triples[1].Partitions != want || p2.Partitions != want {
 			t.Fatalf("workers %d: partitions %d/%d, want stepPartCount %d",
 				p2.Workers, p2.Triples[1].Partitions, p2.Partitions, want)
 		}
@@ -164,7 +159,7 @@ func TestExplainShowsPipelineEdges(t *testing.T) {
 // order with textual positions, and the per-step join-key variables.
 func TestExplainShowsSlotsAndJoinOrder(t *testing.T) {
 	e := paperEngine(t)
-	plan, err := e.Explain(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
+	plan, _, err := e.Explain(context.Background(), MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +194,7 @@ func TestExplainShowsSlotsAndJoinOrder(t *testing.T) {
 // binding to step 1's subjects with step 1's exact count.
 func TestExplainShowsPushdown(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 400)
-	sel, err := eng.Explain(pushdownQSel)
+	sel, _, err := eng.Explain(context.Background(), pushdownQSel, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +208,7 @@ func TestExplainShowsPushdown(t *testing.T) {
 		}
 	}
 	// The pushed estimate is the exact range count.
-	want, err := eng.ExecuteWith(MustParse("SELECT ?x ?p WHERE ?x Price ?p . FILTER ?p < 1500"), Options{Sequential: true})
+	want, err := runQuery(eng, MustParse("SELECT ?x ?p WHERE ?x Price ?p . FILTER ?p < 1500"), Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +216,7 @@ func TestExplainShowsPushdown(t *testing.T) {
 		t.Errorf("pushed step est %d, want its exact count %d", est, len(want.Rows))
 	}
 
-	join, err := eng.Explain(MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500"))
+	join, _, err := eng.Explain(context.Background(), MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500"), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +246,7 @@ func TestExplainShowsPushdown(t *testing.T) {
 		t.Errorf("Q-join plan binds no scan to step 1:\n%s", out)
 	}
 	// Without a pushable filter nothing is pushed or bound.
-	plain, err := eng.Explain(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . FILTER ?p != 1500"))
+	plain, _, err := eng.Explain(context.Background(), MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . FILTER ?p != 1500"), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +257,7 @@ func TestExplainShowsPushdown(t *testing.T) {
 
 func TestExplainInvalidQuery(t *testing.T) {
 	e := paperEngine(t)
-	if _, err := e.Explain(Query{}); err == nil {
+	if _, _, err := e.Explain(context.Background(), Query{}, Options{}, false); err == nil {
 		t.Fatalf("invalid query explained")
 	}
 }

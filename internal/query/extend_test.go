@@ -157,7 +157,7 @@ func TestAppendHealRaceHammer(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[g], errs[g] = eng.ExecuteWith(extendQueries[g%len(extendQueries)], Options{Workers: 1 + g%3})
+				got[g], errs[g] = runQuery(eng, extendQueries[g%len(extendQueries)], Options{Workers: 1 + g%3})
 			}()
 		}
 		wg.Wait()
@@ -166,7 +166,7 @@ func TestAppendHealRaceHammer(t *testing.T) {
 				t.Fatal(errs[g])
 			}
 			q := extendQueries[g%len(extendQueries)]
-			want, err := eng.ExecuteWith(q, Options{Sequential: true})
+			want, err := runQuery(eng, q, Options{Sequential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestAppendHealRaceHammer(t *testing.T) {
 func BenchmarkQueryAfterAppend(b *testing.B) {
 	eng, _ := scaledFig2Engine(b, 40000)
 	store := eng.sources["carrier"].KB
-	if _, err := eng.Execute(pushdownQSel); err != nil {
+	if _, err := runQuery(eng, pushdownQSel, Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -199,7 +199,7 @@ func BenchmarkQueryAfterAppend(b *testing.B) {
 			store.MustAdd(inst, "Model", kb.String(fmt.Sprintf("M%d", k%7)))
 		}
 		b.StartTimer()
-		if _, err := eng.Execute(pushdownQSel); err != nil {
+		if _, err := runQuery(eng, pushdownQSel, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

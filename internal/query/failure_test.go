@@ -49,7 +49,7 @@ func failingWorld(t *testing.T) *Engine {
 
 func TestFailingConversionFallsBackToRawValue(t *testing.T) {
 	eng := failingWorld(t)
-	res, err := eng.Execute(MustParse("SELECT ?p WHERE T1 Price ?p"))
+	res, err := runQuery(eng, MustParse("SELECT ?p WHERE T1 Price ?p"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFailingConversionFallsBackToRawValue(t *testing.T) {
 func TestConcurrentExecuteIsSafe(t *testing.T) {
 	eng := paperEngine(t)
 	q := MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p")
-	want, err := eng.Execute(q)
+	want, err := runQuery(eng, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestConcurrentExecuteIsSafe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := eng.Execute(q)
+			got, err := runQuery(eng, q, Options{})
 			if err != nil {
 				errs <- err
 				return
@@ -103,7 +103,7 @@ func TestEngineWithKBLessSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.Execute(MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle"))
+	out, err := runQuery(eng, MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

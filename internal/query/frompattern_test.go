@@ -32,7 +32,7 @@ func TestFromPatternExecutesAgainstEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(q)
+	res, err := runQuery(e, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

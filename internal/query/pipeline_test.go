@@ -68,7 +68,7 @@ func deepChainEngine(t testing.TB, instances, dup int) (*Engine, Query) {
 // counts, and the pipeline stats populated.
 func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 	eng, q := deepChainEngine(t, 60, 2)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 		{"batch-16k-budget", Options{Workers: 4, MemoryLimit: 1 << 14}},
 	}
 	for _, m := range modes {
-		got, err := eng.ExecuteWith(q, m.opts)
+		got, err := runQuery(eng, q, m.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -100,7 +100,7 @@ func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 	}
 
 	steps := len(q.Where)
-	got, err := eng.ExecuteWith(q, Options{Workers: 4, Partitions: 7})
+	got, err := runQuery(eng, q, Options{Workers: 4, Partitions: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPipelineEmptyStepShortCircuits(t *testing.T) {
 	qMiss := MustParse("SELECT ?x ?m WHERE " + where + " . ?x Missing ?m")
 	for _, q := range []Query{q, qMiss} {
 		for _, m := range advModes {
-			got, err := eng.ExecuteWith(q, m.opts)
+			got, err := runQuery(eng, q, m.opts)
 			if err != nil {
 				t.Fatalf("%s: %v", m.name, err)
 			}
@@ -136,7 +136,7 @@ func TestPipelineEmptyStepShortCircuits(t *testing.T) {
 				t.Errorf("%s returned %d rows on empty-step chain", m.name, len(got.Rows))
 			}
 		}
-		got, err := eng.ExecuteWith(q, Options{Workers: 4})
+		got, err := runQuery(eng, q, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func TestPipelineEmptyStepShortCircuits(t *testing.T) {
 func TestPipelineRaceHammer(t *testing.T) {
 	eng, q := deepChainEngine(t, 30, 2)
 	q2 := MustParse("SELECT ?x ?v0 WHERE ?x InstanceOf Item . ?x C1 ?v0 . ?x C2 ?v1 . ?x C3 ?v2")
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := eng.ExecuteWith(q2, Options{Sequential: true})
+	want2, err := runQuery(eng, q2, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestPipelineRaceHammer(t *testing.T) {
 					qi, ref = q2, want2
 				}
 				opts := Options{Workers: 2 + (g+i)%3, Partitions: 1 + (g+2*i)%5}
-				got, err := eng.ExecuteWith(qi, opts)
+				got, err := runQuery(eng, qi, opts)
 				if err != nil {
 					errs <- err
 					return

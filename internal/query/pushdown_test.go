@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -216,12 +217,12 @@ var pdOptions = []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 
 // pushes.
 func checkPushdownMatchesSequential(t *testing.T, eng *Engine, q Query) {
 	t.Helper()
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatalf("%s: sequential: %v", q, err)
 	}
 	for _, opts := range pdOptions {
-		got, err := eng.ExecuteWith(q, opts)
+		got, err := runQuery(eng, q, opts)
 		if err != nil {
 			t.Fatalf("%s %+v: %v", q, opts, err)
 		}
@@ -236,7 +237,7 @@ func checkPushdownMatchesSequential(t *testing.T, eng *Engine, q Query) {
 // source, from Explain.
 func pushedRanges(t *testing.T, eng *Engine, q Query) map[string]string {
 	t.Helper()
-	plan, err := eng.Explain(q)
+	plan, _, err := eng.Explain(context.Background(), q, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +478,7 @@ func TestSequentialDoesNotPush(t *testing.T) {
 		})
 	}
 	q := MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . FILTER ?p < 1500")
-	seq, err := eng.ExecuteWith(q, Options{Sequential: true})
+	seq, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +489,7 @@ func TestSequentialDoesNotPush(t *testing.T) {
 		t.Fatalf("the filter selects nothing; the bound below would be vacuous")
 	}
 	for _, opts := range []Options{{Workers: 1}, {Workers: 4}} {
-		got, err := eng.ExecuteWith(q, opts)
+		got, err := runQuery(eng, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

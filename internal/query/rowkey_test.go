@@ -183,7 +183,7 @@ var advModes = []struct {
 func TestProjectionFramingSafe(t *testing.T) {
 	eng := adversarialEngine(t)
 	q := MustParse("SELECT ?x ?y WHERE ?x P ?y")
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestProjectionFramingSafe(t *testing.T) {
 		t.Fatalf("adversarial projection rows = %d, want 2 (framing collapse): %v", len(want.Rows), want.Rows)
 	}
 	for _, m := range advModes {
-		got, err := eng.ExecuteWith(q, m.opts)
+		got, err := runQuery(eng, q, m.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -208,7 +208,7 @@ func TestJoinFramingSafe(t *testing.T) {
 	eng := adversarialEngine(t)
 	q := MustParse("SELECT ?u ?v WHERE ?u Q ?v . ?u R ?v")
 	for _, m := range advModes {
-		got, err := eng.ExecuteWith(q, m.opts)
+		got, err := runQuery(eng, q, m.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -232,7 +232,7 @@ func TestInBandSentinelValues(t *testing.T) {
 		{MustParse("SELECT ?x ?y WHERE ?x S ?y"), 2},
 		{MustParse("SELECT ?x ?y WHERE ?x S ?y . FILTER ?y != adv.unbound"), 1},
 	} {
-		want, err := eng.ExecuteWith(tc.q, Options{Sequential: true})
+		want, err := runQuery(eng, tc.q, Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestInBandSentinelValues(t *testing.T) {
 			t.Fatalf("%s: sentinel rows = %d, want %d: %v", tc.q, len(want.Rows), tc.rows, want.Rows)
 		}
 		for _, m := range advModes {
-			got, err := eng.ExecuteWith(tc.q, m.opts)
+			got, err := runQuery(eng, tc.q, m.opts)
 			if err != nil {
 				t.Fatalf("%s: %v", m.name, err)
 			}

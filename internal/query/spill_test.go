@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -380,21 +381,21 @@ func spillAdversarialEngine(t testing.TB, instances int, seed int64) (*Engine, Q
 func TestSpillJoinMatchesInMemory(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		eng, q := spillAdversarialEngine(t, 40, seed)
-		want, err := eng.ExecuteWith(q, Options{Sequential: true})
+		want, err := runQuery(eng, q, Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(want.Rows) == 0 {
 			t.Fatalf("seed %d: adversarial world produced no rows", seed)
 		}
-		unbounded, err := eng.ExecuteWith(q, Options{Workers: 4})
+		unbounded, err := runQuery(eng, q, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !want.EqualRows(unbounded) {
 			t.Fatalf("seed %d: unbounded pipeline diverged from sequential", seed)
 		}
-		spilled, err := eng.ExecuteWith(q, Options{Workers: 4, MemoryLimit: 1 << 12})
+		spilled, err := runQuery(eng, q, Options{Workers: 4, MemoryLimit: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,12 +419,12 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 // every cap.
 func TestSpillDeepChain(t *testing.T) {
 	eng, q := deepChainEngine(t, 60, 2)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, limit := range []int64{1 << 13, 1 << 16, 1 << 20} {
-		got, err := eng.ExecuteWith(q, Options{Workers: 4, MemoryLimit: limit})
+		got, err := runQuery(eng, q, Options{Workers: 4, MemoryLimit: limit})
 		if err != nil {
 			t.Fatalf("limit %d: %v", limit, err)
 		}
@@ -450,11 +451,11 @@ func TestSpillDeepChain(t *testing.T) {
 func TestSpillWithFilters(t *testing.T) {
 	eng, _ := deepChainEngine(t, 50, 2)
 	q := MustParse("SELECT ?x ?v0 WHERE ?x InstanceOf Item . ?x C1 ?v0 . ?x C2 ?v1 . FILTER ?v0 > 3 . FILTER ?v1 < 1010")
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.ExecuteWith(q, Options{Workers: 4, MemoryLimit: 1 << 12})
+	got, err := runQuery(eng, q, Options{Workers: 4, MemoryLimit: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +473,7 @@ func TestSpillWithFilters(t *testing.T) {
 // degrades.
 func TestBudgetUnlimitedNeverSpills(t *testing.T) {
 	eng, q := deepChainEngine(t, 40, 2)
-	got, err := eng.ExecuteWith(q, Options{Workers: 4})
+	got, err := runQuery(eng, q, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,11 +492,11 @@ func TestBudgetUnlimitedNeverSpills(t *testing.T) {
 // this world accounts 1 220 096 bytes.
 func TestOneWorkerBudgetSpills(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 2000)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.ExecuteWith(q, Options{Workers: 1, MemoryLimit: 512 << 10})
+	got, err := runQuery(eng, q, Options{Workers: 1, MemoryLimit: 512 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,14 +563,14 @@ func probeOverflowEngine(t testing.TB, instances, red int) (*Engine, Query) {
 // reference.
 func TestSpillProbeOverflow(t *testing.T) {
 	eng, q := probeOverflowEngine(t, 6000, 4)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Rows) != 4 {
 		t.Fatalf("probe-overflow world produced %d rows, want 4", len(want.Rows))
 	}
-	got, err := eng.ExecuteWith(q, Options{Workers: 1, MemoryLimit: 256 << 10})
+	got, err := runQuery(eng, q, Options{Workers: 1, MemoryLimit: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,15 +618,15 @@ func TestAdaptivePartitionCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngineWith(res.Art, map[string]*Source{
+	eng, err := NewEngine(res.Art, map[string]*Source{
 		name:      {Ont: o, KB: store},
 		"skother": {Ont: other},
-	}, Options{Workers: 4})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := MustParse("SELECT ?x ?l ?h WHERE ?x InstanceOf Item . ?x Light ?l . ?x Heavy ?h")
-	plan, err := eng.Explain(q)
+	plan, _, err := eng.Explain(context.Background(), q, Options{Workers: 4}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +645,7 @@ func TestAdaptivePartitionCounts(t *testing.T) {
 	if heavy <= light {
 		t.Fatalf("heavy step (%d parts) not wider than light step (%d parts)", heavy, light)
 	}
-	got, err := eng.ExecuteWith(q, Options{Workers: 4})
+	got, err := runQuery(eng, q, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,14 +661,14 @@ func TestAdaptivePartitionCounts(t *testing.T) {
 		t.Fatalf("StepPartitions %v missing explained counts light=%d heavy=%d",
 			got.Stats.StepPartitions, light, heavy)
 	}
-	pinned, err := eng.ExecuteWith(q, Options{Workers: 4, Partitions: 5})
+	pinned, err := runQuery(eng, q, Options{Workers: 4, Partitions: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pinnedAt(pinned.Stats, 5) {
 		t.Fatalf("Partitions override not pinned: %+v", pinned.Stats)
 	}
-	seq, err := eng.ExecuteWith(q, Options{Sequential: true})
+	seq, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -869,14 +870,14 @@ func projWideEngine(t testing.TB, instances int) (*Engine, Query) {
 // reference, under planner-sized and pinned partition counts.
 func TestProjectionSpillMatchesInMemory(t *testing.T) {
 	eng, q := projWideEngine(t, 4000)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Rows) != 8000 {
 		t.Fatalf("projection world produced %d rows, want 8000", len(want.Rows))
 	}
-	unbounded, err := eng.ExecuteWith(q, Options{Workers: 4})
+	unbounded, err := runQuery(eng, q, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -893,7 +894,7 @@ func TestProjectionSpillMatchesInMemory(t *testing.T) {
 		{"batch", Options{Workers: 4, MemoryLimit: 1 << 19}},
 		{"batch-parts-2", Options{Workers: 4, Partitions: 2, MemoryLimit: 1 << 19}},
 	} {
-		got, err := eng.ExecuteWith(q, leg.opts)
+		got, err := runQuery(eng, q, leg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
@@ -1085,7 +1086,7 @@ func hybridEngine(t testing.TB, rare, facts int) (*Engine, Query) {
 // fill the pool before a build batch lands.
 func TestHybridGraceJoin(t *testing.T) {
 	eng, q := hybridEngine(t, 4, 8000)
-	want, err := eng.ExecuteWith(q, Options{Sequential: true})
+	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1099,7 +1100,7 @@ func TestHybridGraceJoin(t *testing.T) {
 		{"batch", Options{Workers: 2, MemoryLimit: 1 << 18}},
 		{"batch-parts-1", Options{Workers: 4, Partitions: 1, MemoryLimit: 1 << 18}},
 	} {
-		got, err := eng.ExecuteWith(q, leg.opts)
+		got, err := runQuery(eng, q, leg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
@@ -1125,11 +1126,11 @@ func TestHybridGraceJoin(t *testing.T) {
 	}
 
 	deep, dq := deepChainEngine(t, 60, 2)
-	dwant, err := deep.ExecuteWith(dq, Options{Sequential: true})
+	dwant, err := runQuery(deep, dq, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := deep.ExecuteWith(dq, Options{Workers: 4, MemoryLimit: 1 << 16})
+	got, err := runQuery(deep, dq, Options{Workers: 4, MemoryLimit: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 func TestTraceSpansPipelined(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 120)
 	tr := obs.NewTrace("test")
-	res, err := eng.ExecuteWith(q, Options{Workers: 4, Trace: tr})
+	res, err := runQuery(eng, q, Options{Workers: 4, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestTraceSpansPerStep(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 80)
 	for _, workers := range []int{1, 4} {
 		tr := obs.NewTrace("test")
-		res, err := eng.ExecuteWith(q, Options{Workers: workers, Trace: tr})
+		res, err := runQuery(eng, q, Options{Workers: workers, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestTraceSpansPerStep(t *testing.T) {
 			t.Errorf("workers %d: last StepRows = %d, want JoinedRows %d", workers, got, res.Stats.JoinedRows)
 		}
 		// Tracing must not perturb results.
-		plain, err := eng.ExecuteWith(q, Options{Workers: workers})
+		plain, err := runQuery(eng, q, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestTraceSpansPerStep(t *testing.T) {
 func TestTraceShowsPushdown(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 400)
 	// Step 1's carrier survivors: the bound scans' subject count.
-	step1, err := eng.ExecuteWith(MustParse("SELECT ?x WHERE ?x Price ?p . FILTER ?p < 1500"), Options{Sequential: true})
+	step1, err := runQuery(eng, MustParse("SELECT ?x WHERE ?x Price ?p . FILTER ?p < 1500"), Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTraceShowsPushdown(t *testing.T) {
 		pushdownQSel,
 		MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500"),
 	} {
-		res, err := eng.ExecuteWith(q, Options{Workers: 2, Trace: obs.NewTrace("test")})
+		res, err := runQuery(eng, q, Options{Workers: 2, Trace: obs.NewTrace("test")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func hasAttr(s *obs.Span, key, val string) bool {
 func TestTraceSpillSpans(t *testing.T) {
 	eng, q := spillAdversarialEngine(t, 40, 1)
 	tr := obs.NewTrace("test")
-	res, err := eng.ExecuteWith(q, Options{Workers: 4, MemoryLimit: 1 << 12, Trace: tr})
+	res, err := runQuery(eng, q, Options{Workers: 4, MemoryLimit: 1 << 12, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestTraceSpillSpans(t *testing.T) {
 		t.Errorf("no spill span recorded:\n%s", res.Trace.Tree())
 	}
 	// Unbounded run writes nothing.
-	free, err := eng.ExecuteWith(q, Options{Workers: 4})
+	free, err := runQuery(eng, q, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,47 +195,64 @@ func TestTraceSpillSpans(t *testing.T) {
 
 // TestExplainAnalyze checks the EXPLAIN ANALYZE contract: the plan's
 // estimates stay, actuals are stamped per step (deterministic rows) and
-// for the whole query, and the rendering carries both.
+// for the whole query, and the rendering carries both. The plan is
+// built from the options the query executes under: its worker count,
+// memory budget and per-step partition counts are the execution's own.
 func TestExplainAnalyze(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 100)
-	plan, res, err := eng.ExplainAnalyze(context.Background(), q, Options{Workers: 4})
+	for _, opts := range []Options{
+		{Workers: 4},
+		{Workers: 1, Partitions: 3, MemoryLimit: 8 << 20},
+	} {
+		plan, res, err := eng.Explain(context.Background(), q, opts, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.Analyzed {
+			t.Fatal("plan not marked Analyzed")
+		}
+		if plan.ActualRows != len(res.Rows) {
+			t.Errorf("%+v: plan.ActualRows = %d, want %d", opts, plan.ActualRows, len(res.Rows))
+		}
+		if plan.ActualNs <= 0 {
+			t.Errorf("%+v: plan.ActualNs = %d, want > 0", opts, plan.ActualNs)
+		}
+		if plan.Workers != res.Stats.Workers {
+			t.Errorf("%+v: plan.Workers = %d, executed with %d", opts, plan.Workers, res.Stats.Workers)
+		}
+		if plan.MemoryLimit != opts.MemoryLimit {
+			t.Errorf("%+v: plan.MemoryLimit = %d, want %d", opts, plan.MemoryLimit, opts.MemoryLimit)
+		}
+		if len(plan.Triples) != len(res.Stats.StepRows) || len(plan.Triples) != len(res.Stats.StepPartitions) {
+			t.Fatalf("%+v: plan has %d steps, stats %d rows / %d partition counts",
+				opts, len(plan.Triples), len(res.Stats.StepRows), len(res.Stats.StepPartitions))
+		}
+		for i, tp := range plan.Triples {
+			if tp.ActualRows != res.Stats.StepRows[i] {
+				t.Errorf("%+v: step %d ActualRows = %d, want %d", opts, i+1, tp.ActualRows, res.Stats.StepRows[i])
+			}
+			if tp.ActualNs <= 0 {
+				t.Errorf("%+v: step %d ActualNs = %d, want > 0", opts, i+1, tp.ActualNs)
+			}
+			if tp.Partitions != res.Stats.StepPartitions[i] {
+				t.Errorf("%+v: step %d Partitions = %d, executed with %d", opts, i+1, tp.Partitions, res.Stats.StepPartitions[i])
+			}
+		}
+		last := plan.Triples[len(plan.Triples)-1]
+		if last.ActualRows != res.Stats.JoinedRows {
+			t.Errorf("%+v: last step ActualRows = %d, want JoinedRows %d", opts, last.ActualRows, res.Stats.JoinedRows)
+		}
+		out := plan.String()
+		if !strings.Contains(out, "analyzed:") || !strings.Contains(out, "actual") {
+			t.Errorf("%+v: rendering lacks actuals:\n%s", opts, out)
+		}
+	}
+	// Plain Explain stays estimate-only and executes nothing.
+	cold, res, err := eng.Explain(context.Background(), q, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Analyzed {
-		t.Fatal("plan not marked Analyzed")
-	}
-	if plan.ActualRows != len(res.Rows) {
-		t.Errorf("plan.ActualRows = %d, want %d", plan.ActualRows, len(res.Rows))
-	}
-	if plan.ActualNs <= 0 {
-		t.Errorf("plan.ActualNs = %d, want > 0", plan.ActualNs)
-	}
-	if len(plan.Triples) != len(res.Stats.StepRows) {
-		t.Fatalf("plan has %d steps, stats %d", len(plan.Triples), len(res.Stats.StepRows))
-	}
-	for i, tp := range plan.Triples {
-		if tp.ActualRows != res.Stats.StepRows[i] {
-			t.Errorf("step %d ActualRows = %d, want %d", i+1, tp.ActualRows, res.Stats.StepRows[i])
-		}
-		if tp.ActualNs <= 0 {
-			t.Errorf("step %d ActualNs = %d, want > 0", i+1, tp.ActualNs)
-		}
-	}
-	last := plan.Triples[len(plan.Triples)-1]
-	if last.ActualRows != res.Stats.JoinedRows {
-		t.Errorf("last step ActualRows = %d, want JoinedRows %d", last.ActualRows, res.Stats.JoinedRows)
-	}
-	out := plan.String()
-	if !strings.Contains(out, "analyzed:") || !strings.Contains(out, "actual") {
-		t.Errorf("rendering lacks actuals:\n%s", out)
-	}
-	// Plain Explain stays estimate-only.
-	cold, err := eng.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Analyzed || strings.Contains(cold.String(), "actual") {
+	if cold.Analyzed || res != nil || strings.Contains(cold.String(), "actual") {
 		t.Errorf("Explain leaked actuals")
 	}
 }
@@ -255,7 +272,7 @@ func TestTracingOffAllocs(t *testing.T) {
 		eng, q := joinHeavyEngine(t, instances)
 		opts := Options{Workers: 1}
 		run := func() {
-			if _, err := eng.ExecuteWith(q, opts); err != nil {
+			if _, err := runQuery(eng, q, opts); err != nil {
 				t.Fatal(err)
 			}
 		}

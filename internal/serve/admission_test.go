@@ -152,14 +152,14 @@ func TestAdmissionShedAndQueueOutcomes(t *testing.T) {
 		}
 		leader := make(chan res, 1)
 		go func() {
-			_, out, err := s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
+			_, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 			leader <- res{out, err}
 		}()
 		<-entered
 
 		// The pool (one min grant) is pinned: a distinct query sheds fast.
 		start := time.Now()
-		_, out, err := s.QueryOutcome(ctx, fixtures.ArtName, otherQ)
+		_, out, err := answerText(ctx, s, fixtures.ArtName, otherQ, Limits{}, nil)
 		if !errors.Is(err, ErrShed) || out != OutcomeShed {
 			t.Fatalf("overloaded query = outcome %v, err %v; want shed/ErrShed", out, err)
 		}
@@ -175,7 +175,7 @@ func TestAdmissionShedAndQueueOutcomes(t *testing.T) {
 			t.Fatalf("stats = %+v, want admitted 1 / shed 1 / queued 0", st)
 		}
 		// Overload refusals must not poison anything: the shed query now runs.
-		if _, out, err := s.QueryOutcome(ctx, fixtures.ArtName, otherQ); err != nil || out != OutcomeMiss {
+		if _, out, err := answerText(ctx, s, fixtures.ArtName, otherQ, Limits{}, nil); err != nil || out != OutcomeMiss {
 			t.Fatalf("retry after shed = outcome %v, err %v", out, err)
 		}
 	})
@@ -189,7 +189,7 @@ func TestAdmissionShedAndQueueOutcomes(t *testing.T) {
 		gate, entered := make(chan struct{}), make(chan struct{})
 		var once sync.Once
 		s.admitGate = func() { once.Do(func() { close(entered) }); <-gate }
-		go s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
+		go answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 		<-entered
 
 		type res struct {
@@ -198,7 +198,7 @@ func TestAdmissionShedAndQueueOutcomes(t *testing.T) {
 		}
 		waiterDone := make(chan res, 1)
 		go func() {
-			_, out, err := s.QueryOutcome(ctx, fixtures.ArtName, otherQ)
+			_, out, err := answerText(ctx, s, fixtures.ArtName, otherQ, Limits{}, nil)
 			waiterDone <- res{out, err}
 		}()
 		waitUntil(t, "query to park in the admission queue", func() bool {
@@ -228,13 +228,13 @@ func TestAdmissionShedAndQueueOutcomes(t *testing.T) {
 		gate, entered := make(chan struct{}), make(chan struct{})
 		var once sync.Once
 		s.admitGate = func() { once.Do(func() { close(entered) }); <-gate }
-		go s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
+		go answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 		<-entered
 		defer close(gate)
 
 		qctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 		defer cancel()
-		_, out, err := s.QueryOutcome(qctx, fixtures.ArtName, otherQ)
+		_, out, err := answerText(qctx, s, fixtures.ArtName, otherQ, Limits{}, nil)
 		if !errors.Is(err, ErrQueueTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want ErrQueueTimeout wrapping DeadlineExceeded", err)
 		}
@@ -255,13 +255,13 @@ func TestAdmissionShedAndQueueOutcomes(t *testing.T) {
 func TestAdmissionDegradedGrantStaysExact(t *testing.T) {
 	ctx := context.Background()
 	free := paperService(t, Options{})
-	want, _, err := free.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
+	want, _, err := answerText(ctx, free, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s := paperService(t, Options{AdmissionCapBytes: 96 << 10})
-	got, out, err := s.QueryLimited(ctx, fixtures.ArtName, vehiclePriceQ, Limits{MemoryBytes: 1 << 20})
+	got, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{MemoryBytes: 1 << 20}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("degraded query = outcome %v, err %v", out, err)
 	}
@@ -317,7 +317,7 @@ func TestAdmissionOverloadFleet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				qi := (c + i) % len(queries)
-				res, _, err := s.QueryLimited(context.Background(), art, queries[qi], Limits{MemoryBytes: ask})
+				res, _, err := answerText(context.Background(), s, art, queries[qi], Limits{MemoryBytes: ask}, nil)
 				switch {
 				case err == nil:
 					ok.Add(1)

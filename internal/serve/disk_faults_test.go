@@ -178,11 +178,11 @@ func TestDiskOutageNeverFailsQueries(t *testing.T) {
 	const qB = "SELECT ?x WHERE ?x InstanceOf Item"
 
 	// Healthy warm-up: qA demotes to disk when qB evicts it.
-	want, _, err := s.QueryOutcome(ctx, art, qA)
+	want, _, err := answerText(ctx, s, art, qA, Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.QueryOutcome(ctx, art, qB); err != nil {
+	if _, _, err := answerText(ctx, s, art, qB, Limits{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.DiskDemotions != 1 {
@@ -196,14 +196,14 @@ func TestDiskOutageNeverFailsQueries(t *testing.T) {
 	// Hammer the alternating pair: every promotion read and demotion
 	// write fails, yet every query must answer, exactly.
 	for i := 0; i < 8; i++ {
-		got, _, err := s.QueryOutcome(ctx, art, qA)
+		got, _, err := answerText(ctx, s, art, qA, Limits{}, nil)
 		if err != nil {
 			t.Fatalf("query %d failed under disk outage: %v", i, err)
 		}
 		if !got.EqualRows(want) {
 			t.Fatalf("query %d rows diverged under disk outage", i)
 		}
-		if _, _, err := s.QueryOutcome(ctx, art, qB); err != nil {
+		if _, _, err := answerText(ctx, s, art, qB, Limits{}, nil); err != nil {
 			t.Fatalf("qB %d failed under disk outage: %v", i, err)
 		}
 	}

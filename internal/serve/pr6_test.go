@@ -62,7 +62,7 @@ func TestStaleCacheAfterKindCollision(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r, out, err := s.QueryOutcome(ctx, art, q)
+	r, out, err := answerText(ctx, s, art, q, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("first query: outcome %v err %v", out, err)
 	}
@@ -82,7 +82,7 @@ func TestStaleCacheAfterKindCollision(t *testing.T) {
 		t.Fatalf("Number(3000) dropped as a duplicate of Term(\"3000\"): added = %d", added)
 	}
 	// The cache must miss: the epoch bumped, the old key no longer matches.
-	r, out, err = s.QueryOutcome(ctx, art, q)
+	r, out, err = answerText(ctx, s, art, q, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("post-mutation query served stale cache: outcome %v err %v", out, err)
 	}
@@ -148,19 +148,19 @@ func TestDiskCacheTier(t *testing.T) {
 	const qA = "SELECT ?x ?p WHERE ?x InstanceOf Item . ?x Price ?p"
 	const qB = "SELECT ?x WHERE ?x InstanceOf Item"
 
-	resA, out, err := s.QueryOutcome(ctx, art, qA)
+	resA, out, err := answerText(ctx, s, art, qA, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("qA first: outcome %v err %v", out, err)
 	}
 	// qB evicts qA from the one-entry memory tier; qA demotes to disk.
-	if _, out, err = s.QueryOutcome(ctx, art, qB); err != nil || out != OutcomeMiss {
+	if _, out, err = answerText(ctx, s, art, qB, Limits{}, nil); err != nil || out != OutcomeMiss {
 		t.Fatalf("qB: outcome %v err %v", out, err)
 	}
 	if st := s.Stats(); st.DiskDemotions != 1 {
 		t.Fatalf("DiskDemotions = %d, want 1 (stats %+v)", st.DiskDemotions, st)
 	}
 	// qA again: a disk hit, byte-identical rows, promoted back to memory.
-	got, out, err := s.QueryOutcome(ctx, art, qA)
+	got, out, err := answerText(ctx, s, art, qA, Limits{}, nil)
 	if err != nil || out != OutcomeHit {
 		t.Fatalf("qA from disk: outcome %v err %v", out, err)
 	}
@@ -176,7 +176,7 @@ func TestDiskCacheTier(t *testing.T) {
 		t.Fatalf("DiskDemotions = %d, want 2 after promotion evicted qB", st.DiskDemotions)
 	}
 	// qA is resident again: a plain memory hit, no disk traffic.
-	if _, out, err = s.QueryOutcome(ctx, art, qA); err != nil || out != OutcomeHit {
+	if _, out, err = answerText(ctx, s, art, qA, Limits{}, nil); err != nil || out != OutcomeHit {
 		t.Fatalf("qA resident: outcome %v err %v", out, err)
 	}
 	if st := s.Stats(); st.DiskHits != 1 {
@@ -191,7 +191,7 @@ func TestDiskCacheTier(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, out, err := s.QueryOutcome(ctx, art, qA)
+	fresh, out, err := answerText(ctx, s, art, qA, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("post-mutation qA: outcome %v err %v, want miss", out, err)
 	}
@@ -265,7 +265,7 @@ func TestDiskTierConcurrentTraffic(t *testing.T) {
 					}
 					continue
 				}
-				if _, _, err := s.QueryOutcome(ctx, art, queries[(g+i)%len(queries)]); err != nil {
+				if _, _, err := answerText(ctx, s, art, queries[(g+i)%len(queries)], Limits{}, nil); err != nil {
 					errs <- err
 					return
 				}
@@ -281,11 +281,11 @@ func TestDiskTierConcurrentTraffic(t *testing.T) {
 	// must match a cache-bypassing service's rows.
 	bypass := New(sys, Options{CacheEntries: -1, Exec: query.Options{Workers: 1}})
 	for _, q := range queries {
-		want, _, err := bypass.QueryOutcome(ctx, art, q)
+		want, _, err := answerText(ctx, bypass, art, q, Limits{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := s.QueryOutcome(ctx, art, q)
+		got, _, err := answerText(ctx, s, art, q, Limits{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@
 //   - singleflight coalescing of identical in-flight queries, so a
 //     thundering herd on one hot query computes it once;
 //   - per-request resource bounds — deadlines threaded into the
-//     engine's scan dispatch (query.Engine.ExecuteCtx) and memory
+//     engine's scan dispatch (query.Engine.Execute) and memory
 //     limits threaded into its budget (query.Options{MemoryLimit}, under
 //     which joins degrade to grace-hash spilling) — plus served-traffic
 //     counters, including spilled_queries.
@@ -363,72 +363,33 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Query parses and answers one query against a registered articulation.
-func (s *Service) Query(ctx context.Context, artName, text string) (*query.Result, error) {
-	res, _, err := s.QueryOutcome(ctx, artName, text)
-	return res, err
-}
-
-// QueryOutcome is Query, also reporting how the answer was produced.
-func (s *Service) QueryOutcome(ctx context.Context, artName, text string) (*query.Result, Outcome, error) {
-	return s.QueryLimited(ctx, artName, text, Limits{})
-}
-
-// QueryLimited is QueryOutcome under per-request resource limits.
-func (s *Service) QueryLimited(ctx context.Context, artName, text string, lim Limits) (*query.Result, Outcome, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, OutcomeMiss, err
+// Answer answers a parsed query against a registered articulation under
+// per-request resource limits (a memory budget beside the context
+// deadline), reporting how the answer was produced and timing it into
+// the per-outcome latency histogram. The returned Result is shared —
+// with the cache and possibly with concurrent callers — and must be
+// treated as read-only.
+//
+// A non-nil trace is the request's parent span, the way
+// query.Options.Trace is the engine's: Answer annotates it with the
+// articulation, the normalized query and the outcome, and hangs the
+// request's spans under it — cache lookup, coalesce wait, admission,
+// and the engine's own query.execute subtree. The caller ends it. Spans
+// cost allocations, so tracing is for requests that asked for a trace
+// (oniond's trace=1, the slow-query log); a nil trace costs nothing.
+func (s *Service) Answer(ctx context.Context, artName string, q query.Query, lim Limits, trace *obs.Span) (*query.Result, Outcome, error) {
+	if trace != nil {
+		trace.SetAttr("articulation", artName)
+		trace.SetAttr("query", q.String())
 	}
-	return s.DoLimited(ctx, artName, q, lim)
-}
-
-// QueryTraced is QueryLimited with per-request tracing: the service
-// records the request's span tree — cache lookup, coalesce wait,
-// admission, and the engine's own query.execute subtree — and returns
-// its root alongside the result. The root is always non-nil (even on
-// errors) so callers can log or return it unconditionally; spans cost
-// allocations, so this entry point is for requests that asked for a
-// trace (oniond's trace=1, the slow-query log), not the default path.
-func (s *Service) QueryTraced(ctx context.Context, artName, text string, lim Limits) (*query.Result, Outcome, *obs.Span, error) {
-	root := obs.NewTrace("request")
-	root.SetAttr("articulation", artName)
-	q, err := query.Parse(text)
-	if err != nil {
-		root.End()
-		return nil, OutcomeMiss, root, err
-	}
-	root.SetAttr("query", q.String())
-	res, out, err := s.doLimited(ctx, artName, q, lim, root)
-	root.SetAttr("outcome", out.String())
-	root.End()
-	return res, out, root, err
-}
-
-// Do answers a parsed query. The returned Result is shared — with the
-// cache and possibly with concurrent callers — and must be treated as
-// read-only.
-func (s *Service) Do(ctx context.Context, artName string, q query.Query) (*query.Result, Outcome, error) {
-	return s.DoLimited(ctx, artName, q, Limits{})
-}
-
-// DoLimited is Do under per-request resource limits (a memory budget
-// beside the context deadline).
-func (s *Service) DoLimited(ctx context.Context, artName string, q query.Query, lim Limits) (*query.Result, Outcome, error) {
-	return s.doLimited(ctx, artName, q, lim, nil)
-}
-
-// doLimited answers one parsed query, timing it into the per-outcome
-// latency histogram and, when sp is non-nil, hanging the request's
-// spans (cache, coalesce, admission, execution) under it.
-func (s *Service) doLimited(ctx context.Context, artName string, q query.Query, lim Limits, sp *obs.Span) (*query.Result, Outcome, error) {
 	t0 := time.Now()
-	res, out, err := s.answer(ctx, artName, q, lim, sp)
+	res, out, err := s.answer(ctx, artName, q, lim, trace)
 	s.m.dur[out].ObserveSince(t0)
+	trace.SetAttr("outcome", out.String())
 	return res, out, err
 }
 
-// answer is the cache/coalesce/lead state machine behind doLimited.
+// answer is the cache/coalesce/lead state machine behind Answer.
 func (s *Service) answer(ctx context.Context, artName string, q query.Query, lim Limits, sp *obs.Span) (*query.Result, Outcome, error) {
 	if err := q.Validate(); err != nil {
 		return nil, OutcomeMiss, err
@@ -643,7 +604,7 @@ func (s *Service) lead(ctx context.Context, artName string, q query.Query, key s
 		// steps, spills, projection) under the request root.
 		exec.Trace = sp
 	}
-	res, epoch, err := s.sys.ExecuteVersioned(ctx, artName, q, exec)
+	res, epoch, err := s.sys.Execute(ctx, artName, q, exec)
 	if err == nil && res.Stats.SpilledPartitions > 0 {
 		s.m.spilled.Inc()
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixtures"
 	"repro/internal/kb"
+	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/query"
 	"repro/internal/rules"
@@ -39,15 +40,25 @@ func paperService(t testing.TB, opts Options) *Service {
 	return New(sys, opts)
 }
 
+// answerText parses text and answers it through s.Answer, the way
+// oniond's /query handler does: a parse error comes back as a miss.
+func answerText(ctx context.Context, s *Service, artName, text string, lim Limits, trace *obs.Span) (*query.Result, Outcome, error) {
+	q, err := query.Parse(text)
+	if err != nil {
+		return nil, OutcomeMiss, err
+	}
+	return s.Answer(ctx, artName, q, lim, trace)
+}
+
 func TestCacheHitMissAndEpochInvalidation(t *testing.T) {
 	s := paperService(t, Options{})
 	ctx := context.Background()
 
-	r1, out, err := s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
+	r1, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("first query: outcome %v err %v, want miss", out, err)
 	}
-	r2, out, err := s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
+	r2, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 	if err != nil || out != OutcomeHit {
 		t.Fatalf("second query: outcome %v err %v, want hit", out, err)
 	}
@@ -55,8 +66,7 @@ func TestCacheHitMissAndEpochInvalidation(t *testing.T) {
 		t.Fatalf("cache returned different rows")
 	}
 	// Normalization: a differently spelled but identical query hits too.
-	if _, out, err = s.QueryOutcome(ctx, fixtures.ArtName,
-		"select  ?x   ?p  where ?x InstanceOf Vehicle .  ?x Price ?p"); err != nil || out != OutcomeHit {
+	if _, out, err = answerText(ctx, s, fixtures.ArtName, "select  ?x   ?p  where ?x InstanceOf Vehicle .  ?x Price ?p", Limits{}, nil); err != nil || out != OutcomeHit {
 		t.Fatalf("normalized respelling: outcome %v err %v, want hit", out, err)
 	}
 
@@ -68,7 +78,7 @@ func TestCacheHitMissAndEpochInvalidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r3, out, err := s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
+	r3, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("post-mutation query: outcome %v err %v, want miss", out, err)
 	}
@@ -82,10 +92,10 @@ func TestCacheHitMissAndEpochInvalidation(t *testing.T) {
 	}
 
 	// Errors are not cached and unknown articulations fail cleanly.
-	if _, _, err := s.QueryOutcome(ctx, "nope", vehiclePriceQ); err == nil {
+	if _, _, err := answerText(ctx, s, "nope", vehiclePriceQ, Limits{}, nil); err == nil {
 		t.Fatalf("unknown articulation accepted")
 	}
-	if _, _, err := s.QueryOutcome(ctx, fixtures.ArtName, "SELECT bogus"); err == nil {
+	if _, _, err := answerText(ctx, s, fixtures.ArtName, "SELECT bogus", Limits{}, nil); err == nil {
 		t.Fatalf("parse error accepted")
 	}
 }
@@ -96,7 +106,7 @@ func TestCacheDisabledAndEvictions(t *testing.T) {
 	// Negative CacheEntries disables caching: identical queries miss.
 	off := paperService(t, Options{CacheEntries: -1})
 	for i := 0; i < 2; i++ {
-		if _, out, err := off.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ); err != nil || out != OutcomeMiss {
+		if _, out, err := answerText(ctx, off, fixtures.ArtName, vehiclePriceQ, Limits{}, nil); err != nil || out != OutcomeMiss {
 			t.Fatalf("uncached query %d: outcome %v err %v", i, out, err)
 		}
 	}
@@ -109,7 +119,7 @@ func TestCacheDisabledAndEvictions(t *testing.T) {
 		"SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p",
 	}
 	for _, q := range qs {
-		if _, _, err := small.QueryOutcome(ctx, fixtures.ArtName, q); err != nil {
+		if _, _, err := answerText(ctx, small, fixtures.ArtName, q, Limits{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,10 +127,10 @@ func TestCacheDisabledAndEvictions(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1 (stats %+v)", st.Evictions, st)
 	}
 	// The evicted (oldest) query misses; the newest still hits.
-	if _, out, _ := small.QueryOutcome(ctx, fixtures.ArtName, qs[0]); out != OutcomeMiss {
+	if _, out, _ := answerText(ctx, small, fixtures.ArtName, qs[0], Limits{}, nil); out != OutcomeMiss {
 		t.Fatalf("evicted query outcome = %v, want miss", out)
 	}
-	if _, out, _ := small.QueryOutcome(ctx, fixtures.ArtName, qs[2]); out != OutcomeHit {
+	if _, out, _ := answerText(ctx, small, fixtures.ArtName, qs[2], Limits{}, nil); out != OutcomeHit {
 		t.Fatalf("resident query outcome = %v, want hit", out)
 	}
 }
@@ -148,7 +158,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, out, err := s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
+			res, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
 				return
@@ -189,19 +199,19 @@ func TestSingleflightCoalescing(t *testing.T) {
 
 func TestDeadlines(t *testing.T) {
 	s := paperService(t, Options{DefaultTimeout: time.Nanosecond})
-	_, _, err := s.QueryOutcome(context.Background(), fixtures.ArtName, vehiclePriceQ)
+	_, _, err := answerText(context.Background(), s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("default timeout not applied: %v", err)
 	}
 	// An explicit (generous) caller deadline overrides the default.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if res, _, err := s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ); err != nil || len(res.Rows) == 0 {
+	if res, _, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil); err != nil || len(res.Rows) == 0 {
 		t.Fatalf("caller deadline run failed: %v", err)
 	}
 	// Errors must not poison the cache: the next unbounded call executes
 	// and succeeds.
-	if res, out, err := s.QueryOutcome(context.Background(), fixtures.ArtName, vehiclePriceQ); err != nil || out != OutcomeHit || len(res.Rows) == 0 {
+	if res, out, err := answerText(context.Background(), s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil); err != nil || out != OutcomeHit || len(res.Rows) == 0 {
 		t.Fatalf("after deadline error: outcome %v err %v", out, err)
 	}
 }
@@ -254,7 +264,7 @@ func TestNoStaleRowsUnderMutationHammer(t *testing.T) {
 					return
 				default:
 				}
-				res, err := s.Query(context.Background(), art, q)
+				res, _, err := answerText(context.Background(), s, art, q, Limits{}, nil)
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
@@ -279,7 +289,7 @@ func TestNoStaleRowsUnderMutationHammer(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	final, err := s.Query(context.Background(), art, q)
+	final, _, err := answerText(context.Background(), s, art, q, Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +307,13 @@ func TestNoStaleRowsUnderMutationHammer(t *testing.T) {
 func BenchmarkServeHotCache(b *testing.B) {
 	s := paperService(b, Options{})
 	ctx := context.Background()
-	if _, err := s.Query(ctx, fixtures.ArtName, vehiclePriceQ); err != nil {
+	if _, _, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(ctx, fixtures.ArtName, vehiclePriceQ); err != nil {
+		if _, _, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,14 +332,14 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := s.QueryOutcome(leaderCtx, fixtures.ArtName, vehiclePriceQ)
+		_, _, err := answerText(leaderCtx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 		leaderErr <- err
 	}()
 	waitForStat(t, s, func(st Stats) bool { return st.CacheMisses == 1 })
 
 	followerRes := make(chan error, 1)
 	go func() {
-		res, _, err := s.QueryOutcome(context.Background(), fixtures.ArtName, vehiclePriceQ)
+		res, _, err := answerText(context.Background(), s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
 		if err == nil && len(res.Rows) == 0 {
 			err = errors.New("empty result")
 		}
@@ -379,7 +389,7 @@ func TestNegativeResultCache(t *testing.T) {
 	ctx := context.Background()
 	const emptyQ = "SELECT ?x WHERE ?x InstanceOf Item . ?x Price 424242"
 
-	r, out, err := s.QueryOutcome(ctx, art, emptyQ)
+	r, out, err := answerText(ctx, s, art, emptyQ, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("first empty query: outcome %v err %v, want miss", out, err)
 	}
@@ -389,11 +399,11 @@ func TestNegativeResultCache(t *testing.T) {
 	// Churn the positive cache far past its bound.
 	for i := 0; i < 8; i++ {
 		q := fmt.Sprintf("SELECT ?x WHERE ?x InstanceOf Item . ?x Price %d", i)
-		if _, _, err := s.QueryOutcome(ctx, art, q); err != nil {
+		if _, _, err := answerText(ctx, s, art, q, Limits{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, out, err = s.QueryOutcome(ctx, art, emptyQ)
+	_, out, err = answerText(ctx, s, art, emptyQ, Limits{}, nil)
 	if err != nil || out != OutcomeHit {
 		t.Fatalf("empty re-query: outcome %v err %v, want hit from negative cache", out, err)
 	}
@@ -409,7 +419,7 @@ func TestNegativeResultCache(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r, out, err = s.QueryOutcome(ctx, art, emptyQ)
+	r, out, err = answerText(ctx, s, art, emptyQ, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("post-mutation query: outcome %v err %v, want miss", out, err)
 	}
@@ -428,10 +438,10 @@ func TestNegativeCacheDisabled(t *testing.T) {
 	s := New(sys, Options{NegativeEntries: -1, Exec: query.Options{Workers: 1}})
 	ctx := context.Background()
 	const emptyQ = "SELECT ?x WHERE ?x InstanceOf Item . ?x Price 7"
-	if _, out, err := s.QueryOutcome(ctx, art, emptyQ); err != nil || out != OutcomeMiss {
+	if _, out, err := answerText(ctx, s, art, emptyQ, Limits{}, nil); err != nil || out != OutcomeMiss {
 		t.Fatalf("first: outcome %v err %v", out, err)
 	}
-	if _, out, err := s.QueryOutcome(ctx, art, emptyQ); err != nil || out != OutcomeHit {
+	if _, out, err := answerText(ctx, s, art, emptyQ, Limits{}, nil); err != nil || out != OutcomeHit {
 		t.Fatalf("second: outcome %v err %v, want hit from the main cache", out, err)
 	}
 	if st := s.Stats(); st.NegativeHits != 0 {
@@ -537,7 +547,7 @@ func TestPrewarmedFleetServesFromCache(t *testing.T) {
 	s := New(sys, Options{Exec: exec})
 	ctx := context.Background()
 	for _, q := range queries {
-		if _, err := s.Query(ctx, art, q); err != nil {
+		if _, _, err := answerText(ctx, s, art, q, Limits{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -550,7 +560,7 @@ func TestPrewarmedFleetServesFromCache(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				qi := (c + i) % len(queries)
-				res, err := s.Query(ctx, art, queries[qi])
+				res, _, err := answerText(ctx, s, art, queries[qi], Limits{}, nil)
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
@@ -583,7 +593,7 @@ func TestPerRequestMemoryLimit(t *testing.T) {
 	ctx := context.Background()
 	const q = "SELECT ?x ?p ?q WHERE ?x InstanceOf Item . ?x Price ?p . ?x Qty ?q"
 
-	free, out, err := s.QueryOutcome(ctx, art, q)
+	free, out, err := answerText(ctx, s, art, q, Limits{}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("unlimited query: outcome %v err %v", out, err)
 	}
@@ -592,8 +602,7 @@ func TestPerRequestMemoryLimit(t *testing.T) {
 	}
 	// A different articulation-identical query under a 16KB request cap
 	// (respelled so it misses the cache and actually executes).
-	capped, out, err := s.QueryLimited(ctx, art,
-		"SELECT ?x ?p ?q WHERE ?x InstanceOf Item . ?x Qty ?q . ?x Price ?p", Limits{MemoryBytes: 1 << 14})
+	capped, out, err := answerText(ctx, s, art, "SELECT ?x ?p ?q WHERE ?x InstanceOf Item . ?x Qty ?q . ?x Price ?p", Limits{MemoryBytes: 1 << 14}, nil)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("limited query: outcome %v err %v", out, err)
 	}
@@ -607,7 +616,7 @@ func TestPerRequestMemoryLimit(t *testing.T) {
 		t.Fatalf("SpilledQueries = %d, want 1", st.SpilledQueries)
 	}
 	// A cache hit costs no execution memory, so the limit is moot there.
-	if _, out, err := s.QueryLimited(ctx, art, q, Limits{MemoryBytes: 1}); err != nil || out != OutcomeHit {
+	if _, out, err := answerText(ctx, s, art, q, Limits{MemoryBytes: 1}, nil); err != nil || out != OutcomeHit {
 		t.Fatalf("cached limited query: outcome %v err %v, want hit", out, err)
 	}
 }
@@ -620,8 +629,7 @@ func TestServiceDefaultMemoryLimitWins(t *testing.T) {
 	ctx := context.Background()
 	// The request asks for a huge budget; the 16KB service default still
 	// forces a spill.
-	res, _, err := s.QueryLimited(ctx, art,
-		"SELECT ?x ?p WHERE ?x InstanceOf Item . ?x Price ?p . ?x Qty ?q", Limits{MemoryBytes: 1 << 40})
+	res, _, err := answerText(ctx, s, art, "SELECT ?x ?p WHERE ?x InstanceOf Item . ?x Price ?p . ?x Qty ?q", Limits{MemoryBytes: 1 << 40}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,31 +2,47 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/fixtures"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
 // TestQueryTraced checks the request-level span tree: a miss records
 // the engine's query.execute subtree under the request root, a repeat
 // records a cache.hit span with the memory tier, and an admission-
-// controlled run records the admission span with its ladder rung.
+// controlled run records the admission span with its ladder rung. On a
+// miss and on a hit alike, Answer annotates the root with the
+// articulation, the normalized query and the outcome, in that order.
 func TestQueryTraced(t *testing.T) {
 	s := paperService(t, Options{Exec: query.Options{Workers: 4}})
 	ctx := context.Background()
+	traced := func(s *Service, text string) (*query.Result, Outcome, *obs.Span, error) {
+		root := obs.NewTrace("request")
+		res, out, err := answerText(ctx, s, fixtures.ArtName, text, Limits{}, root)
+		root.End()
+		return res, out, root, err
+	}
+	wantAttrs := func(root *obs.Span, outcome string) {
+		t.Helper()
+		want := []obs.Attr{
+			{Key: "articulation", Val: fixtures.ArtName},
+			{Key: "query", Val: query.MustParse(vehiclePriceQ).String()},
+			{Key: "outcome", Val: outcome},
+		}
+		if !slices.Equal(root.Attrs, want) {
+			t.Errorf("root attrs = %v, want %v", root.Attrs, want)
+		}
+	}
 
-	res, out, root, err := s.QueryTraced(ctx, fixtures.ArtName, vehiclePriceQ, Limits{})
+	res, out, root, err := traced(s, vehiclePriceQ)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("first query: outcome %v err %v, want miss", out, err)
 	}
-	if root == nil || root.Name != "request" {
-		t.Fatalf("root span = %+v, want request", root)
-	}
-	if root.DurNs <= 0 {
-		t.Errorf("root span not ended")
-	}
+	wantAttrs(root, "miss")
 	if got := root.Find("query.execute"); got == nil {
 		t.Errorf("miss trace lacks query.execute subtree:\n%s", root.Tree())
 	}
@@ -34,10 +50,11 @@ func TestQueryTraced(t *testing.T) {
 		t.Fatalf("no rows")
 	}
 
-	_, out, root2, err := s.QueryTraced(ctx, fixtures.ArtName, vehiclePriceQ, Limits{})
+	_, out, root2, err := traced(s, vehiclePriceQ)
 	if err != nil || out != OutcomeHit {
 		t.Fatalf("second query: outcome %v err %v, want hit", out, err)
 	}
+	wantAttrs(root2, "hit")
 	hit := root2.Find("cache.hit")
 	if hit == nil {
 		t.Fatalf("hit trace lacks cache.hit span:\n%s", root2.Tree())
@@ -49,22 +66,13 @@ func TestQueryTraced(t *testing.T) {
 		t.Errorf("cache hit recorded an execution subtree")
 	}
 
-	// Parse errors still return a finished root for logging.
-	_, _, errRoot, err := s.QueryTraced(ctx, fixtures.ArtName, "SELECT bogus", Limits{})
-	if err == nil {
-		t.Fatalf("parse error accepted")
-	}
-	if errRoot == nil || errRoot.DurNs <= 0 {
-		t.Errorf("error path root = %+v, want ended span", errRoot)
-	}
-
 	// Admission control: the leader's trace carries the admission span
 	// and its rung.
 	adm := paperService(t, Options{
 		Exec:              query.Options{Workers: 1},
 		AdmissionCapBytes: 1 << 20,
 	})
-	_, out, aroot, err := adm.QueryTraced(ctx, fixtures.ArtName, vehiclePriceQ, Limits{})
+	_, out, aroot, err := traced(adm, vehiclePriceQ)
 	if err != nil || out != OutcomeMiss {
 		t.Fatalf("admitted query: outcome %v err %v", out, err)
 	}
@@ -76,12 +84,10 @@ func TestQueryTraced(t *testing.T) {
 		t.Errorf("admission span lacks rung attr:\n%s", aroot.Tree())
 	}
 
-	// The untraced entry points stay trace-free.
-	plain, out, err := s.QueryOutcome(ctx, fixtures.ArtName, vehiclePriceQ)
-	if err != nil || out != OutcomeHit {
+	// The untraced path answers from the same cache.
+	if _, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil); err != nil || out != OutcomeHit {
 		t.Fatalf("untraced query: outcome %v err %v", out, err)
 	}
-	_ = plain
 }
 
 // TestStatsSnapshotInvariants hammers the service while snapshotting
@@ -105,7 +111,7 @@ func TestStatsSnapshotInvariants(t *testing.T) {
 				return
 			default:
 			}
-			_, _, _ = s.QueryLimited(ctx, fixtures.ArtName, vehiclePriceQ, Limits{MemoryBytes: 512 << 10})
+			_, _, _ = answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{MemoryBytes: 512 << 10}, nil)
 		}
 	}()
 	for i := 0; i < 2000; i++ {

@@ -38,6 +38,11 @@
 //	    "SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p",
 //	    onion.QueryOptions{Workers: 8})
 //
+// Query and QueryWith parse the text first; the layers below take a
+// parsed Query under a context and have one execute and one explain
+// entry each — QueryEngine.Execute/Explain, System.Execute/Explain — and
+// the serving layer one, QueryService.Answer.
+//
 // A System is safe for concurrent use: queries run in parallel while
 // registration and articulation serialise against them.
 //
@@ -270,8 +275,8 @@ func NewIOExpert(in io.Reader, out io.Writer, maxRounds int) Expert {
 }
 
 // QueryPlan is the reformulation plan of a query (System.Explain). When
-// produced by System.ExplainAnalyze it additionally carries per-step
-// actual row counts and durations from a real execution.
+// explained with analyze it additionally carries per-step actual row
+// counts and durations from a real execution.
 type QueryPlan = query.Plan
 
 // Observability (internal/obs): every process shares one metrics
@@ -279,17 +284,18 @@ type QueryPlan = query.Plan
 // text exposition — and executions requested with tracing record a span
 // tree.
 type (
-	// TraceSpan is one node of a query's span tree (QueryService
-	// QueryTraced, or oniond's trace=1): a named timed operation with
-	// attributes and children. Its Tree method renders the indented
-	// text form.
+	// TraceSpan is one node of a query's span tree (QueryOptions.Trace,
+	// QueryService.Answer's trace, or oniond's trace=1): a named timed
+	// operation with attributes and children. Its Tree method renders
+	// the indented text form.
 	TraceSpan = obs.Span
 	// TraceAttr is one key/value annotation on a span.
 	TraceAttr = obs.Attr
 )
 
-// NewTrace starts a root span for a hand-driven trace; end it with End
-// and pass it through QueryOptions-independent instrumented call paths.
+// NewTrace starts a root span for a hand-driven trace: pass it as
+// QueryOptions.Trace or as QueryService.Answer's trace, and end it with
+// End once the call returns.
 func NewTrace(name string) *TraceSpan { return obs.NewTrace(name) }
 
 // Lexicon is the WordNet-substitute semantic lexicon.
@@ -334,7 +340,8 @@ type (
 	Query = query.Query
 	// QueryResult is a deterministic answer table.
 	QueryResult = query.Result
-	// QueryEngine reformulates and executes queries across bridges.
+	// QueryEngine reformulates and executes queries across bridges
+	// (Execute, Explain).
 	QueryEngine = query.Engine
 	// QuerySource pairs an ontology with its knowledge base.
 	QuerySource = query.Source
@@ -350,7 +357,8 @@ type (
 	// rows byte-identical to the unbounded run. Sequential forces the
 	// reference path (textual join order, unindexed scans, no plan
 	// cache) — the oracle every planned execution is tested against.
-	// Trace records the execution's span tree.
+	// Trace, when set, is the parent span the execution's query.execute
+	// subtree is recorded under.
 	QueryOptions = query.Options
 	// QueryStats counts the work one execution performed, including the
 	// plan/parallelism counters of the planned path (scan workers, join
@@ -372,12 +380,6 @@ func QueryFromPattern(p *Pattern, selectVars ...string) (Query, error) {
 // NewQueryEngine builds an engine over an articulation and its sources.
 func NewQueryEngine(art *Articulation, sources map[string]*QuerySource) (*QueryEngine, error) {
 	return query.NewEngine(art, sources)
-}
-
-// NewQueryEngineWith is NewQueryEngine with default execution options
-// applied to every Execute call.
-func NewQueryEngineWith(art *Articulation, sources map[string]*QuerySource, opts QueryOptions) (*QueryEngine, error) {
-	return query.NewEngineWith(art, sources, opts)
 }
 
 // Serving layer (internal/serve): a concurrent query service over a

@@ -1,6 +1,7 @@
 package onion_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -267,14 +268,14 @@ func TestPublicAPIQueryFromPatternAndExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sys.QueryEngine("transport")
+	if _, _, err := sys.Execute(context.Background(), "transport", q, onion.QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	vq, err := onion.ParseQuery("SELECT ?x WHERE ?x InstanceOf Vehicle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Execute(q); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := sys.Explain("transport", "SELECT ?x WHERE ?x InstanceOf Vehicle")
+	plan, _, err := sys.Explain(context.Background(), "transport", vq, onion.QueryOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
