@@ -17,7 +17,8 @@ race:
 	go test -race -shuffle=on ./...
 
 # The schedule-sensitive tests (shared-pool spill accounting, the
-# allocation guards a pipelined execution's scheduling could move — and
+# allocation guards a pipelined execution's scheduling could move, batch
+# reuse across query widths among them — and
 # the /query encoder's, which must hold at every GOMAXPROCS — the
 # pushdown differentials the semi-join's dispatch barrier runs under, the
 # engine's per-source index records both extended by appends — against
@@ -31,7 +32,7 @@ race:
 stress:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
-		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestMixedWidthBatchReuse|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer|TestOntologyEditDropsCaches|TestKBSwapDropsCaches|TestEpochLengthMismatchDropsCaches|TestInvalidateCache' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRun|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain|TestSpillProbeOverflow' ./internal/query || exit 1; \

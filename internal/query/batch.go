@@ -54,11 +54,15 @@ func batchCost(width, rows int) int64 {
 	return int64(rows)*(int64(width)*valueBytes+8) + int64((rows+63)/64*8)
 }
 
-// colBatchPool recycles batch buffers across executions: steady-state
-// streaming allocates no new columns at all. Shapes vary by query (width)
-// and by budget (row capacity), so get re-allocates on a shape mismatch;
-// a server answering a stable query mix converges to perfect reuse.
-var colBatchPool sync.Pool
+// batchPools recycle batch buffers across executions, one pool per row
+// capacity (batchRows, then budgetedBatchRows): steady-state streaming
+// allocates no new columns at all. A pooled batch keeps every column it
+// has ever held, so widths share one pool: a narrower query reslices the
+// columns and a wider one adds the missing ones. A server answering a
+// stable query mix — in any order, at any widths — converges to perfect
+// reuse. Idle columns beyond a checkout's width are unaccounted, like
+// everything idle in the pool.
+var batchPools [2]sync.Pool
 
 // batchAlloc hands out colBatches for one execution. The budget is
 // charged at checkout and released when the batch is returned — once
@@ -69,37 +73,46 @@ type batchAlloc struct {
 	width int
 	rows  int
 	bud   *mem.Budget
+	pool  *sync.Pool
 }
 
 func newBatchAlloc(width int, bud *mem.Budget) *batchAlloc {
-	rows := batchRows
+	rows, pool := batchRows, &batchPools[0]
 	if bud.Limit() > 0 {
-		rows = budgetedBatchRows
+		rows, pool = budgetedBatchRows, &batchPools[1]
 	}
-	return &batchAlloc{width: width, rows: rows, bud: bud}
+	return &batchAlloc{width: width, rows: rows, bud: bud, pool: pool}
 }
 
 // get returns an empty batch with every column at capacity, charging its
 // capacity cost to the execution budget.
 func (a *batchAlloc) get() *colBatch {
 	a.bud.MustReserve(batchCost(a.width, a.rows))
-	if b, ok := colBatchPool.Get().(*colBatch); ok {
-		if len(b.cols) == a.width && len(b.hashes) == a.rows {
-			b.cost = batchCost(a.width, a.rows)
-			return b
+	b, _ := a.pool.Get().(*colBatch)
+	if b == nil {
+		//lint:onion-ignore pool-recycled fixed-capacity hash vector shared across queries; live retention is charged per batch at checkout (MustReserve above) and released at put
+		b = &colBatch{hashes: make([]uint64, a.rows)}
+	}
+	b.cols = widen(b.cols, a.width)
+	for s, col := range b.cols {
+		if col == nil {
+			//lint:onion-ignore pool-recycled fixed-capacity columns shared across queries; live retention is charged per batch at checkout (MustReserve above) and released at put
+			b.cols[s] = make([]kb.Value, a.rows)
 		}
-		// Wrong shape for this execution: drop it and allocate fresh.
 	}
-	//lint:onion-ignore pool-recycled fixed-capacity columns shared across queries; live retention is charged per batch at checkout (MustReserve above) and released at put
-	b := &colBatch{
-		cols:   make([][]kb.Value, a.width),
-		hashes: make([]uint64, a.rows),
-		cost:   batchCost(a.width, a.rows),
-	}
-	for s := range b.cols {
-		b.cols[s] = make([]kb.Value, a.rows)
-	}
+	b.cost = batchCost(a.width, a.rows)
 	return b
+}
+
+// widen reslices cols to width, keeping every column the slice has ever
+// held past its length: a narrower shape hides columns, a wider one gets
+// them back (and nil for any it never had).
+func widen(cols [][]kb.Value, width int) [][]kb.Value {
+	if cap(cols) < width {
+		//lint:onion-ignore column headers of a pool-recycled batch or build store; the columns' bytes are charged by the batch checkout's MustReserve and by the reservation that admits each build batch
+		cols = append(cols[:cap(cols)], make([][]kb.Value, width-cap(cols))...)
+	}
+	return cols[:width]
 }
 
 // put releases the batch's charge and recycles its buffers. The batch's
@@ -110,7 +123,7 @@ func (a *batchAlloc) put(b *colBatch) {
 	b.n = 0
 	b.sel = nil
 	b.cost = 0
-	colBatchPool.Put(b)
+	a.pool.Put(b)
 }
 
 // full reports that the batch has no room for another row.
@@ -292,26 +305,26 @@ type buildStore struct {
 const buildTabMinSize = 1024
 
 // buildStorePool recycles build stores across stage partitions and
-// executions, like colBatchPool: a recycled store keeps its column,
+// executions, like batchPools: a recycled store keeps its column,
 // hash-vector and chain capacity, so a steady query mix builds its hash
-// tables into already-grown arrays. In-execution retention is still the
-// partition budget reservation that admitted each batch; idle pooled
-// capacity is unaccounted, the same convention as the batch pool.
+// tables into already-grown arrays. As with batches, a store keeps every
+// column it has held, so plans of any width share the pool. In-execution
+// retention is still the partition budget reservation that admitted each
+// batch; idle pooled capacity is unaccounted, the same convention as the
+// batch pools.
 var buildStorePool sync.Pool
 
 func newBuildStore(stp *planStep, width int) *buildStore {
 	slots := make([]int, 0, len(stp.keySlots)+len(stp.newSlots))
 	slots = append(slots, stp.keySlots...)
 	slots = append(slots, stp.newSlots...)
-	if v, ok := buildStorePool.Get().(*buildStore); ok {
-		if len(v.cols) == width {
-			v.slots = slots
-			return v
-		}
-		// Wrong width for this plan: drop it and allocate fresh.
+	bs, _ := buildStorePool.Get().(*buildStore)
+	if bs == nil {
+		//lint:onion-ignore column backing grows by append under the reservation that admitted each batch (takeBuild's partition Reserve, a grace chunk's root Reserve)
+		bs = &buildStore{tab: make([]int32, buildTabMinSize)}
 	}
-	//lint:onion-ignore column backing grows by append under the reservation that admitted each batch (takeBuild's partition Reserve, a grace chunk's root Reserve)
-	bs := &buildStore{slots: slots, cols: make([][]kb.Value, width), tab: make([]int32, buildTabMinSize)}
+	bs.slots = slots
+	bs.cols = widen(bs.cols, width)
 	return bs
 }
 

@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/articulation"
@@ -214,5 +216,81 @@ func TestBatchDeterminismAcrossProcs(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// mixedWidthStreams returns the join-heavy world's width-4 query
+// interleaved one for one with a width-2 selection, and the same queries
+// grouped by width.
+func mixedWidthStreams(t testing.TB) (eng *Engine, shuffled, grouped []Query) {
+	eng, wide := joinHeavyEngine(t, 400)
+	narrow := MustParse(`SELECT ?x ?p WHERE ?x InstanceOf Item . ?x Price ?p . FILTER ?p > 100`)
+	for i := 0; i < 8; i++ {
+		shuffled = append(shuffled, narrow, wide)
+	}
+	grouped = append(slices.Repeat([]Query{narrow}, 8), slices.Repeat([]Query{wide}, 8)...)
+	return eng, shuffled, grouped
+}
+
+// TestMixedWidthBatchReuse pins batch recycling across query shapes: a
+// stream that alternates width-2 and width-4 queries must allocate about
+// as many bytes per query as the same queries grouped by width. With one
+// pool whose batches only a same-width query could reuse, each query of
+// the alternating stream found the other width's batches and allocated
+// fresh columns: 3x the grouped stream's bytes. GC is pinned off while
+// sampling (a cycle empties the pools), and the heap is collected between
+// samples.
+func TestMixedWidthBatchReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting under -short")
+	}
+	if raceEnabled {
+		t.Skip("the race runtime drops a quarter of sync.Pool puts, so pooled reuse is not measurable under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	eng, shuffled, grouped := mixedWidthStreams(t)
+	opts := Options{Workers: 1}
+	run := func(stream []Query) {
+		for _, q := range stream {
+			if _, err := runQuery(eng, q, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bytesPerQuery := func(stream []Query) float64 {
+		runtime.GC()
+		run(stream) // refill the pools the collection emptied
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(stream)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(stream))
+	}
+	var mixed, sorted []float64
+	for i := 0; i < 7; i++ {
+		mixed = append(mixed, bytesPerQuery(shuffled))
+		sorted = append(sorted, bytesPerQuery(grouped))
+	}
+	slices.Sort(mixed)
+	slices.Sort(sorted)
+	m, g := mixed[len(mixed)/2], sorted[len(sorted)/2]
+	t.Logf("bytes per query: alternating widths %.0f, grouped by width %.0f (%.2fx)", m, g, m/g)
+	if m > 1.25*g {
+		t.Errorf("alternating widths allocate %.0f B per query, grouped %.0f B (%.2fx); want <= 1.25x", m, g, m/g)
+	}
+}
+
+// BenchmarkQueryMixedWidths runs the alternating-width stream of
+// TestMixedWidthBatchReuse; B/op is bytes per stream of 16 queries.
+func BenchmarkQueryMixedWidths(b *testing.B) {
+	eng, shuffled, _ := mixedWidthStreams(b)
+	opts := Options{Workers: 1}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, q := range shuffled {
+			if _, err := runQuery(eng, q, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -629,14 +629,22 @@ func (e *Engine) evalTriple(t Triple, stats *Stats) ([]binding, error) {
 }
 
 // scanView is the reformulation of one triple for one source: the
-// constant expansions the scan matches against. A skipped view means the
-// triple cannot denote anything in the source.
+// constant expansions the scan matches against, with every closure the
+// match needs computed here, once per view — so once per plan on the
+// planned path — rather than per fact. A skipped view means the triple
+// cannot denote anything in the source.
 type scanView struct {
 	subj     map[string]bool // nil = unconstrained (variable subject)
 	preds    map[string]bool
 	objTerms map[string]bool // set when the object is a constant term
 	objTerm  bool
-	skip     bool
+	// objClasses is objTerms closed under the source's subclasses: the
+	// object labels an InstanceOf fact may carry to match (an instance of
+	// a subclass is an instance of the class). Closed once per view, so
+	// matching a fact is one map probe; nil when no predicate the view
+	// matches is InstanceOf.
+	objClasses map[string]bool
+	skip       bool
 	// predList / subjList are the sorted sets, precomputed by the
 	// planner so indexed scans need not re-sort per execution.
 	predList []string
@@ -673,8 +681,25 @@ func (e *Engine) compileView(name string, t Triple, stats *Stats) scanView {
 		}
 		v.objTerms = set
 		v.objTerm = true
+		if preds == nil || preds[ontology.InstanceOf] {
+			v.objClasses = subclassClosure(e.sources[name].Ont, set)
+		}
 	}
 	return v
+}
+
+// subclassClosure is terms plus each one's subclasses in ont: in a
+// consistent (uniquely labelled) ontology, exactly the labels l with
+// ont.IsA(l, t) for some t in terms.
+func subclassClosure(ont *ontology.Ontology, terms map[string]bool) map[string]bool {
+	out := make(map[string]bool, len(terms))
+	for t := range terms {
+		out[t] = true
+		for _, sub := range ont.Subclasses(t) {
+			out[sub] = true
+		}
+	}
+	return out
 }
 
 // scanSource evaluates the triple in one source on the sequential
@@ -750,7 +775,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		if v.subj != nil && !v.subj[sLabel] {
 			return
 		}
-		if v.objTerm && !e.objectMatches(src, edge.Label, oLabel, v.objTerms) {
+		if v.objTerm && !v.objectMatches(edge.Label, oLabel) {
 			return
 		}
 		if litObj {
@@ -821,7 +846,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 					if obj.Kind != kb.KindTerm {
 						return true
 					}
-					if v.objTerms != nil && !e.objectMatches(src, f.Predicate, obj.Str, v.objTerms) {
+					if v.objTerms != nil && !v.objectMatches(f.Predicate, obj.Str) {
 						return true
 					}
 				default:
@@ -917,22 +942,14 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 	}
 }
 
-// objectMatches checks an edge object label against the expanded object
-// terms, applying the source-side InstanceOf closure: an instance of a
-// subclass is an instance of the class.
-func (e *Engine) objectMatches(src *Source, pred, objLabel string, objTerms map[string]bool) bool {
-	if objTerms[objLabel] {
-		return true
+// objectMatches checks an object label against the view's expanded
+// object terms, applying the source-side InstanceOf closure through
+// objClasses.
+func (v *scanView) objectMatches(pred, objLabel string) bool {
+	if pred == ontology.InstanceOf {
+		return v.objClasses[objLabel]
 	}
-	if pred != ontology.InstanceOf {
-		return false
-	}
-	for want := range objTerms {
-		if src.Ont.IsA(objLabel, want) {
-			return true
-		}
-	}
-	return false
+	return v.objTerms[objLabel]
 }
 
 // expandTerm maps a triple term constant into the given source's term

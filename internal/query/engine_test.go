@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/articulation"
@@ -340,3 +342,100 @@ type (
 	articulationResult = articulation.Result
 	ontologyT          = ontology.Ontology
 )
+
+// chainLevels is the depth of chainClassEngine's subclass chain.
+const chainLevels = 12
+
+// chainClassEngine builds a source "ch1" whose ontology is a subclass
+// chain L0 ← L1 ← … ← L11 (L(j) SubclassOf L(j-1)) beside an unrelated
+// class Side, with three KB instances of every class. want[k] is the
+// generator's own answer to "?x InstanceOf ch1.Lk": the instances of
+// levels k and deeper, qualified and sorted. A second source "ch2"
+// completes the articulation.
+func chainClassEngine(t testing.TB) (eng *Engine, ch1 *ontology.Ontology, want [chainLevels][]string, side []string) {
+	t.Helper()
+	ch1 = ontology.New("ch1")
+	store := kb.New("ch1")
+	for j := 0; j < chainLevels; j++ {
+		class := fmt.Sprintf("L%d", j)
+		ch1.MustAddTerm(class)
+		if j > 0 {
+			ch1.MustRelate(class, ontology.SubclassOf, fmt.Sprintf("L%d", j-1))
+		}
+		for i := 0; i < 3; i++ {
+			inst := fmt.Sprintf("I%d_%d", j, i)
+			store.MustAdd(inst, ontology.InstanceOf, kb.Term(class))
+			for k := 0; k <= j; k++ {
+				want[k] = append(want[k], "ch1."+inst)
+			}
+		}
+	}
+	ch1.MustAddTerm("Side")
+	for i := 0; i < 3; i++ {
+		inst := fmt.Sprintf("S%d", i)
+		store.MustAdd(inst, ontology.InstanceOf, kb.Term("Side"))
+		side = append(side, "ch1."+inst)
+	}
+	for k := range want {
+		slices.Sort(want[k])
+	}
+	ch2 := ontology.New("ch2")
+	ch2.MustAddTerm("Thing")
+	set := rules.NewSet(rules.MustParse("ch1.L0 => ch2.Thing"))
+	res, err := articulation.Generate("chart", ch1, ch2, set, articulation.Options{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err = NewEngine(res.Art, map[string]*Source{
+		"ch1": {Ont: ch1, KB: store},
+		"ch2": {Ont: ch2, KB: kb.New("ch2")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, ch1, want, side
+}
+
+// TestInstanceOfSubclassClosure checks the source-side InstanceOf
+// closure (an instance of a subclass is an instance of the class) on a
+// 12-level subclass chain against the generator's expectation — not
+// against Sequential, which compiles its views through the same
+// compileView. An ontology edit between two runs of one query must show
+// in the second: the closure lives in the plan, and the edit's epoch
+// move drops the plan.
+func TestInstanceOfSubclassClosure(t *testing.T) {
+	instances := func(t *testing.T, eng *Engine, class string, opts Options) []string {
+		t.Helper()
+		res, err := runQuery(eng, MustParse("SELECT ?x WHERE ?x InstanceOf ch1."+class), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, row[0].Str)
+		}
+		slices.Sort(got)
+		return got
+	}
+	for name, opts := range map[string]Options{"planned": {}, "one-worker": {Workers: 1}, "sequential": {Sequential: true}} {
+		t.Run(name, func(t *testing.T) {
+			eng, ch1, want, side := chainClassEngine(t)
+			for k := range want {
+				if got := instances(t, eng, fmt.Sprintf("L%d", k), opts); !slices.Equal(got, want[k]) {
+					t.Errorf("?x InstanceOf ch1.L%d = %v, want %v", k, got, want[k])
+				}
+			}
+			// Hang Side under L7: it joins the closure of L0..L7 only.
+			ch1.MustRelate("Side", ontology.SubclassOf, "L7")
+			for _, k := range []int{4, 7, 8} {
+				exp := want[k]
+				if k <= 7 {
+					exp = slices.Sorted(slices.Values(append(slices.Clone(exp), side...)))
+				}
+				if got := instances(t, eng, fmt.Sprintf("L%d", k), opts); !slices.Equal(got, exp) {
+					t.Errorf("after Side SubclassOf L7: ?x InstanceOf ch1.L%d = %v, want %v", k, got, exp)
+				}
+			}
+		})
+	}
+}

@@ -282,16 +282,35 @@ func (ix *numIndex) span(r numRange) (lo, hi int) {
 
 // inStoreOrder calls fn with the ordinals of entries [lo, hi) ascending —
 // the order the predicate walk reads them in, which keeps the
-// downstream dedup-and-sort fed with nearly sorted rows. A bitset over
-// the ordinal space orders them in O(ords/64 + hi-lo), without a
-// comparison sort.
+// downstream dedup-and-sort fed with nearly sorted rows, and the order
+// the semi-join's first-seen subject set is built in, which keeps its
+// bound scans deterministic. The cost follows the range, not the store:
+// a sparse range sorts its own ordinals (O(k log k) time, k words), and
+// only a range dense enough to beat that walks a bitset over the whole
+// ordinal space (O(ords/64 + k), ords/64 words).
 func (ix *numIndex) inStoreOrder(lo, hi int, fn func(ord int)) {
-	if hi-lo < 2 {
-		for _, ent := range ix.ents[lo:hi] {
-			fn(ent.ord)
-		}
+	if k := hi - lo; k*bits.Len(uint(k)) < ix.ords/64 {
+		ix.sortedOrder(lo, hi, fn)
 		return
 	}
+	ix.bitsetOrder(lo, hi, fn)
+}
+
+// sortedOrder is inStoreOrder for a sparse range: gather and sort.
+func (ix *numIndex) sortedOrder(lo, hi int, fn func(ord int)) {
+	ords := make([]int, hi-lo)
+	for i, ent := range ix.ents[lo:hi] {
+		ords[i] = ent.ord
+	}
+	slices.Sort(ords)
+	for _, ord := range ords {
+		fn(ord)
+	}
+}
+
+// bitsetOrder is inStoreOrder for a dense range: mark each ordinal in a
+// bitset over the ordinal space, then walk it.
+func (ix *numIndex) bitsetOrder(lo, hi int, fn func(ord int)) {
 	set := make([]uint64, (ix.ords+63)/64)
 	for _, ent := range ix.ents[lo:hi] {
 		set[ent.ord/64] |= 1 << (ent.ord % 64)

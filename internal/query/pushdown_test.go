@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -527,4 +529,73 @@ func TestPushdownOpaqueReregistration(t *testing.T) {
 		t.Errorf("carrier Price pushed through an opaque function: %v", r)
 	}
 	checkPushdownMatchesSequential(t, eng, q)
+}
+
+// TestInStoreOrderEmitsRangeAscending is inStoreOrder's property test:
+// for random indexes and ranges, the sparse (sort) path, the dense
+// (bitset) path and the one inStoreOrder picks each emit exactly the
+// range's ordinals, ascending — the order the semi-join's subject set,
+// and so its determinism, depends on.
+func TestInStoreOrderEmitsRangeAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 500; iter++ {
+		ords := 1 + rng.Intn(20000)
+		n := rng.Intn(min(ords, 400) + 1)
+		ix := &numIndex{}
+		var ents []numEntry
+		for _, ord := range rng.Perm(ords)[:n] {
+			ents = append(ents, numEntry{v: float64(rng.Intn(64)), ord: ord})
+		}
+		// Two adds: the second merges into the first's sorted entries.
+		half := n / 2
+		slices.SortFunc(ents, func(a, b numEntry) int { return a.ord - b.ord })
+		ix.add(slices.Clone(ents[:half]))
+		ix.add(slices.Clone(ents[half:]))
+		lo := rng.Intn(len(ix.ents) + 1)
+		hi := lo + rng.Intn(len(ix.ents)-lo+1)
+		var want []int
+		for _, en := range ix.ents[lo:hi] {
+			want = append(want, en.ord)
+		}
+		slices.Sort(want)
+		for name, walk := range map[string]func(lo, hi int, fn func(int)){
+			"sorted": ix.sortedOrder, "bitset": ix.bitsetOrder, "inStoreOrder": ix.inStoreOrder,
+		} {
+			var got []int
+			walk(lo, hi, func(ord int) { got = append(got, ord) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("iter %d, %s over [%d,%d) of %d entries (%d ordinals): got %v, want %v",
+					iter, name, lo, hi, len(ix.ents), ix.ords, got, want)
+			}
+		}
+	}
+}
+
+// TestInStoreOrderAllocsFollowRange pins a pushed scan's ordering cost to
+// its range: 64 entries out of a 100 000-ordinal index must allocate
+// under 2 KB, where a bitset over the ordinal space takes 12.5 KB.
+func TestInStoreOrderAllocsFollowRange(t *testing.T) {
+	const ords, k, calls = 100_000, 64, 100
+	ents := make([]numEntry, ords)
+	for ord := range ents {
+		ents[ord] = numEntry{v: float64(ord * 7919 % ords), ord: ord}
+	}
+	ix := &numIndex{}
+	ix.add(ents)
+	lo := ords / 3
+	n := 0
+	fn := func(int) { n++ }
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ix.inStoreOrder(lo, lo+k, fn)
+	}
+	runtime.ReadMemStats(&after)
+	if n != k*calls {
+		t.Fatalf("emitted %d ordinals, want %d", n, k*calls)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 2048 {
+		t.Errorf("ordering a %d-entry range of a %d-ordinal index allocates %d B, want < 2048", k, ords, per)
+	}
 }

@@ -609,6 +609,13 @@ func (s *Service) lead(ctx context.Context, artName string, q query.Query, key s
 		s.m.spilled.Inc()
 	}
 	f.res, f.err, execEpoch = res, err, epoch
+	if err == nil && res.Trace != nil {
+		// The span tree is this request's own: the cache and coalesced
+		// followers get a copy without it.
+		shared := *res
+		shared.Trace = nil
+		f.res = &shared
+	}
 	completed = true
 	return res, OutcomeMiss, err
 }

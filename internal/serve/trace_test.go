@@ -16,7 +16,8 @@ import (
 // records a cache.hit span with the memory tier, and an admission-
 // controlled run records the admission span with its ladder rung. On a
 // miss and on a hit alike, Answer annotates the root with the
-// articulation, the normalized query and the outcome, in that order.
+// articulation, the normalized query and the outcome, in that order. A
+// later untraced hit on the entry a traced miss filed gets no trace.
 func TestQueryTraced(t *testing.T) {
 	s := paperService(t, Options{Exec: query.Options{Workers: 4}})
 	ctx := context.Background()
@@ -84,9 +85,15 @@ func TestQueryTraced(t *testing.T) {
 		t.Errorf("admission span lacks rung attr:\n%s", aroot.Tree())
 	}
 
-	// The untraced path answers from the same cache.
-	if _, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil); err != nil || out != OutcomeHit {
+	// The untraced path answers from the same cache, and the entry the
+	// traced miss filed carries no span tree: that tree was the first
+	// request's own.
+	ures, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
+	if err != nil || out != OutcomeHit {
 		t.Fatalf("untraced query: outcome %v err %v", out, err)
+	}
+	if ures.Trace != nil {
+		t.Errorf("untraced cache hit after a traced miss returned the miss's trace:\n%s", ures.Trace.Tree())
 	}
 }
 
