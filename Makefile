@@ -20,7 +20,8 @@ race:
 # allocation guards a pipelined execution's scheduling could move, batch
 # reuse across query widths among them — and
 # the /query encoder's, which must hold at every GOMAXPROCS — the
-# pushdown differentials the semi-join's dispatch barrier runs under, the
+# pushdown differentials the semi-join's dispatch barrier runs under and
+# the dead-source prune's, the
 # engine's per-source index records both extended by appends — against
 # fresh builds and under concurrent heals — and replaced on any other
 # change or after InvalidateCache, the join and projection runs' replay,
@@ -33,7 +34,7 @@ stress:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestMixedWidthBatchReuse|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
-		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential|TestDeadSourcePruneMatchesSequential' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer|TestOntologyEditDropsCaches|TestKBSwapDropsCaches|TestEpochLengthMismatchDropsCaches|TestInvalidateCache' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRun|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain|TestSpillProbeOverflow' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestBoundedMemoryPeakUnderCap ./internal/bench || exit 1; \

@@ -326,8 +326,19 @@ func (s *Store) CountBySubject(subject string) int { return len(s.bySubj[subject
 // index walk.
 func (s *Store) NumSubjects() int { return len(s.bySubj) }
 
+// SubjectOrdinals returns the store ordinals of the facts about subject,
+// in insertion order, or nil for an unknown subject: one index probe,
+// after which a caller walks the facts through FactAt. The slice is the
+// store's own index entry, so it is read-only. It is valid under the
+// query engine's rule that a store is never mutated while a query reads
+// it: the call itself must not race an Add. A later Add only appends past
+// the returned length and never rewrites it, so an append becomes visible
+// at the next call. A reader pinned to an earlier snapshot of the store
+// must cut the slice at the Len it pinned.
+func (s *Store) SubjectOrdinals(subject string) []int { return s.bySubj[subject] }
+
 // FactAt returns the fact with store ordinal i (0 <= i < Len()), the
-// ordinal the *Indexed walks report.
+// ordinal the *Indexed walks report and SubjectOrdinals lists.
 func (s *Store) FactAt(i int) Fact { return s.facts[i] }
 
 // ForEach streams every fact in insertion order without copying or
@@ -368,16 +379,6 @@ func (s *Store) ForEachByPredicateIndexed(pred string, fn func(i int, f Fact) bo
 func (s *Store) ForEachBySubject(subject string, fn func(Fact) bool) {
 	for _, i := range s.bySubj[subject] {
 		if !fn(s.facts[i]) {
-			return
-		}
-	}
-}
-
-// ForEachBySubjectIndexed is ForEachBySubject with each fact's store
-// ordinal (see ForEachByPredicateIndexed).
-func (s *Store) ForEachBySubjectIndexed(subject string, fn func(i int, f Fact) bool) {
-	for _, i := range s.bySubj[subject] {
-		if !fn(i, s.facts[i]) {
 			return
 		}
 	}

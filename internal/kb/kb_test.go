@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -157,5 +158,40 @@ func TestEpochBumpsOnInsertOnly(t *testing.T) {
 	}
 	if err := s.Add("", "Price", Number(1)); err == nil || s.Epoch() != e1+1 {
 		t.Fatalf("rejected add must not bump epoch (err=%v, epoch=%d)", err, s.Epoch())
+	}
+}
+
+// TestSubjectOrdinals pins the contract the query engine's semi-join walk
+// reads: a subject's ordinals in insertion order, each naming one of its
+// facts through FactAt; nothing for an unknown subject; and an append
+// visible at the next call while a slice taken before it keeps its length.
+func TestSubjectOrdinals(t *testing.T) {
+	s := sample(t)
+	s.MustAdd("Suv9", "Owner", String("Bob"))
+	ords := s.SubjectOrdinals("MyCar")
+	if want := []int{0, 1, 2}; !slices.Equal(ords, want) {
+		t.Fatalf("SubjectOrdinals(MyCar) = %v, want %v", ords, want)
+	}
+	for _, i := range ords {
+		if f := s.FactAt(i); f.Subject != "MyCar" {
+			t.Fatalf("ordinal %d is %v, not a MyCar fact", i, f)
+		}
+	}
+	if got := s.SubjectOrdinals("Suv9"); !slices.Equal(got, []int{3, 4}) {
+		t.Fatalf("SubjectOrdinals(Suv9) = %v, want [3 4]", got)
+	}
+	if got := s.SubjectOrdinals("Nobody"); len(got) != 0 {
+		t.Fatalf("unknown subject has ordinals %v", got)
+	}
+	s.MustAdd("MyCar", "Model", String("T"))
+	if got := s.SubjectOrdinals("MyCar"); !slices.Equal(got, []int{0, 1, 2, 5}) {
+		t.Fatalf("after an append SubjectOrdinals(MyCar) = %v, want [0 1 2 5]", got)
+	}
+	if !slices.Equal(ords, []int{0, 1, 2}) {
+		t.Fatalf("an append rewrote an earlier slice: %v", ords)
+	}
+	s.MustAdd("New1", "Price", Number(1))
+	if got := s.SubjectOrdinals("New1"); !slices.Equal(got, []int{6}) {
+		t.Fatalf("new subject's ordinals %v, want [6]", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,8 +157,10 @@ type batchScanSink struct {
 	rt      *batchRouter // nil on a single-step plan
 	proj    *stageProj   // non-nil on a single-step plan
 	// subjects, on a step-0 scan of a semi-join plan, collects the
-	// surviving rows' subjects (slot plan.steps[0].spec[0]).
+	// surviving rows' subjects (slot plan.steps[0].spec[0]) into source
+	// src's set.
 	subjects *semiJoinSet
+	src      int
 
 	batches              int
 	rows                 int64
@@ -197,68 +198,105 @@ func (snk *batchScanSink) flush() {
 		snk.filterKept += kept
 	}
 	if snk.subjects != nil {
-		snk.subjects.add(b, snk.plan.steps[0].spec[0])
+		snk.subjects.add(snk.src, b, snk.plan.steps[0].spec[0])
 	}
 	snk.kept += kept
 	b.n = 0
 	b.sel = nil
 }
 
-// semiJoinSet is the sideways semi-join's subject set: the qualified
-// subjects of step 0's surviving rows, which the bound scans of later
-// steps walk instead of their predicate index (planSemiJoin). Step-0
-// sinks add every flushed batch; the dispatcher seals the set once step
-// 0's scans are done, and the bound scans read it without locking. Each
-// entry is charged to the budget (the strings are the qualification
-// table's, so an entry is a map slot and a slot of the walk order). A
-// refused charge overflows the set (subj becomes nil) and the bound
-// scans run unrestricted — exact either way, since the restriction only
-// drops rows no join with step 0 can match.
+// semiJoinSet is the sideways semi-join's subject sets: per source, the
+// qualified subjects of step 0's surviving rows from that source, which
+// the bound scans of later steps walk instead of their predicate index
+// (planSemiJoin). Each source's step-0 sink adds its flushed batches to
+// the source's own set; the dispatcher seals the sets once step 0's scans
+// are done, and the bound scans read them without locking.
+//
+// Each entry is charged semiJoinEntryBytes. A pushed step-0 scan's
+// estimate is its exact row count, which bounds its distinct subjects, so
+// the set reserves that many entries up front and presizes the source's
+// map and order: they never grow. Entries past the reservation are
+// charged per batch, and seal releases the slots left unfilled. When the
+// up-front reservation is refused, every entry is charged per batch. A
+// refused per-batch charge overflows the set (srcs becomes nil) and the
+// bound scans run unrestricted — exact either way, since the restriction
+// only drops rows no join with step 0 can match.
 type semiJoinSet struct {
 	mu      sync.Mutex
 	bud     *mem.Budget
-	subj    *boundSubjects
+	srcs    []*boundSubjects // by source (step-0 scan) index
 	charged int64
 }
 
-// boundSubjects is the sealed set a bound scan reads: has answers the
-// edge walk's membership probes, and order lists the same subjects in
-// the order step 0 first emitted them, which the fact walk follows. Each
-// source's subjects come from that source's one step-0 scan, which reads
-// its range in store order, so a bound scan visits its subjects — and
-// feeds the joins its rows — in the same order on every execution (a
-// map range would reshuffle them per query, and the join and projection
-// costs with them).
+// boundSubjects is one source's sealed set, which that source's bound
+// scans read: has answers the edge walk's membership probes, and order
+// lists the same subjects in the order the source's one step-0 scan first
+// emitted them. That scan reads its range in store order, so a bound scan
+// visits its subjects — and feeds the joins its rows — in the same order
+// on every execution (a map range would reshuffle them per query, and the
+// join and projection costs with them).
 type boundSubjects struct {
 	has   map[string]struct{}
 	order []string
+	// reserved is how many entries the up-front reservation paid for.
+	reserved int
+	// ords[k] is order[k]'s fact ordinals in the source's store, resolved
+	// by the first bound scan that walks the facts and shared by the
+	// source's other bound scans (ordinals).
+	once sync.Once
+	ords [][]int
 }
 
-// semiJoinEntryBytes is the accounted cost of one subject: a string
-// header plus its share of the map's buckets, and up to two string
-// headers in the walk order's doubling slice.
+// semiJoinEntryBytes is the accounted cost of one subject: its share of
+// the map's slots (a string header each), one string header in the walk
+// order and one slice header in the resolved ordinals.
 const semiJoinEntryBytes = 80
 
-func (s *semiJoinSet) add(b *colBatch, slot int) {
+// newSemiJoinSet returns an empty set with one source per entry of exact:
+// that source's exact step-0 row count, or 0 when it is not known.
+func newSemiJoinSet(bud *mem.Budget, exact []int) *semiJoinSet {
+	total := 0
+	for _, n := range exact {
+		total += n
+	}
+	s := &semiJoinSet{bud: bud, srcs: make([]*boundSubjects, len(exact))}
+	presize := total > 0 && bud.Reserve(int64(total)*semiJoinEntryBytes)
+	if presize {
+		s.charged = int64(total) * semiJoinEntryBytes
+	}
+	for j, n := range exact {
+		if !presize {
+			n = 0
+		}
+		s.srcs[j] = &boundSubjects{has: make(map[string]struct{}, n), order: make([]string, 0, n), reserved: n}
+	}
+	return s
+}
+
+// add puts the live subjects of b's column slot into source j's set.
+func (s *semiJoinSet) add(j int, b *colBatch, slot int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.subj == nil {
+	if s.srcs == nil {
 		return
 	}
+	bs := s.srcs[j]
 	live := 0
 	for i := 0; i < b.n; i++ {
 		if b.live(i) {
 			live++
 		}
 	}
-	cost := int64(live) * semiJoinEntryBytes
-	if !s.bud.Reserve(cost) {
-		s.subj = nil
+	// Reserve for every live row the up-front reservation's empty slots
+	// cannot hold, and give back what the dedup did not use.
+	before := len(bs.order)
+	free := max(bs.reserved-before, 0)
+	cost := int64(max(live-free, 0)) * semiJoinEntryBytes
+	if cost > 0 && !s.bud.Reserve(cost) {
+		s.srcs = nil
 		s.release()
 		return
 	}
-	bs := s.subj
-	before := len(bs.order)
 	col := b.cols[slot]
 	for i := 0; i < b.n; i++ {
 		if !b.live(i) {
@@ -269,16 +307,24 @@ func (s *semiJoinSet) add(b *colBatch, slot int) {
 			bs.order = append(bs.order, col[i].Str)
 		}
 	}
-	used := int64(len(bs.order)-before) * semiJoinEntryBytes
+	used := int64(max(len(bs.order)-before-free, 0)) * semiJoinEntryBytes
 	s.bud.Release(cost - used)
 	s.charged += used
 }
 
-// seal returns the collected set, or nil after an overflow.
-func (s *semiJoinSet) seal() *boundSubjects {
+// seal returns the collected sets, or nil after an overflow, and releases
+// the reserved slots no subject filled.
+func (s *semiJoinSet) seal() []*boundSubjects {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.subj
+	for _, bs := range s.srcs {
+		if unfilled := int64(bs.reserved-len(bs.order)) * semiJoinEntryBytes; unfilled > 0 {
+			s.bud.Release(unfilled)
+			s.charged -= unfilled
+			bs.reserved = len(bs.order)
+		}
+	}
+	return s.srcs
 }
 
 // release returns the set's charge once no bound scan reads it.
@@ -287,16 +333,17 @@ func (s *semiJoinSet) release() {
 	s.charged = 0
 }
 
-// countQualified counts the bound subjects that belong to one source —
-// the ones its restricted scan walks (the trace's bound_subjects).
-func countQualified(subj *boundSubjects, source string) int {
-	n := 0
-	for _, s := range subj.order {
-		if strings.HasPrefix(s, source+".") {
-			n++
+// ordinals returns each subject's fact ordinals in store, in order's
+// order, resolving them on the first call. The subjects are source
+// name's, each qualified as name + "." + the store's subject.
+func (bs *boundSubjects) ordinals(name string, store *kb.Store) [][]int {
+	bs.once.Do(func() {
+		bs.ords = make([][]int, len(bs.order))
+		for k, subj := range bs.order {
+			bs.ords[k] = store.SubjectOrdinals(subj[len(name)+1:])
 		}
-	}
-	return n
+	})
+	return bs.ords
 }
 
 // batchEmit adapts scanMatch's (s, p, o) callback into columnar row
@@ -717,9 +764,15 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	// bound job is sent, so the workers read it race-free; it stays nil
 	// after an overflow).
 	var subjects *semiJoinSet
-	var boundSubj *boundSubjects
+	var boundSubj []*boundSubjects
 	if plan.semiJoin {
-		subjects = &semiJoinSet{bud: bud, subj: &boundSubjects{has: make(map[string]struct{})}}
+		exact := make([]int, len(plan.steps[0].scans))
+		for j, sc := range plan.steps[0].scans {
+			if sc.view.pushed != nil {
+				exact[j] = sc.est
+			}
+		}
+		subjects = newSemiJoinSet(bud, exact)
 		defer subjects.release()
 	}
 
@@ -736,8 +789,8 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		stp := &plan.steps[si]
 		sc := stp.scans[j]
 		view := sc.view
-		if sc.bound {
-			view.boundSubj = boundSubj
+		if sc.bound && boundSubj != nil {
+			view.boundSubj = boundSubj[j]
 		}
 		ts := &taskStats[si][j]
 		var ss *obs.Span
@@ -747,7 +800,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 				ss.SetAttr("pushed", pushedString(view.pushed))
 			}
 			if view.boundSubj != nil {
-				ss.SetInt("bound_subjects", int64(countQualified(boundSubj, sc.name)))
+				ss.SetInt("bound_subjects", int64(len(view.boundSubj.order)))
 			}
 			defer func() {
 				ss.SetInt("rows", int64(ts.EdgeRows+ts.FactRows))
@@ -763,7 +816,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 			snk.filters = filters[0]
 			snk.slots = stp.nextKeySlots
 			snk.rt = newBatchRouter(upCh[1], alloc, boundAfter[0])
-			snk.subjects = subjects
+			snk.subjects, snk.src = subjects, j
 		default:
 			snk.slots = stp.keySlots
 			snk.rt = newBatchRouter(scanCh[si], alloc, scanRowSlots[si])

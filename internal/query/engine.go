@@ -208,6 +208,9 @@ type Engine struct {
 	sources map[string]*Source
 	names   []string // sorted source names, articulation first
 	id      uint64   // process-unique engine identity (EpochKey component)
+	// dottedNames reports that some source name contains a dot, so a
+	// qualified term no longer names its source (pruneDeadSources).
+	dottedNames bool
 
 	mu      sync.RWMutex
 	plans   map[string]*execPlan
@@ -350,6 +353,7 @@ func NewEngine(art *articulation.Articulation, sources map[string]*Source) (*Eng
 	}
 	for name := range e.sources {
 		e.names = append(e.names, name)
+		e.dottedNames = e.dottedNames || strings.Contains(name, ".")
 	}
 	sort.Strings(e.names)
 	e.id = engineSeq.Add(1)
@@ -653,9 +657,9 @@ type scanView struct {
 	// source-unit range per predList entry, nil when the triple's filters
 	// run only after conversion.
 	pushed []pushedPred
-	// boundSubj, when non-nil, restricts the scan to these subjects
-	// (qualified names) — the sideways semi-join. The executor sets it
-	// per execution, on its own copy of the view.
+	// boundSubj, when non-nil, restricts the scan to these subjects of
+	// its source (qualified names) — the sideways semi-join. The executor
+	// sets it per execution, on its own copy of the view.
 	boundSubj *boundSubjects
 }
 
@@ -885,30 +889,29 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		}
 		switch {
 		case indexed && v.boundSubj != nil:
-			// The semi-join walk: only the bound subjects' facts, through
-			// the subject index, with the predicate check and conversion
-			// candidates the predicate walk would apply. A bound subject is
-			// qualified, so this source's are exactly those carrying its
-			// prefix. The walk follows the set's first-seen order, so the
-			// rows come out in the same order on every execution.
+			// The semi-join walk: only the bound subjects' facts, each
+			// subject resolved to its fact ordinals once per execution and
+			// source (boundSubjects.ordinals), with the predicate check and
+			// conversion candidates the predicate walk would apply. The
+			// view's one to three predicates are matched in a loop over
+			// predList, not through a map probe per fact. The walk follows
+			// the set's first-seen order, so the rows come out in the same
+			// order on every execution.
 			fq := rec.facts
-			nfs := make(map[string][]string, len(v.predList))
-			for _, p := range v.predList {
-				nfs[p] = e.normFuncNames(name, p)
+			nfs := make([][]string, len(v.predList))
+			for k, p := range v.predList {
+				nfs[k] = e.normFuncNames(name, p)
 			}
-			prefix := name + "."
-			for _, s := range v.boundSubj.order {
-				bare, ok := strings.CutPrefix(s, prefix)
-				if !ok {
-					continue
-				}
-				src.KB.ForEachBySubjectIndexed(bare, func(i int, f kb.Fact) bool {
-					nf, ok := nfs[f.Predicate]
-					if !ok {
-						return true
+			for _, ords := range v.boundSubj.ordinals(name, src.KB) {
+				for _, i := range ords {
+					f := src.KB.FactAt(i)
+					for k, p := range v.predList {
+						if f.Predicate == p {
+							matchOrd(fq, i, f, nfs[k])
+							break
+						}
 					}
-					return matchOrd(fq, i, f, nf)
-				})
+				}
 			}
 		case indexed && v.preds != nil:
 			fq := rec.facts

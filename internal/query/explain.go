@@ -16,9 +16,12 @@ type TripleScan struct {
 	Subjects   []string
 	Predicates []string
 	Objects    []string
-	// Skipped is true when the triple cannot denote anything in this
-	// source (an expansion came up empty), so the source is pruned.
+	// Skipped is true when the scan is pruned: the triple cannot denote
+	// anything in this source (an expansion came up empty), or the
+	// source's rows provably cannot join. Reason says which —
+	// "no denotation", or "no Owner facts: ?x cannot join".
 	Skipped bool
+	Reason  string
 	// Est is the planner's row estimate for this scan.
 	Est int
 	// Range is the selection pushed into the scan, in source units, with
@@ -144,7 +147,7 @@ func (p *Plan) String() string {
 		}
 		for _, sc := range tp.Scans {
 			if sc.Skipped {
-				fmt.Fprintf(&b, "    %-12s pruned (no denotation)\n", sc.Source)
+				fmt.Fprintf(&b, "    %-12s pruned (%s)\n", sc.Source, sc.Reason)
 				continue
 			}
 			fmt.Fprintf(&b, "    %-12s subj %s  pred %s  obj %s  est %d",
@@ -220,7 +223,7 @@ func (e *Engine) Explain(ctx context.Context, q Query, opts Options, analyze boo
 				scan.BoundSubjects = ep.steps[0].scans[j].est
 			}
 			if sc.view.skip {
-				scan.Skipped = true
+				scan.Skipped, scan.Reason = true, sc.why
 				tp.Scans = append(tp.Scans, scan)
 				continue
 			}

@@ -261,3 +261,50 @@ func TestExplainInvalidQuery(t *testing.T) {
 		t.Fatalf("invalid query explained")
 	}
 }
+
+// TestExplainShowsPruneReason checks that Explain says why each scan is
+// pruned, on the capped workload's star shape: factory has Price facts
+// but no Owner or Model facts, so its scans of every ?x step are pruned
+// by the first empty one, and the articulation, which has no InstanceOf
+// edge, by its empty InstanceOf scan. A scan whose triple cannot denote
+// anything in the source keeps saying so.
+func TestExplainShowsPruneReason(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 400)
+	q := MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Vehicle . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500")
+	plan, res, err := eng.Explain(context.Background(), q, Options{Workers: 2, MemoryLimit: 4 << 20}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := plan.String()
+	for _, tp := range plan.Triples {
+		for _, sc := range tp.Scans {
+			want := map[string]string{
+				"factory":   "no Owner facts: ?x cannot join",
+				"transport": "no InstanceOf facts: ?x cannot join",
+			}[sc.Source]
+			if sc.Skipped != (want != "") || sc.Reason != want {
+				t.Errorf("%s %s: skipped %v (%q), want reason %q", tp.Triple, sc.Source, sc.Skipped, sc.Reason, want)
+			}
+		}
+	}
+	for _, want := range []string{"factory      pruned (no Owner facts: ?x cannot join)", "transport    pruned (no InstanceOf facts: ?x cannot join)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("plan output missing %q:\n%s", want, out)
+		}
+	}
+	seq, err := runQuery(eng, q, Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !seq.EqualRows(res) || len(res.Rows) == 0 {
+		t.Fatalf("pruned plan returned %d rows, Sequential %d", len(res.Rows), len(seq.Rows))
+	}
+
+	plain, _, err := eng.Explain(context.Background(), MustParse("SELECT ?x WHERE ?x InstanceOf carrier.SUV"), Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := plain.String(); !strings.Contains(out, "factory      pruned (no denotation)\n") {
+		t.Errorf("a scan without denotation lost its reason:\n%s", out)
+	}
+}

@@ -60,6 +60,10 @@ type sourceScan struct {
 	// bound marks a later step's scan that walks only step 0's surviving
 	// subjects (planSemiJoin); est is then the planner's walk estimate.
 	bound bool
+	// why says why a skipped view is skipped: the triple has no
+	// denotation in the source, or pruneDeadSources proved its rows
+	// cannot join.
+	why string
 }
 
 // planStep is one WHERE conjunct with its per-source scans, placed in
@@ -249,6 +253,9 @@ func (e *Engine) compile(q Query) *execPlan {
 		for _, name := range e.names {
 			src := e.sources[name]
 			sc := sourceScan{name: name, src: src, view: e.compileView(name, t, &p.expand)}
+			if sc.view.skip {
+				sc.why = "no denotation"
+			}
 			// Pre-sort the constant sets once; the indexed scans walk
 			// them on every execution.
 			sc.view.predList = sortedSet(sc.view.preds)
@@ -263,6 +270,7 @@ func (e *Engine) compile(q Query) *execPlan {
 		}
 		p.steps = append(p.steps, step)
 	}
+	e.pruneDeadSources(p.steps)
 	p.steps, p.reordered = orderSteps(p.steps)
 	// With the join order fixed, split each step's slots into the join
 	// key (already bound upstream) and the slots it binds first.
@@ -283,7 +291,9 @@ func (e *Engine) compile(q Query) *execPlan {
 			boundSlot[sl] = true
 		}
 	}
-	p.planSemiJoin()
+	if !e.dottedNames {
+		p.planSemiJoin()
+	}
 	for i := range p.steps {
 		if i+1 < len(p.steps) {
 			p.steps[i].nextKeySlots = p.steps[i+1].keySlots
@@ -295,6 +305,79 @@ func (e *Engine) compile(q Query) *execPlan {
 	return p
 }
 
+// pruneDeadSources skips the scans whose rows provably cannot join. A
+// source qualifies every term it emits as "source.term", so a subject
+// from source S only ever equals another subject from S. When one step
+// whose subject is the variable ?x has a provably empty scan of S, no
+// answer binds ?x to a term of S, and every scan of S in a step whose
+// subject is ?x feeds only rows that die at that join: each is skipped
+// (est 0). A scan is provably empty when its view is skipped, or when
+// none of the predicates it matches has a fact or an edge in the source.
+//
+// The argument needs a qualified subject to name its source, which holds
+// only when no source name contains a dot: with sources "a" and "a.b",
+// a's "b.x" and a.b's "x" are one string. So the prune is off on such an
+// engine. A plan is dropped at any epoch move (validateEpochs), so an
+// append that gives S one of the predicates un-prunes S at the next
+// query.
+func (e *Engine) pruneDeadSources(steps []planStep) {
+	if e.dottedNames {
+		return
+	}
+	dead := make(map[string][]string) // subject variable → per source, why it cannot bind ("" = it may)
+	for _, st := range steps {
+		if !st.triple.S.IsVar() {
+			continue
+		}
+		v := st.triple.S.Var
+		if dead[v] == nil {
+			dead[v] = make([]string, len(st.scans))
+		}
+		for j, sc := range st.scans {
+			if dead[v][j] != "" {
+				continue
+			}
+			if why := e.emptyBecause(sc, st.triple); why != "" {
+				dead[v][j] = why + ": ?" + v + " cannot join"
+			}
+		}
+	}
+	for i := range steps {
+		st := &steps[i]
+		if !st.triple.S.IsVar() {
+			continue
+		}
+		why := dead[st.triple.S.Var]
+		st.est = 0
+		for j := range st.scans {
+			sc := &st.scans[j]
+			if why[j] != "" && !sc.view.skip {
+				sc.view.skip, sc.est, sc.why = true, 0, why[j]
+			}
+			st.est += sc.est
+		}
+	}
+}
+
+// emptyBecause says why scan sc of triple t provably emits no row, or ""
+// when it may emit some.
+func (e *Engine) emptyBecause(sc sourceScan, t Triple) string {
+	if sc.view.skip {
+		return "no denotation of " + t.String()
+	}
+	if sc.view.predList == nil {
+		return ""
+	}
+	edges := e.index(sc.name).edges
+	facts := sc.src.KB != nil && sc.name != e.art.Ont.Name()
+	for _, p := range sc.view.predList {
+		if len(edges[p]) > 0 || facts && sc.src.KB.CountByPredicate(p) > 0 {
+			return ""
+		}
+	}
+	return "no " + strings.Join(sc.view.predList, "/") + " facts"
+}
+
 // planSemiJoin binds later scans to step 0's surviving subjects — the
 // sideways semi-join. It applies when step 0 carries a pushed range
 // (its estimate is then an exact count) and a later step's subject is
@@ -304,7 +387,9 @@ func (e *Engine) compile(q Query) *execPlan {
 // walk is cheaper than the scan's predicate-index estimate (one visit per
 // fact): per step-0 row in the same source the walk pays one subject-set
 // insert and one subject-index probe, plus the source's facts per
-// subject.
+// subject. A bound scan walks only its own source's step-0 subjects,
+// which is exact by pruneDeadSources' argument, so compile binds nothing
+// on an engine with a dotted source name.
 func (p *execPlan) planSemiJoin() {
 	if len(p.steps) < 2 {
 		return

@@ -349,38 +349,155 @@ func TestPushdownSemiJoinMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSemiJoinSetFirstSeenOrder pins the order a bound scan walks: the
-// sealed set lists each live subject once, in the order step 0's sinks
-// first flushed it, so the walk — and the rows it feeds the joins — is
-// the same on every execution. Each kept subject is charged once, and
-// release returns the whole charge.
+// semiJoinBatch is a one-column batch of subject terms whose row dead
+// (if >= 0) is masked off.
+func semiJoinBatch(dead int, subjects ...string) *colBatch {
+	col := make([]kb.Value, len(subjects))
+	for i, x := range subjects {
+		col[i] = kb.Term(x)
+	}
+	b := &colBatch{n: len(col), cols: [][]kb.Value{col}}
+	if dead >= 0 {
+		b.sel = []uint64{^uint64(0) &^ (1 << dead)}
+	}
+	return b
+}
+
+// TestSemiJoinSetFirstSeenOrder pins the order a bound scan walks: each
+// source's sealed set lists each of its live subjects once, in the order
+// that source's step-0 sink first flushed it, so the walk — and the rows
+// it feeds the joins — is the same on every execution. Each kept subject
+// is charged once, and release returns the whole charge. It runs without
+// an exact count (every entry charged per batch), presized above the
+// distinct count (the unfilled slots released at seal) and below it (the
+// entries past the reservation charged per batch).
 func TestSemiJoinSetFirstSeenOrder(t *testing.T) {
-	bud := mem.New(1 << 20)
-	s := &semiJoinSet{bud: bud, subj: &boundSubjects{has: make(map[string]struct{})}}
-	batch := func(dead int, subjects ...string) *colBatch {
-		col := make([]kb.Value, len(subjects))
-		for i, x := range subjects {
-			col[i] = kb.Term(x)
+	for _, exact := range [][]int{{0, 0}, {6, 2}, {2, 1}} {
+		bud := mem.New(1 << 20)
+		s := newSemiJoinSet(bud, exact)
+		s.add(0, semiJoinBatch(-1, "src.c", "src.a", "src.c"), 0)
+		s.add(1, semiJoinBatch(-1, "two.q"), 0)
+		s.add(0, semiJoinBatch(1, "src.b", "src.z", "src.a", "src.d"), 0)
+		got := s.seal()
+		want := [][]string{{"src.c", "src.a", "src.b", "src.d"}, {"two.q"}}
+		kept := 0
+		for j := range want {
+			if !slices.Equal(got[j].order, want[j]) || len(got[j].has) != len(want[j]) {
+				t.Fatalf("exact %v: source %d order %v (%d members), want %v", exact, j, got[j].order, len(got[j].has), want[j])
+			}
+			kept += len(want[j])
 		}
-		b := &colBatch{n: len(col), cols: [][]kb.Value{col}}
-		if dead >= 0 {
-			b.sel = []uint64{^uint64(0) &^ (1 << dead)}
+		if used, charge := bud.Used(), int64(kept)*semiJoinEntryBytes; used != charge {
+			t.Fatalf("exact %v: budget holds %d B, want %d", exact, used, charge)
 		}
-		return b
+		s.release()
+		if used := bud.Used(); used != 0 {
+			t.Fatalf("exact %v: budget holds %d B after release", exact, used)
+		}
 	}
-	s.add(batch(-1, "src.c", "src.a", "src.c"), 0)
-	s.add(batch(1, "src.b", "src.z", "src.a", "src.d"), 0)
+}
+
+// TestSemiJoinPresizeRefusedFallsBack checks the fallback when the exact
+// count cannot be reserved up front: the set charges per batch as if it
+// had no count, stays exact, and gives the whole charge back. Past the
+// per-batch budget too it overflows (seal returns nil), and the query
+// still returns the Sequential rows.
+func TestSemiJoinPresizeRefusedFallsBack(t *testing.T) {
+	bud := mem.New(4 * semiJoinEntryBytes)
+	s := newSemiJoinSet(bud, []int{1000})
+	if used := bud.Used(); used != 0 {
+		t.Fatalf("refused presize holds %d B", used)
+	}
+	s.add(0, semiJoinBatch(-1, "src.a", "src.b", "src.a"), 0)
 	got := s.seal()
-	want := []string{"src.c", "src.a", "src.b", "src.d"}
-	if !slices.Equal(got.order, want) || len(got.has) != len(want) {
-		t.Fatalf("order %v (%d members), want %v", got.order, len(got.has), want)
+	if got == nil || !slices.Equal(got[0].order, []string{"src.a", "src.b"}) {
+		t.Fatalf("fallback set %v, want [src.a src.b]", got)
 	}
-	if used, charge := bud.Used(), int64(len(want))*semiJoinEntryBytes; used != charge {
-		t.Fatalf("budget holds %d B, want %d", used, charge)
+	if used := bud.Used(); used != 2*semiJoinEntryBytes {
+		t.Fatalf("fallback holds %d B, want %d", used, 2*semiJoinEntryBytes)
 	}
 	s.release()
 	if used := bud.Used(); used != 0 {
 		t.Fatalf("budget holds %d B after release", used)
+	}
+
+	over := newSemiJoinSet(bud, []int{1000})
+	over.add(0, semiJoinBatch(-1, "src.a", "src.b", "src.c", "src.d", "src.e"), 0)
+	if got := over.seal(); got != nil {
+		t.Fatalf("set past its budget did not overflow: %v", got[0].order)
+	}
+	if used := bud.Used(); used != 0 {
+		t.Fatalf("overflowed set holds %d B", used)
+	}
+
+	eng, _ := scaledFig2Engine(t, 400)
+	q := MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500")
+	if p, _ := eng.cachedPlan(q); !p.semiJoin {
+		t.Fatalf("query does not bind a scan to step 0's subjects")
+	}
+	want, err := runQuery(eng, q, Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int64{1, 4 << 10, 64 << 10} {
+		got, err := runQuery(eng, q, Options{Workers: 2, MemoryLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.EqualRows(got) {
+			t.Fatalf("limit %d: %d rows, want the Sequential %d", limit, len(got.Rows), len(want.Rows))
+		}
+	}
+}
+
+// TestSemiJoinPresizeReleased runs a presized semi-join query on a budget
+// the test owns and checks that every byte the subject set charged — the
+// up-front reservation included — is back when the query returns: the
+// budget then holds exactly what the same plan run unbound leaves held
+// (the result's merged row slice).
+func TestSemiJoinPresizeReleased(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 400)
+	q := MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500")
+	eng.validateEpochs()
+	plan, _ := eng.cachedPlan(q)
+	exact := 0
+	for _, sc := range plan.steps[0].scans {
+		if sc.view.pushed != nil {
+			exact += sc.est
+		}
+	}
+	if !plan.semiJoin || exact == 0 {
+		t.Fatalf("plan is not a presized semi-join (semiJoin %v, exact %d)", plan.semiJoin, exact)
+	}
+	unbound := *plan
+	unbound.semiJoin = false
+	unbound.steps = slices.Clone(plan.steps)
+	for i := range unbound.steps {
+		unbound.steps[i].scans = slices.Clone(unbound.steps[i].scans)
+		for j := range unbound.steps[i].scans {
+			unbound.steps[i].scans[j].bound = false
+		}
+	}
+	run := func(p *execPlan, limit int64) (*Result, *mem.Budget) {
+		bud := mem.New(limit)
+		res := &Result{Vars: q.Select}
+		if err := eng.executeBatched(context.Background(), q, p, Options{Workers: 2, MemoryLimit: limit}, bud, res); err != nil {
+			t.Fatal(err)
+		}
+		return res, bud
+	}
+	for _, limit := range []int64{0, 4 << 20} {
+		res, bud := run(plan, limit)
+		ref, refBud := run(&unbound, limit)
+		if len(res.Rows) == 0 || !res.EqualRows(ref) {
+			t.Fatalf("limit %d: %d rows, unbound %d", limit, len(res.Rows), len(ref.Rows))
+		}
+		if bud.Peak() < int64(exact)*semiJoinEntryBytes {
+			t.Fatalf("limit %d: peak %d B is below the presize of %d subjects", limit, bud.Peak(), exact)
+		}
+		if used, want := bud.Used(), refBud.Used(); used != want {
+			t.Fatalf("limit %d: budget holds %d B after the query, %d unbound", limit, used, want)
+		}
 	}
 }
 
@@ -597,5 +714,25 @@ func TestInStoreOrderAllocsFollowRange(t *testing.T) {
 	}
 	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 2048 {
 		t.Errorf("ordering a %d-entry range of a %d-ordinal index allocates %d B, want < 2048", k, ords, per)
+	}
+}
+
+// BenchmarkSemiJoinStar is the sideways semi-join on the served capped
+// workload's shape: a four-triple star on ?x whose pushed Price range
+// leads (≈1 000 carrier rows, ≈2 100 factory rows), with factory lacking
+// Owner and Model, under a 4 MiB memory limit on two workers. It reports
+// ns/op, B/op and allocs/op.
+func BenchmarkSemiJoinStar(b *testing.B) {
+	eng, _ := scaledFig2Engine(b, 40000)
+	q := MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 2400")
+	opts := Options{Workers: 2, MemoryLimit: 4 << 20}
+	if _, err := runQuery(eng, q, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := runQuery(eng, q, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
