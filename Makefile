@@ -22,9 +22,10 @@ race:
 # the /query encoder's, which must hold at every GOMAXPROCS — the
 # pushdown differentials the semi-join's dispatch barrier runs under and
 # the dead-source prune's, the
-# engine's per-source index records both extended by appends — against
-# fresh builds and under concurrent heals — and replaced on any other
-# change or after InvalidateCache, the join and projection runs' replay,
+# per-source index records both extended by appends — against fresh
+# builds and under concurrent heals, including two articulations' engines
+# racing to heal the records they share — and replaced on any other
+# change, the join and projection runs' replay,
 # merge and corrupt-input handling, the grace join's chunk carry and
 # oversized build, the probe-overflow path, and the chain world's
 # accounted peak under its memory cap),
@@ -35,7 +36,7 @@ stress:
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestMixedWidthBatchReuse|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential|TestDeadSourcePruneMatchesSequential' ./internal/query || exit 1; \
-		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer|TestOntologyEditDropsCaches|TestKBSwapDropsCaches|TestEpochLengthMismatchDropsCaches|TestInvalidateCache' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer|TestOntologyEditDropsCaches|TestKBSwapDrops|TestEpochLengthMismatchDropsCaches|TestSharedRecordRaceHammer' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRun|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain|TestSpillProbeOverflow' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestBoundedMemoryPeakUnderCap ./internal/bench || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run TestQueryEncodeAllocs ./cmd/oniond || exit 1; \

@@ -157,6 +157,52 @@ func TestArticulateEndpoint(t *testing.T) {
 	}
 }
 
+// TestArticulateReportsMissingFuncs: the Fig. 2 rules name four
+// conversion functions the daemon has not registered; /articulate
+// generates their bridges leniently and names every one of them. The
+// rules name their articulation "transport", so the built-in one is
+// dropped first.
+func TestArticulateReportsMissingFuncs(t *testing.T) {
+	ts, sys := fig2Server(t)
+	sys.Drop(fixtures.ArtName)
+	var resp articulateResponse
+	code := post(t, ts.URL+"/articulate", articulateRequest{
+		Name: fixtures.ArtName, Left: "carrier", Right: "factory",
+		Rules: fixtures.TransportRuleText, Lenient: true,
+	}, &resp)
+	if code != http.StatusOK {
+		t.Fatalf("articulate: HTTP %d, %+v", code, resp)
+	}
+	want := []string{"PSToEuroFn", "EuroToPSFn", "DGToEuroFn", "EuroToDGFn"}
+	if !reflect.DeepEqual(resp.MissingFuncs, want) {
+		t.Fatalf("missing_funcs = %v, want %v", resp.MissingFuncs, want)
+	}
+}
+
+// TestUnrelatedArticulateKeepsCache: a new articulation reads carrier and
+// factory but changes neither, so the served transport articulation keeps
+// its engine and epoch key, and its cached answer is still a hit.
+func TestUnrelatedArticulateKeepsCache(t *testing.T) {
+	ts, _ := fig2Server(t)
+	q := queryRequest{Articulation: fixtures.ArtName, Query: smokeQuery}
+	var first queryResponse
+	if code := post(t, ts.URL+"/query", q, &first); code != http.StatusOK || first.Outcome != "miss" {
+		t.Fatalf("first query: HTTP %d, outcome %q", code, first.Outcome)
+	}
+	if code := post(t, ts.URL+"/articulate", articulateRequest{
+		Name: "transport-again", Left: "carrier", Right: "factory",
+		Rules: "carrier.Cars => factory.Vehicle",
+	}, nil); code != http.StatusOK {
+		t.Fatalf("articulate: HTTP %d", code)
+	}
+	var again queryResponse
+	post(t, ts.URL+"/query", q, &again)
+	if again.Outcome != "hit" || !reflect.DeepEqual(again.Rows, first.Rows) {
+		t.Fatalf("after an unrelated /articulate: outcome %q (rows equal: %v), want a hit",
+			again.Outcome, reflect.DeepEqual(again.Rows, first.Rows))
+	}
+}
+
 // TestStatsEndpoint checks the counters and registry listing move with
 // traffic.
 func TestStatsEndpoint(t *testing.T) {

@@ -114,6 +114,9 @@ type articulateResponse struct {
 	Terms   int      `json:"terms"`
 	Bridges int      `json:"bridges"`
 	Skipped []string `json:"skipped,omitempty"`
+	// MissingFuncs names the conversion functions the rules use that the
+	// daemon has not registered: their bridges exist, but convert nothing.
+	MissingFuncs []string `json:"missing_funcs,omitempty"`
 }
 
 type statsResponse struct {
@@ -469,9 +472,10 @@ func (s *server) handleArticulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := articulateResponse{
-		Name:    req.Name,
-		Terms:   res.Art.Ont.NumTerms(),
-		Bridges: len(res.Art.Bridges),
+		Name:         req.Name,
+		Terms:        res.Art.Ont.NumTerms(),
+		Bridges:      len(res.Art.Bridges),
+		MissingFuncs: res.MissingFuncs,
 	}
 	for _, sk := range res.Skipped {
 		resp.Skipped = append(resp.Skipped, fmt.Sprintf("%s: %s", sk.Rule, sk.Reason))

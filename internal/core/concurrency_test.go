@@ -132,23 +132,16 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 	}
 }
 
-// engineOf returns the engine s resolves for the Fig. 2 articulation,
-// read under the registry lock the way Execute reads it.
+// engineOf returns the engine s resolves for the Fig. 2 articulation.
 func engineOf(t *testing.T, s *System) *query.Engine {
 	t.Helper()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, err := s.engineLocked(fixtures.ArtName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return engineNamed(t, s, fixtures.ArtName)
 }
 
 // TestEngineCacheInvalidation checks the two invalidation regimes: data
 // mutations (Infer, AddFacts) keep the cached engine — its epoch check
 // self-heals the stale plan/index state — while structural mutations
-// (re-registering a KB) still drop engines wholesale.
+// (re-registering a KB) rebind the name and drop the engines reading it.
 func TestEngineCacheInvalidation(t *testing.T) {
 	s := paperSystem(t)
 	e1 := engineOf(t, s)
@@ -166,8 +159,8 @@ func TestEngineCacheInvalidation(t *testing.T) {
 	if res, err := s.Query(fixtures.ArtName, "SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"); err != nil || len(res.Rows) == 0 {
 		t.Fatalf("query through the healed engine failed: %v", err)
 	}
-	// Structural change: rewiring a KB swaps Source pointers, which the
-	// epochs cannot see — the engine must be rebuilt.
+	// Structural change: a swapped KB rebinds carrier to a new Source,
+	// so the engine reading the old binding must be rebuilt.
 	if err := s.RegisterKB(fixtures.CarrierKB()); err != nil {
 		t.Fatal(err)
 	}

@@ -39,24 +39,26 @@ import (
 // A System is safe for concurrent use: read operations (Execute, Explain,
 // lookups, algebra) run concurrently, while mutating operations
 // (Register, RegisterKB, Load, Drop, Articulate, Regenerate, Infer,
-// AddFacts, SetLexicon) serialise against everything else. Structural
-// mutations (source set or wiring changes) invalidate the cached query
-// engines wholesale; data mutations (AddFacts, Infer) rely on per-source
-// epochs instead — engines validate their caches at query entry and
-// rebuild only the mutated sources' state. Callers must not mutate an
-// *Ontology or *Store obtained from the registry while other goroutines
-// query the system; mutate through the System (AddFacts, Infer, ...) or
-// quiesce queries first.
+// AddFacts, SetLexicon) serialise against everything else. Each
+// registered name, articulation ontologies included, is bound to one
+// query.Source that every engine reading it shares. A structural change
+// rebinds one name and drops only the engines that read it (bindLocked);
+// data mutations (AddFacts, Infer) ride per-source epochs — engines heal
+// only the mutated sources' records at query entry. Callers must not
+// mutate an *Ontology or *Store obtained from the registry while other
+// goroutines query the system; mutate through the System (AddFacts,
+// Infer, ...) or quiesce queries first.
 type System struct {
 	mu         sync.RWMutex
 	ontologies map[string]*ontology.Ontology
 	kbs        map[string]*kb.Store
 	arts       map[string]*articulation.Articulation
 	lex        *lexicon.Lexicon
+	srcs       map[string]*query.Source // name → its one binding (bindLocked)
 
 	// engMu guards the query-engine cache. Engines carry compiled-plan
-	// and scan-index caches, so System reuses one engine per
-	// articulation until a mutation invalidates it. Lock order: s.mu
+	// caches, so System reuses one engine per articulation until a
+	// structural change to a name it reads drops it. Lock order: s.mu
 	// before engMu, never the reverse.
 	engMu   sync.Mutex
 	engines map[string]*query.Engine
@@ -78,15 +80,30 @@ func NewSystem() *System {
 		kbs:        make(map[string]*kb.Store),
 		arts:       make(map[string]*articulation.Articulation),
 		lex:        lexicon.DefaultLexicon(),
+		srcs:       make(map[string]*query.Source),
 		engines:    make(map[string]*query.Engine),
 	}
 }
 
-// invalidateEnginesLocked drops the cached query engines; callers hold
-// s.mu for writing.
-func (s *System) invalidateEnginesLocked() {
+// bindLocked rebinds name to its current ontology and store — a new
+// query.Source when either moved, none once name is unregistered — and
+// drops the engines holding the old binding: name's own and those whose
+// articulation reads name. Callers hold s.mu for writing.
+func (s *System) bindLocked(name string) {
+	o, store := s.ontologies[name], s.kbs[name]
+	if src := s.srcs[name]; src != nil && src.Ont == o && src.KB == store {
+		return
+	}
+	delete(s.srcs, name)
+	if o != nil {
+		s.srcs[name] = &query.Source{Ont: o, KB: store}
+	}
 	s.engMu.Lock()
-	s.engines = make(map[string]*query.Engine)
+	for artName := range s.engines {
+		if art := s.arts[artName]; artName == name || art == nil || art.Sources[0] == name || art.Sources[1] == name {
+			delete(s.engines, artName)
+		}
+	}
 	s.engMu.Unlock()
 }
 
@@ -118,7 +135,7 @@ func (s *System) Register(o *ontology.Ontology) error {
 		return fmt.Errorf("core: ontology %q already registered", o.Name())
 	}
 	s.ontologies[o.Name()] = o
-	s.invalidateEnginesLocked()
+	s.bindLocked(o.Name())
 	return nil
 }
 
@@ -134,9 +151,7 @@ func (s *System) RegisterKB(store *kb.Store) error {
 		return fmt.Errorf("core: knowledge base %q has no registered ontology", store.Name())
 	}
 	s.kbs[store.Name()] = store
-	// Attaching (or swapping) a store rewires cached engines' Source
-	// pointers — that is a structural change epochs cannot see.
-	s.invalidateEnginesLocked()
+	s.bindLocked(store.Name())
 	return nil
 }
 
@@ -179,9 +194,7 @@ func (s *System) AddFacts(source string, facts []kb.Fact) (int, error) {
 			store.SetJournal(src)
 		}
 		s.kbs[source] = store
-		// A newly attached store rewires cached engines (they captured a
-		// nil KB pointer at build time) — structural, not epoch-visible.
-		s.invalidateEnginesLocked()
+		s.bindLocked(source)
 	}
 	added := 0
 	for _, f := range facts {
@@ -302,6 +315,7 @@ func (s *System) OpenDirFS(root string, fsys vfs.FS) (RecoveryStats, error) {
 		store.SetJournal(src)
 		baseline := s.kbs[name]
 		s.kbs[name] = store
+		s.bindLocked(name)
 		psrcs[name] = src
 		if baseline != nil {
 			var merr error
@@ -354,8 +368,6 @@ func (s *System) OpenDirFS(root string, fsys vfs.FS) (RecoveryStats, error) {
 	}
 	s.pdir = d
 	s.psrcs = psrcs
-	// Recovered stores replaced registry pointers — structural.
-	s.invalidateEnginesLocked()
 	return stats, nil
 }
 
@@ -505,7 +517,7 @@ func (s *System) Drop(name string) bool {
 		src.Close()
 		delete(s.psrcs, name)
 	}
-	s.invalidateEnginesLocked()
+	s.bindLocked(name)
 	return true
 }
 
@@ -579,7 +591,7 @@ func (s *System) Articulate(artName, o1, o2 string, set *rules.Set, opts articul
 	}
 	s.arts[artName] = res.Art
 	s.ontologies[artName] = res.Art.Ont
-	s.invalidateEnginesLocked()
+	s.bindLocked(artName)
 	return res, nil
 }
 
@@ -621,9 +633,9 @@ func (s *System) Difference(artName string, swap bool, mode algebra.DiffMode) (*
 	return algebra.DifferenceWith(a, b, art, algebra.Options{DiffMode: mode})
 }
 
-// engineLocked returns the cached or freshly built engine. Callers hold
-// s.mu (read or write), so no mutation — and therefore no cache
-// invalidation — can interleave between building and storing.
+// engineLocked returns the cached or freshly built engine over the
+// bindings of the articulation and its sources. Callers hold s.mu (read
+// or write), so no rebinding can interleave between building and storing.
 func (s *System) engineLocked(artName string) (*query.Engine, error) {
 	s.engMu.Lock()
 	e := s.engines[artName]
@@ -631,13 +643,13 @@ func (s *System) engineLocked(artName string) (*query.Engine, error) {
 	if e != nil {
 		return e, nil
 	}
-	art, a, b, err := s.artSources(artName)
+	art, _, _, err := s.artSources(artName)
 	if err != nil {
 		return nil, err
 	}
-	sources := map[string]*query.Source{
-		a.Name(): {Ont: a, KB: s.kbs[a.Name()]},
-		b.Name(): {Ont: b, KB: s.kbs[b.Name()]},
+	sources := make(map[string]*query.Source, 3)
+	for _, name := range []string{artName, art.Sources[0], art.Sources[1]} {
+		sources[name] = s.srcs[name]
 	}
 	e, err = query.NewEngine(art, sources)
 	if err != nil {
@@ -771,7 +783,7 @@ func (s *System) Regenerate(artName string, opts articulation.Options) (*articul
 	}
 	s.arts[artName] = res.Art
 	s.ontologies[artName] = res.Art.Ont
-	s.invalidateEnginesLocked()
+	s.bindLocked(artName)
 	return res, nil
 }
 

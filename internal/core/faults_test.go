@@ -63,3 +63,36 @@ func TestJournalFaultVetoesInsert(t *testing.T) {
 		t.Fatalf("restart recovered %d carrier facts, want %d", got, want)
 	}
 }
+
+// TestOpenDirFaultRebinds: OpenDirFS replaces each recovered source's
+// store as it goes, so a failure part-way (ENOSPC on factory, after
+// carrier's store was replaced) must still leave every engine reading
+// the registry's stores — a fact added to carrier's new store shows up
+// in the next query.
+func TestOpenDirFaultRebinds(t *testing.T) {
+	root := t.TempDir()
+	restartedPaperSystem(t, root) // leaves disk state for both sources
+	s := paperSystem(t)
+	before, err := s.Query(fixtures.ArtName, vehiclePriceQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := vfs.NewFaulty(vfs.OS{})
+	fsys.Inject(vfs.Rule{Op: vfs.OpAny, PathSubstr: "factory"})
+	if _, err := s.OpenDirFS(root, fsys); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("OpenDirFS err = %v, want ENOSPC", err)
+	}
+	if _, err := s.AddFacts("carrier", []kb.Fact{
+		{Subject: "NewCar", Predicate: "InstanceOf", Object: kb.Term("PassengerCar")},
+		{Subject: "NewCar", Predicate: "Price", Object: kb.Number(2500)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Query(fixtures.ArtName, vehiclePriceQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Rows) != len(before.Rows)+1 {
+		t.Fatalf("rows = %d after adding a vehicle, want %d: the engine reads a replaced store", len(after.Rows), len(before.Rows)+1)
+	}
+}

@@ -14,7 +14,7 @@ const vehiclePriceQ = "SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"
 
 // TestAddFactsVisibleWithoutEngineRebuild is the epoch path end to end
 // through the registry: AddFacts on an existing store must show up in
-// the next query without the wholesale engine invalidation (observable
+// the next query without an engine rebuild (observable
 // as a plan-cache hit staying warm until the mutation, and the mutation
 // forcing exactly one recompile).
 func TestAddFactsVisibleWithoutEngineRebuild(t *testing.T) {

@@ -89,51 +89,3 @@ func TestConcurrentExplainAndExecute(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestInvalidateCacheUnderLoad flushes the plan cache while queries run
-// — a plain one, and a pushed one whose numeric indexes are dropped and
-// rebuilt under it.
-func TestInvalidateCacheUnderLoad(t *testing.T) {
-	eng := paperEngine(t)
-	queries := []Query{
-		MustParse("SELECT ?x WHERE ?x InstanceOf Vehicle"),
-		MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p . FILTER ?p < 9000"),
-	}
-	want := make([]*Result, len(queries))
-	for i, q := range queries {
-		ref, err := runQuery(eng, q, Options{Sequential: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = ref
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if g == 0 {
-					eng.InvalidateCache()
-					continue
-				}
-				qi := (g + i) % len(queries)
-				got, err := runQuery(eng, queries[qi], Options{Workers: 2})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !want[qi].EqualRows(got) {
-					errs <- fmt.Errorf("rows diverged during cache invalidation")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}

@@ -19,10 +19,14 @@ import (
 )
 
 // Source is one knowledge source: an ontology and (optionally) the
-// knowledge base beneath it.
+// knowledge base beneath it, plus the one record of scan indexes derived
+// from it, which every engine over the same *Source shares. A Source must
+// not be copied after first use.
 type Source struct {
 	Ont *ontology.Ontology
 	KB  *kb.Store
+	mu  sync.RWMutex
+	rec *sourceIndex // as of rec.state; written by heal and numIndex
 }
 
 // Stats counts the work one execution performed; the query benchmarks
@@ -195,14 +199,13 @@ func (r *Result) EqualRows(o *Result) bool {
 // Engine executes articulation-level queries against the sources by
 // reformulating each triple through the semantic bridges.
 //
-// An Engine is safe for concurrent Execute and Explain calls.
-// It caches compiled plans and, per source, one record of scan indexes
-// (sourceIndex), validated against the sources' state at every query:
-// mutating a source ontology or knowledge base underneath a live engine
-// (between queries — never concurrently with one) is self-healing. Facts
-// appended to a source's knowledge base extend its record from the
-// last-seen fact ordinal; any other change replaces the record whole.
-// InvalidateCache remains as a forced flush.
+// An Engine is safe for concurrent Execute and Explain calls. It caches
+// compiled plans and reads each source's shared record of scan indexes
+// (Source); both are validated against the sources' state at every
+// query, so mutating a source underneath live engines is self-healing.
+// Facts appended to a source's knowledge base extend its record from the
+// last-seen fact ordinal; any other change replaces the record whole. No
+// source may be mutated while any engine reading it executes.
 type Engine struct {
 	art     *articulation.Articulation
 	sources map[string]*Source
@@ -212,15 +215,15 @@ type Engine struct {
 	// qualified term no longer names its source (pruneDeadSources).
 	dottedNames bool
 
-	mu      sync.RWMutex
-	plans   map[string]*execPlan
-	indexes map[string]*sourceIndex // source → its scan indexes, built by validateEpochs
+	mu         sync.RWMutex
+	plans      map[string]*execPlan
+	compiledAt []srcState // per source in names order, the record states plans were compiled at
 }
 
 // srcState is what one source's record was built against: the ontology
 // (identity and epoch) and the knowledge base (identity, length and
 // epoch). sourceEpoch folds the two epochs into the source's EpochKey
-// component; validateEpochs needs them apart to tell an append from any
+// component; heal needs them apart to tell an append from any
 // other change.
 type srcState struct {
 	ont   *ontology.Ontology
@@ -295,8 +298,8 @@ func newSourceIndex(name string, cur srcState) *sourceIndex {
 // past rec's state: the qualification table gains their subjects and term
 // objects, the fact-ordinal cache one entry per ordinal, and each built
 // numeric index their numbers. It is the tables' one writer — a first
-// build extends an empty record. Caller holds e.mu for writing, or owns
-// rec alone.
+// build extends an empty record. Caller holds the source's lock for
+// writing, or owns rec alone.
 func (rec *sourceIndex) extend(name string, cur srcState) {
 	rec.facts = slices.Grow(rec.facts, cur.kbLen-rec.state.kbLen)
 	added := make(map[string][]numEntry)
@@ -329,8 +332,9 @@ func (rec *sourceIndex) qualified(name, term string) kb.Value {
 }
 
 // NewEngine builds an engine over the articulation and its sources. The
-// articulation ontology itself participates as a source (without a KB), so
-// queries can ask about articulation-level structure directly.
+// articulation ontology itself participates as a source — passed in
+// sources under its name, or made here without a KB — so queries can ask
+// about articulation-level structure directly.
 func NewEngine(art *articulation.Articulation, sources map[string]*Source) (*Engine, error) {
 	if art == nil {
 		return nil, fmt.Errorf("query: nil articulation")
@@ -339,7 +343,6 @@ func NewEngine(art *articulation.Articulation, sources map[string]*Source) (*Eng
 		art:     art,
 		sources: make(map[string]*Source, len(sources)+1),
 		plans:   make(map[string]*execPlan),
-		indexes: make(map[string]*sourceIndex),
 	}
 	e.sources[art.Ont.Name()] = &Source{Ont: art.Ont}
 	for name, s := range sources {
@@ -393,8 +396,8 @@ func (e *Engine) EpochVector() []uint64 {
 // EpochKey renders the engine's identity plus the current epoch vector
 // as a compact opaque string — the cache-key component used by the
 // serving layer. The identity prefix makes keys engine-unique: after a
-// structural change rebuilds an engine (core.System drops engines when
-// source wiring changes), the new engine's keys cannot collide with
+// structural change rebuilds an engine (core.System drops the engines
+// that read a rebound source), the new engine's keys cannot collide with
 // entries cached under the old one, even if the replacement sources'
 // epoch counts coincide.
 func (e *Engine) EpochKey() string {
@@ -406,79 +409,76 @@ func (e *Engine) EpochKey() string {
 	return string(buf)
 }
 
-// validateEpochs compares every source's current state against the
-// state its record was built at and heals stale records at query and
-// explain entry, so direct NewEngine users need no InvalidateCache call
-// after mutating a source. Each source's record is
+// heal brings the source's record up to the source's current state at
+// query and explain entry, and returns that state. The record is
 //
-//   - kept when the source is unchanged;
+//   - kept when the source is unchanged, or another engine healed it;
 //   - extended over the new fact ordinals when its knowledge base only
 //     grew (same ontology, same store, length up by exactly the epoch
 //     delta) — the data in a source's difference costs no rebuild;
 //   - replaced whole — built at this query by the same extension from
 //     ordinal 0 — on any other change: an ontology edit, a swapped, shrunk
-//     or inconsistently counted store, or a record InvalidateCache dropped.
+//     or inconsistently counted store.
 //
-// Any change flushes the plan cache wholesale: compilation consults
-// every source (term expansion probes KB subjects, estimates read index
-// cardinalities, and a mutation can even un-skip a previously impossible
-// scan), so no plan can be proven unaffected.
-//
-// The extension grows a record in place. That is safe because it runs
-// under e.mu's write lock before this query — or any other query of the
-// new state — reads the record: a query reaches its scans only after
-// validateEpochs returns. Readers of the old state cannot still be
-// running, because the engine contract forbids mutating a source
-// concurrently with a query (kb.Store is single-writer; core.System
-// serialises mutators against queries).
-func (e *Engine) validateEpochs() {
-	e.mu.RLock()
-	fresh := e.freshLocked()
-	e.mu.RUnlock()
+// The extension grows a record in place, under the source's write lock,
+// before any query of the new state — through any engine — reads it: a
+// query reaches its scans only after heal returns. Readers of the old
+// state cannot still be running, because the contract forbids mutating a
+// source while an engine reading it executes (kb.Store is single-writer;
+// core.System serialises mutators against every engine's queries).
+func (src *Source) heal(name string) srcState {
+	cur := stateOf(src)
+	src.mu.RLock()
+	fresh := src.rec != nil && src.rec.state == cur
+	src.mu.RUnlock()
 	if fresh {
+		return cur
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	switch rec := src.rec; {
+	case rec != nil && rec.state == cur:
+	case rec != nil && rec.state.appendedTo(cur):
+		rec.extend(name, cur)
+	default:
+		src.rec = newSourceIndex(name, cur)
+	}
+	return cur
+}
+
+// validateEpochs heals every source's record and, when any record's state
+// differs from the one the cached plans were compiled at, flushes every
+// plan: compilation consults every source, so no plan can be proven
+// unaffected. It compares the engine's own compiled-at states, not the
+// record's staleness — another engine may already have healed a shared
+// record.
+func (e *Engine) validateEpochs() {
+	var buf [4]srcState // keeps a typical engine's states off the heap
+	states := buf[:0]
+	for _, name := range e.names {
+		states = append(states, e.sources[name].heal(name))
+	}
+	e.mu.RLock()
+	same := slices.Equal(e.compiledAt, states)
+	e.mu.RUnlock()
+	if same {
 		return
 	}
 	e.mu.Lock()
-	if !e.freshLocked() {
-		for _, name := range e.names {
-			cur := stateOf(e.sources[name])
-			switch rec := e.indexes[name]; {
-			case rec != nil && rec.state == cur:
-			case rec != nil && rec.state.appendedTo(cur):
-				rec.extend(name, cur)
-			default:
-				e.indexes[name] = newSourceIndex(name, cur)
-			}
-		}
+	if !slices.Equal(e.compiledAt, states) {
 		e.plans = make(map[string]*execPlan)
+		e.compiledAt = slices.Clone(states)
 	}
 	e.mu.Unlock()
 }
 
-// freshLocked reports whether every source has a record of its current
-// state. Caller holds e.mu.
-func (e *Engine) freshLocked() bool {
-	for _, name := range e.names {
-		if rec := e.indexes[name]; rec == nil || rec.state != stateOf(e.sources[name]) {
-			return false
-		}
-	}
-	return true
-}
-
-// index returns name's record. validateEpochs built it at this query's
-// entry; if a concurrent InvalidateCache has dropped it since, validating
-// again rebuilds it for the same, unmutated state.
+// index returns name's record, which validateEpochs healed at this
+// query's entry.
 func (e *Engine) index(name string) *sourceIndex {
-	for {
-		e.mu.RLock()
-		rec := e.indexes[name]
-		e.mu.RUnlock()
-		if rec != nil {
-			return rec
-		}
-		e.validateEpochs()
-	}
+	src := e.sources[name]
+	src.mu.RLock()
+	defer src.mu.RUnlock()
+	return src.rec
 }
 
 type binding map[string]kb.Value
@@ -882,7 +882,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		matchFact := func(f kb.Fact) bool {
 			return matchFactQ(f, kb.Value{}, kb.Value{}, false, nil, false)
 		}
-		// validateEpochs extended the record to the store's length, so its
+		// heal extended the record to the store's length, so its
 		// fact-ordinal cache covers every ordinal the KB indexes hand out.
 		matchOrd := func(fq []factQual, i int, f kb.Fact, nf []string) bool {
 			return matchFactQ(f, fq[i].subj, fq[i].obj, true, nf, true)
@@ -920,7 +920,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 				if v.pushed != nil && v.pushed[k].live(nf, e.art.Funcs) {
 					// Only the facts whose source-unit value lies in the
 					// pushed range are read, and so converted.
-					ix := e.numIndex(rec, p)
+					ix := src.numIndex(p)
 					lo, hi := ix.span(v.pushed[k].rng)
 					ix.inStoreOrder(lo, hi, func(i int) {
 						matchOrd(fq, i, src.KB.FactAt(i), nf)

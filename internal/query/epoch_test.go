@@ -16,8 +16,8 @@ import (
 
 // TestEpochSelfHealsStaleCaches is the ROADMAP-footgun regression: a
 // direct NewEngine user mutates a source KB between queries and the next
-// query must see the new facts without any InvalidateCache call — the
-// epoch check at query entry flushes the stale plans and indexes.
+// query must see the new facts without any explicit flush — the epoch
+// check at query entry heals the stale plans and indexes.
 func TestEpochSelfHealsStaleCaches(t *testing.T) {
 	res, carrier, factory := paperPieces(t)
 	carrierKB := fixtures.CarrierKB()
@@ -128,31 +128,29 @@ func TestEpochVectorAndKey(t *testing.T) {
 	}
 }
 
-// TestInvalidateCacheStillForcesFlush keeps the explicit flush working
-// as documented (a forced wholesale drop, e.g. after pointer swaps the
-// epochs cannot see).
-func TestInvalidateCacheStillForcesFlush(t *testing.T) {
-	e := paperEngine(t)
-	const q = "SELECT ?x WHERE ?x InstanceOf Vehicle"
-	rows(t, e, q)
-	if !rows(t, e, q).Stats.PlanCacheHit {
-		t.Fatalf("warm query missed the plan cache")
+// peerEngine is a second engine over eng's articulation and the very
+// same Source values, so the two share every source's record.
+func peerEngine(t testing.TB, eng *Engine) *Engine {
+	t.Helper()
+	peer, err := NewEngine(eng.art, eng.sources)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.InvalidateCache()
-	if rows(t, e, q).Stats.PlanCacheHit {
-		t.Fatalf("InvalidateCache did not flush the plan cache")
-	}
+	return peer
 }
 
-// TestInvalidateCacheDropsFactQuals regresses the documented use of
-// InvalidateCache — swap a Source's KB pointer in place, then flush: the
-// fact-ordinal qualification cache must go with the other per-source
-// indexes, or indexed scans keep emitting the old store's subjects by
-// ordinal while the sequential reference reads the new store.
-func TestInvalidateCacheDropsFactQuals(t *testing.T) {
+// TestKBSwapDropsFactQuals: a Source's KB pointer swapped in place needs
+// no flush call — the fact-ordinal qualification cache goes with the
+// rest of the record, or indexed scans would keep emitting the old
+// store's subjects by ordinal while the sequential reference reads the
+// new store. Both engines over the shared source read the new store.
+func TestKBSwapDropsFactQuals(t *testing.T) {
 	eng, q := projWideEngine(t, 8)
-	if _, err := runQuery(eng, q, Options{Workers: 1}); err != nil { // builds the fact-ordinal cache
-		t.Fatal(err)
+	peer := peerEngine(t, eng)
+	for _, e := range []*Engine{eng, peer} {
+		if _, err := runQuery(e, q, Options{Workers: 1}); err != nil { // builds the fact-ordinal cache
+			t.Fatal(err)
+		}
 	}
 	swapped := kb.New("pw1")
 	for k := 0; k < 8; k++ {
@@ -161,21 +159,22 @@ func TestInvalidateCacheDropsFactQuals(t *testing.T) {
 		swapped.MustAdd(inst, "P", kb.Number(float64(k)))
 	}
 	eng.sources["pw1"].KB = swapped
-	eng.InvalidateCache()
-	want, err := runQuery(eng, q, Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasRow(want, "pw1.swappedA", "0") {
-		t.Fatalf("sequential does not read the swapped store: %v", want.Rows)
-	}
-	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 16}} {
-		got, err := runQuery(eng, q, opts)
+	for _, e := range []*Engine{eng, peer} {
+		want, err := runQuery(e, q, Options{Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.EqualRows(got) {
-			t.Errorf("%+v: planned rows after KB swap + InvalidateCache diverged from sequential:\n got %v\nwant %v", opts, got.Rows, want.Rows)
+		if !hasRow(want, "pw1.swappedA", "0") {
+			t.Fatalf("sequential does not read the swapped store: %v", want.Rows)
+		}
+		for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 16}} {
+			got, err := runQuery(e, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.EqualRows(got) {
+				t.Errorf("%+v: planned rows after a KB swap diverged from sequential:\n got %v\nwant %v", opts, got.Rows, want.Rows)
+			}
 		}
 	}
 }
@@ -204,35 +203,18 @@ func checkPlannedMatchesSequential(t *testing.T, eng *Engine, q Query) *Result {
 	return want
 }
 
-// TestInvalidateCacheDropsNumIndex: the numeric index goes with the
-// rest of its source's record on an explicit flush. A scan reaching the
-// dropped record — as one running beside the flush would — gets a record
-// rebuilt for the same state, without the numeric index.
-func TestInvalidateCacheDropsNumIndex(t *testing.T) {
-	eng, _ := scaledFig2Engine(t, 40)
-	checkPlannedMatchesSequential(t, eng, pushdownQSel)
-	old := eng.indexes["carrier"]
-	if old.nums["Price"] == nil {
-		t.Fatalf("a pushed query did not build the carrier Price index")
-	}
-	eng.InvalidateCache()
-	if len(eng.indexes) != 0 {
-		t.Fatalf("InvalidateCache kept %d records", len(eng.indexes))
-	}
-	rec := eng.index("carrier")
-	if rec == old || rec.state != old.state || len(rec.nums) != 0 {
-		t.Fatalf("reading a dropped record did not rebuild it for the same state without a numeric index")
-	}
-}
-
 // TestEpochBumpExtendsNumIndex: facts appended to a source's store
 // extend its numeric index in place — the same cache, now holding the
 // new ordinals and equal entry for entry to a from-scratch build — and
-// the next answer carries them. The other source's index is untouched.
+// the next answer carries them. The other source's index is untouched,
+// and a second engine over the same sources reads the one extended
+// index rather than building its own.
 func TestEpochBumpExtendsNumIndex(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
+	peer := peerEngine(t, eng)
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
-	carrierIx, factoryIx := eng.indexes["carrier"].nums["Price"], eng.indexes["factory"].nums["Price"]
+	checkPlannedMatchesSequential(t, peer, pushdownQSel)
+	carrierIx, factoryIx := eng.index("carrier").nums["Price"], eng.index("factory").nums["Price"]
 	if carrierIx == nil || factoryIx == nil {
 		t.Fatalf("a pushed query did not build both Price indexes")
 	}
@@ -241,7 +223,7 @@ func TestEpochBumpExtendsNumIndex(t *testing.T) {
 	store.MustAdd("NewCar", "InstanceOf", kb.Term("PassengerCar"))
 	store.MustAdd("NewCar", "Price", kb.Number(500)) // 800 EUR, inside the range
 	eng.validateEpochs()
-	if got := eng.indexes["carrier"].nums["Price"]; got != carrierIx {
+	if got := eng.index("carrier").nums["Price"]; got != carrierIx {
 		t.Fatalf("an append replaced the carrier Price index instead of extending it")
 	}
 	newOrd := store.Len() - 1
@@ -260,40 +242,60 @@ func TestEpochBumpExtendsNumIndex(t *testing.T) {
 	if !reflect.DeepEqual(carrierIx, fresh) {
 		t.Fatalf("extended index differs from a fresh build:\n got %+v\nwant %+v", carrierIx, fresh)
 	}
-	if eng.indexes["factory"].nums["Price"] != factoryIx || !slices.Equal(factoryIx.ents, factoryEnts) {
+	if eng.index("factory").nums["Price"] != factoryIx || !slices.Equal(factoryIx.ents, factoryEnts) {
 		t.Fatalf("an append to carrier changed factory's numeric index")
 	}
-	if got := checkPlannedMatchesSequential(t, eng, pushdownQSel); !hasRow(got, "carrier.NewCar", "800") {
-		t.Fatalf("the added fact is missing from the answer")
+	for _, e := range []*Engine{eng, peer} {
+		if got := checkPlannedMatchesSequential(t, e, pushdownQSel); !hasRow(got, "carrier.NewCar", "800") {
+			t.Fatalf("the added fact is missing from the answer")
+		}
+	}
+	if peer.index("carrier").nums["Price"] != carrierIx {
+		t.Fatalf("the peer engine does not share the extended carrier Price index")
 	}
 }
 
-// warmCarrierCaches runs Q-sel, which reads every table of carrier's
-// record and builds its Price index, and fails unless it did.
-func warmCarrierCaches(t *testing.T, eng *Engine) {
+// warmCarrierCaches runs Q-sel through eng and a peer engine over the
+// same sources, which reads every table of carrier's one record and
+// builds its Price index, and fails unless it did. It returns the peer.
+func warmCarrierCaches(t *testing.T, eng *Engine) *Engine {
 	t.Helper()
+	peer := peerEngine(t, eng)
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
-	rec := eng.indexes["carrier"]
+	checkPlannedMatchesSequential(t, peer, pushdownQSel)
+	rec := eng.index("carrier")
 	if rec == nil || len(rec.edges) == 0 || len(rec.quals) == 0 || len(rec.facts) == 0 || rec.nums["Price"] == nil {
 		t.Fatalf("Q-sel did not build every carrier table")
 	}
+	if peer.index("carrier") != rec {
+		t.Fatalf("two engines over one source hold two records")
+	}
+	return peer
 }
 
 // checkCarrierRecordReplaced validates the engine's epochs and fails
 // unless carrier got a new record of its current state, without the old
-// one's numeric index, while factory kept its record.
-func checkCarrierRecordReplaced(t *testing.T, eng *Engine) {
+// one's numeric index, while factory kept its record. The peer engine,
+// which shares both records, then answers from the replaced one.
+func checkCarrierRecordReplaced(t *testing.T, eng, peer *Engine) {
 	t.Helper()
-	carrier, factory := eng.indexes["carrier"], eng.indexes["factory"]
+	carrier, factory := eng.index("carrier"), eng.index("factory")
 	eng.validateEpochs()
-	rec := eng.indexes["carrier"]
+	rec := eng.index("carrier")
 	if rec == carrier || len(rec.nums) != 0 || rec.state != stateOf(eng.sources["carrier"]) {
 		t.Fatalf("a non-append change kept carrier's record or its numeric index")
 	}
-	if eng.indexes["factory"] != factory {
+	if eng.index("factory") != factory {
 		t.Fatalf("a carrier change replaced factory's record")
 	}
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	if res, err := runQuery(peer, pushdownQSel, Options{}); err != nil || res.Stats.PlanCacheHit {
+		t.Fatalf("the peer engine kept a plan compiled at the old record (err %v)", err)
+	}
+	checkPlannedMatchesSequential(t, peer, pushdownQSel)
+	if peer.index("carrier") != rec {
+		t.Fatalf("the peer engine does not read the replaced record")
+	}
 }
 
 // TestOntologyEditDropsCaches is the converse of the extension: an
@@ -301,19 +303,19 @@ func checkCarrierRecordReplaced(t *testing.T, eng *Engine) {
 // when facts were appended too.
 func TestOntologyEditDropsCaches(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
-	warmCarrierCaches(t, eng)
+	peer := warmCarrierCaches(t, eng)
 	carrier := eng.sources["carrier"]
 	carrier.KB.MustAdd("NewCar", "Price", kb.Number(500))
 	carrier.Ont.MustAddTerm("Hatchback")
-	checkCarrierRecordReplaced(t, eng)
+	checkCarrierRecordReplaced(t, eng, peer)
 }
 
-// TestKBSwapDropsCaches: a store swapped in place without InvalidateCache
-// is not an append even when it is the old store's length plus its epoch
-// delta — its ordinals hold other facts — so the record is replaced.
+// TestKBSwapDropsCaches: a store swapped in place is not an append even
+// when it is the old store's length plus its epoch delta — its ordinals
+// hold other facts — so the record is replaced.
 func TestKBSwapDropsCaches(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
-	warmCarrierCaches(t, eng)
+	peer := warmCarrierCaches(t, eng)
 	old := eng.sources["carrier"].KB
 	swapped := kb.New("carrier")
 	old.ForEach(func(f kb.Fact) bool {
@@ -326,7 +328,7 @@ func TestKBSwapDropsCaches(t *testing.T) {
 			old.Len(), swapped.Len(), old.Epoch(), swapped.Epoch())
 	}
 	eng.sources["carrier"].KB = swapped
-	checkCarrierRecordReplaced(t, eng)
+	checkCarrierRecordReplaced(t, eng, peer)
 }
 
 // TestEpochLengthMismatchDropsCaches: when the store's length and epoch
@@ -335,19 +337,19 @@ func TestKBSwapDropsCaches(t *testing.T) {
 // shifts the record's epoch to stage the mismatch.
 func TestEpochLengthMismatchDropsCaches(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
-	warmCarrierCaches(t, eng)
-	eng.indexes["carrier"].state.kbEp--
+	peer := warmCarrierCaches(t, eng)
+	eng.index("carrier").state.kbEp--
 	eng.sources["carrier"].KB.MustAdd("NewCar", "Price", kb.Number(500))
-	checkCarrierRecordReplaced(t, eng)
+	checkCarrierRecordReplaced(t, eng, peer)
 }
 
-// TestInvalidateCacheNumIndexKBSwap: swapping a Source's KB in place and
-// flushing must never serve the old store's ordinals through the numeric
-// index — the swapped store's facts sit at the same ordinals with other
-// subjects and prices.
-func TestInvalidateCacheNumIndexKBSwap(t *testing.T) {
+// TestKBSwapDropsNumIndex: a Source's KB swapped in place must never be
+// served the old store's ordinals through the numeric index — the
+// swapped store's facts sit at the same ordinals with other subjects and
+// prices — through either engine sharing the source.
+func TestKBSwapDropsNumIndex(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 40)
-	checkPlannedMatchesSequential(t, eng, pushdownQSel)
+	peer := warmCarrierCaches(t, eng)
 	old := eng.sources["carrier"].KB
 	swapped := kb.New("carrier")
 	i := 0
@@ -360,11 +362,12 @@ func TestInvalidateCacheNumIndexKBSwap(t *testing.T) {
 		return true
 	})
 	eng.sources["carrier"].KB = swapped
-	eng.InvalidateCache()
-	got := checkPlannedMatchesSequential(t, eng, pushdownQSel)
-	for _, r := range got.Rows {
-		if s := r[0].Str; strings.HasPrefix(s, "carrier.") && !strings.HasPrefix(s, "carrier.Swapped") {
-			t.Fatalf("answer carries a subject of the replaced store: %v", r)
+	for _, e := range []*Engine{peer, eng} {
+		got := checkPlannedMatchesSequential(t, e, pushdownQSel)
+		for _, r := range got.Rows {
+			if s := r[0].Str; strings.HasPrefix(s, "carrier.") && !strings.HasPrefix(s, "carrier.Swapped") {
+				t.Fatalf("answer carries a subject of the replaced store: %v", r)
+			}
 		}
 	}
 }

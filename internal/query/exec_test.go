@@ -292,7 +292,6 @@ func TestNaNJoinMatchesReference(t *testing.T) {
 	nan := math.NaN()
 	eng.sources["jh1"].KB.MustAdd("nanA", "Price", kb.Number(nan))
 	eng.sources["jh1"].KB.MustAdd("nanB", "Qty", kb.Number(nan))
-	eng.InvalidateCache()
 	q := MustParse("SELECT ?x ?y WHERE ?x Price ?p . ?y Qty ?p")
 	want, err := runQuery(eng, q, Options{Sequential: true})
 	if err != nil {

@@ -68,15 +68,25 @@ func appendRandomFacts(rng *rand.Rand, eng *Engine, step int) {
 }
 
 // checkCachesMatchFresh fails unless every source's record on eng equals
-// a from-scratch build on twin, an engine over the same sources whose
-// records InvalidateCache has just dropped: the same state, tables and
-// numeric indexes (each built fresh on twin).
-func checkCachesMatchFresh(t *testing.T, eng, twin *Engine) {
+// a from-scratch build: the record of a fresh engine over separate Source
+// values holding the same ontologies and stores — the same state, tables
+// and numeric indexes (each built fresh on the separate source).
+func checkCachesMatchFresh(t *testing.T, eng *Engine) {
 	t.Helper()
-	twin.InvalidateCache()
+	separate := make(map[string]*Source, len(eng.sources))
+	for name, src := range eng.sources {
+		separate[name] = &Source{Ont: src.Ont, KB: src.KB}
+	}
+	twin, err := NewEngine(eng.art, separate)
+	if err != nil {
+		t.Fatal(err)
+	}
 	twin.validateEpochs()
-	for name, rec := range eng.indexes {
-		fresh := twin.indexes[name]
+	for _, name := range eng.names {
+		rec, fresh := eng.index(name), twin.index(name)
+		if rec == fresh {
+			t.Fatalf("%s: the twin over separate sources shares eng's record", name)
+		}
 		if rec.state != fresh.state || !reflect.DeepEqual(rec.edges, fresh.edges) {
 			t.Fatalf("%s: extended record's state or edge index differs from a fresh build", name)
 		}
@@ -87,7 +97,7 @@ func checkCachesMatchFresh(t *testing.T, eng, twin *Engine) {
 			t.Fatalf("%s: extended fact-ordinal cache differs from a fresh build", name)
 		}
 		for pred, ix := range rec.nums {
-			if want := twin.numIndex(fresh, pred); !reflect.DeepEqual(ix, want) {
+			if want := separate[name].numIndex(pred); !reflect.DeepEqual(ix, want) {
 				t.Fatalf("%s %s: extended numeric index differs from a fresh build:\n got %+v\nwant %+v", name, pred, ix, want)
 			}
 		}
@@ -97,20 +107,18 @@ func checkCachesMatchFresh(t *testing.T, eng, twin *Engine) {
 // TestAppendExtendedCachesMatchFresh is the extension's differential:
 // seeded interleavings of appends and queries on the scaled Fig. 2 world,
 // where after every step each extended cache equals a fresh build and
-// every query's planned rows equal Sequential's. The carrier record and
-// its Price index must stay the same objects throughout — grown, never
-// rebuilt.
+// every query's planned rows equal Sequential's, through two engines that
+// share every source. The carrier record and its Price index must stay
+// the same objects throughout — grown, never rebuilt — whichever engine
+// healed them.
 func TestAppendExtendedCachesMatchFresh(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			eng, _ := scaledFig2Engine(t, 400)
-			twin, err := NewEngine(eng.art, eng.sources)
-			if err != nil {
-				t.Fatal(err)
-			}
+			peer := peerEngine(t, eng)
 			checkPlannedMatchesSequential(t, eng, pushdownQSel)
-			carrier := eng.indexes["carrier"]
+			carrier := eng.index("carrier")
 			priceIx := carrier.nums["Price"]
 			for step := 0; step < 30; step++ {
 				// One to three append bursts land before the caches
@@ -118,8 +126,13 @@ func TestAppendExtendedCachesMatchFresh(t *testing.T) {
 				for burst := rng.Intn(3); burst >= 0; burst-- {
 					appendRandomFacts(rng, eng, 3*step+burst)
 				}
-				eng.validateEpochs()
-				checkCachesMatchFresh(t, eng, twin)
+				// The engines take turns healing the shared records.
+				first, second := eng, peer
+				if step%2 == 1 {
+					first, second = peer, eng
+				}
+				first.validateEpochs()
+				checkCachesMatchFresh(t, eng)
 				// Weight joins the rotation halfway, so its index is
 				// built mid-run and extended afterwards.
 				qs := extendQueries[:len(extendQueries)-1]
@@ -127,14 +140,18 @@ func TestAppendExtendedCachesMatchFresh(t *testing.T) {
 					qs = extendQueries
 				}
 				for _, q := range qs {
-					checkPlannedMatchesSequential(t, eng, q)
+					checkPlannedMatchesSequential(t, first, q)
+					checkPlannedMatchesSequential(t, second, q)
 				}
-				checkCachesMatchFresh(t, eng, twin)
+				checkCachesMatchFresh(t, eng)
 			}
-			if priceIx == nil || eng.indexes["carrier"] != carrier || carrier.nums["Price"] != priceIx {
+			if priceIx == nil || eng.index("carrier") != carrier || carrier.nums["Price"] != priceIx {
 				t.Fatalf("appends rebuilt the carrier record instead of extending it")
 			}
-			if eng.indexes["factory"].nums["Weight"] == nil {
+			if peer.index("carrier") != carrier {
+				t.Fatalf("the peer engine holds its own carrier record")
+			}
+			if eng.index("factory").nums["Weight"] == nil {
 				t.Fatalf("the Weight query never built its index")
 			}
 		})
@@ -150,30 +167,91 @@ func TestAppendHealRaceHammer(t *testing.T) {
 	checkPlannedMatchesSequential(t, eng, pushdownQSel)
 	for step := 0; step < 12; step++ {
 		appendRandomFacts(rng, eng, step)
-		got := make([]*Result, 8)
-		errs := make([]error, 8)
-		var wg sync.WaitGroup
-		for g := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got[g], errs[g] = runQuery(eng, extendQueries[g%len(extendQueries)], Options{Workers: 1 + g%3})
-			}()
+		hammerMatchesSequential(t, step, []*Engine{eng})
+	}
+}
+
+// hammerMatchesSequential runs 8 goroutines' queries at once, spread over
+// engs, and fails unless every answer equals Sequential's.
+func hammerMatchesSequential(t *testing.T, step int, engs []*Engine) {
+	t.Helper()
+	got := make([]*Result, 8)
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = runQuery(engs[g%len(engs)], extendQueries[g%len(extendQueries)], Options{Workers: 1 + g%3})
+		}()
+	}
+	wg.Wait()
+	for g, res := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
 		}
-		wg.Wait()
-		for g, res := range got {
-			if errs[g] != nil {
-				t.Fatal(errs[g])
-			}
-			q := extendQueries[g%len(extendQueries)]
-			want, err := runQuery(eng, q, Options{Sequential: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !want.EqualRows(res) {
-				t.Fatalf("step %d goroutine %d: %s diverged from sequential after a concurrent heal", step, g, q)
-			}
+		q := extendQueries[g%len(extendQueries)]
+		want, err := runQuery(engs[0], q, Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !want.EqualRows(res) {
+			t.Fatalf("step %d goroutine %d: %s diverged from sequential after a concurrent heal", step, g, q)
+		}
+	}
+}
+
+// TestSharedRecordRaceHammer: two articulations' engines over the same
+// sources query at once after each append, racing each other to heal the
+// records they share; every answer must equal Sequential's, and -race
+// must see no unsynchronised access to a shared record.
+func TestSharedRecordRaceHammer(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	eng, _ := scaledFig2Engine(t, 200)
+	res, _, _ := paperPieces(t) // a second transport articulation, not eng's
+	other := make(map[string]*Source, 2)
+	for _, name := range []string{"carrier", "factory"} {
+		other[name] = eng.sources[name]
+	}
+	peer, err := NewEngine(res.Art, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engs := []*Engine{eng, peer}
+	for step := 0; step < 12; step++ {
+		appendRandomFacts(rng, eng, step)
+		hammerMatchesSequential(t, step, engs)
+	}
+	if eng.index("carrier") != peer.index("carrier") || eng.index("factory") != peer.index("factory") {
+		t.Fatalf("two articulations over the same sources hold separate records")
+	}
+}
+
+// TestSharedRecordPeerMissesPlanCache: after an append that engine A's
+// query healed into the shared record, engine B's record is already
+// fresh, yet B's plans were compiled at the old state — B must miss its
+// plan cache and see the new row.
+func TestSharedRecordPeerMissesPlanCache(t *testing.T) {
+	eng, _ := scaledFig2Engine(t, 40)
+	peer := peerEngine(t, eng)
+	for _, e := range []*Engine{eng, peer} {
+		checkPlannedMatchesSequential(t, e, pushdownQSel)
+	}
+	store := eng.sources["carrier"].KB
+	store.MustAdd("NewCar", "InstanceOf", kb.Term("PassengerCar"))
+	store.MustAdd("NewCar", "Price", kb.Number(500)) // 800 EUR, inside the range
+	if got := rows(t, eng, pushdownQSel.String()); got.Stats.PlanCacheHit || !hasRow(got, "carrier.NewCar", "800") {
+		t.Fatalf("engine A: plan cache hit %v, rows %v", got.Stats.PlanCacheHit, got.Rows)
+	}
+	got := rows(t, peer, pushdownQSel.String())
+	if got.Stats.PlanCacheHit {
+		t.Fatalf("engine B served a plan compiled before the append")
+	}
+	if !hasRow(got, "carrier.NewCar", "800") {
+		t.Fatalf("engine B misses the appended row: %v", got.Rows)
+	}
+	if again := rows(t, peer, pushdownQSel.String()); !again.Stats.PlanCacheHit {
+		t.Fatalf("engine B did not re-cache its recompiled plan")
 	}
 }
 

@@ -186,20 +186,6 @@ func (e *Engine) cachedPlan(q Query) (*execPlan, bool) {
 	return p, false
 }
 
-// InvalidateCache drops the compiled plans and every source's record of
-// scan indexes (edges, qualified names, fact-ordinal qualifications,
-// numeric objects); the next query builds the records from scratch.
-// Calling it after mutating a source is not required — every query
-// validates the records against the sources' state, extending a grown
-// knowledge base's record and replacing any other changed source's
-// (validateEpochs) — so this remains only as a forced wholesale flush.
-func (e *Engine) InvalidateCache() {
-	e.mu.Lock()
-	e.plans = make(map[string]*execPlan)
-	clear(e.indexes)
-	e.mu.Unlock()
-}
-
 // qualTerm is term qualified in source name, sharing qt's string when
 // the table has one.
 func qualTerm(qt map[string]string, name, term string) kb.Value {

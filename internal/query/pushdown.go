@@ -323,15 +323,16 @@ func (ix *numIndex) bitsetOrder(lo, hi int, fn func(ord int)) {
 	}
 }
 
-// numIndex returns the numeric index of one predicate in rec's source,
-// building it on first use — the one table of a record built lazily, per
-// predicate. Nothing is maintained on the store's write path: the
-// record's extension merges appended facts' numbers into every built
-// index, and any other change replaces the record (validateEpochs).
-func (e *Engine) numIndex(rec *sourceIndex, pred string) *numIndex {
-	e.mu.RLock()
+// numIndex returns the numeric index of one predicate in the source's
+// record, building it on first use — the one table of a record built
+// lazily, per predicate. Nothing is maintained on the store's write path:
+// the record's extension merges appended facts' numbers into every built
+// index, and any other change replaces the record (heal).
+func (src *Source) numIndex(pred string) *numIndex {
+	src.mu.RLock()
+	rec := src.rec
 	ix := rec.nums[pred]
-	e.mu.RUnlock()
+	src.mu.RUnlock()
 	if ix != nil {
 		return ix
 	}
@@ -344,12 +345,12 @@ func (e *Engine) numIndex(rec *sourceIndex, pred string) *numIndex {
 	})
 	built := &numIndex{}
 	built.add(ents)
-	e.mu.Lock()
+	src.mu.Lock()
 	if ix = rec.nums[pred]; ix == nil {
 		rec.nums[pred] = built
 		ix = built
 	}
-	e.mu.Unlock()
+	src.mu.Unlock()
 	return ix
 }
 
@@ -394,12 +395,12 @@ func cmpNumEntry(a, b numEntry) int {
 // pushedCount is a pushed scan's exact row count: the facts inside its
 // ranges (a pushed scan emits no edges, and a KB-less source nothing).
 func (e *Engine) pushedCount(name string, v scanView) int {
-	if e.sources[name].KB == nil || name == e.art.Ont.Name() {
+	src, n := e.sources[name], 0
+	if src.KB == nil || name == e.art.Ont.Name() {
 		return 0
 	}
-	rec, n := e.index(name), 0
 	for _, pp := range v.pushed {
-		lo, hi := e.numIndex(rec, pp.pred).span(pp.rng)
+		lo, hi := src.numIndex(pp.pred).span(pp.rng)
 		n += hi - lo
 	}
 	return n

@@ -343,7 +343,9 @@ type (
 	// QueryEngine reformulates and executes queries across bridges
 	// (Execute, Explain).
 	QueryEngine = query.Engine
-	// QuerySource pairs an ontology with its knowledge base.
+	// QuerySource pairs an ontology with its knowledge base, and holds
+	// the one record of scan indexes every engine over it shares. Do not
+	// copy one after first use.
 	QuerySource = query.Source
 	// QueryOptions tune execution: Workers bounds the scan worker pool
 	// (0 = GOMAXPROCS, 1 = one scan worker); every planned query runs as
@@ -378,6 +380,8 @@ func QueryFromPattern(p *Pattern, selectVars ...string) (Query, error) {
 }
 
 // NewQueryEngine builds an engine over an articulation and its sources.
+// Engines built over the same *QuerySource values share its index record;
+// do not mutate a source while any engine reading it executes.
 func NewQueryEngine(art *Articulation, sources map[string]*QuerySource) (*QueryEngine, error) {
 	return query.NewEngine(art, sources)
 }
