@@ -25,10 +25,11 @@ race:
 # per-source index records both extended by appends — against fresh
 # builds and under concurrent heals, including two articulations' engines
 # racing to heal the records they share — and replaced on any other
-# change, the join and projection runs' replay,
-# merge and corrupt-input handling, the grace join's chunk carry and
-# oversized build, the probe-overflow path, and the chain world's
-# accounted peak under its memory cap),
+# change, the per-source reformulation tables kept across appends and
+# rebuilt on ontology, articulation and registry edits, the join and
+# projection runs' replay, merge and corrupt-input handling, the grace
+# join's chunk carry and oversized build, the probe-overflow path, and
+# the chain world's accounted peak under its memory cap),
 # repeated single-core, dual-core and oversubscribed. A cached `ok` would
 # hide a flake, hence -count. Must report 0 failures.
 stress:
@@ -36,7 +37,7 @@ stress:
 		GOMAXPROCS=$$p go test -count=50 -run 'TestHybridGraceJoin|TestProjectionSpill' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestTracingOffAllocs|TestPerRowBatchAllocs|TestMixedWidthBatchReuse|TestOneWorkerBudgetSpills' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestPushdownEdgeCases|TestPushdownSemiJoinMatchesSequential|TestDeadSourcePruneMatchesSequential' ./internal/query || exit 1; \
-		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer|TestOntologyEditDropsCaches|TestKBSwapDrops|TestEpochLengthMismatchDropsCaches|TestSharedRecordRaceHammer' ./internal/query || exit 1; \
+		GOMAXPROCS=$$p go test -count=10 -run 'TestAppendExtendedCachesMatchFresh|TestAppendHealRaceHammer|TestOntologyEditDropsCaches|TestKBSwapDrops|TestEpochLengthMismatchDropsCaches|TestSharedRecordRaceHammer|TestReformTable' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run 'TestSpillRun|TestGraceJoin|TestSpillJoinMatchesInMemory|TestSpillDeepChain|TestSpillProbeOverflow' ./internal/query || exit 1; \
 		GOMAXPROCS=$$p go test -count=10 -run TestBoundedMemoryPeakUnderCap ./internal/bench || exit 1; \
 		GOMAXPROCS=$$p go test -count=20 -run TestQueryEncodeAllocs ./cmd/oniond || exit 1; \

@@ -81,7 +81,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	fig2 := flag.Bool("fig2", false, "preload the paper's Fig. 2 transport world (carrier/factory/transport)")
 	workers := flag.Int("workers", 0, "scan worker pool per query (0 = GOMAXPROCS)")
-	partitions := flag.Int("partitions", 0, "join hash partitions (0 = workers)")
+	partitions := flag.Int("partitions", 0, "join hash partitions per step (0 = sized by the planner from each step's estimate, at most 4x the workers)")
 	cacheEntries := flag.Int("cache", 0, "result cache entries (0 = default, negative disables)")
 	diskCache := flag.Int("disk-cache", 0, "disk cache tier entries under <data-dir>/cache (0 = default, negative disables; needs -data-dir)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request deadline (0 disables)")

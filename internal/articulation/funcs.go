@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // ConvFunc is a normalization function attached to a functional bridge
@@ -22,6 +23,11 @@ type FuncRegistry struct {
 	// the linear function its coefficients describe. The query engine
 	// pushes range filters through these (and only these) functions.
 	linear map[string]linearCoeffs
+	// epoch counts successful registrations. A query engine rebuilds its
+	// conversion tables and drops its plans when it moves, and the serving
+	// layer's cache keys fold it in, so rows converted by a replaced
+	// function are never served again.
+	epoch atomic.Uint64
 }
 
 type linearCoeffs struct{ factor, offset float64 }
@@ -43,6 +49,7 @@ func (r *FuncRegistry) Register(name string, fn ConvFunc) error {
 	}
 	r.funcs[name] = fn
 	delete(r.linear, name)
+	r.epoch.Add(1)
 	return nil
 }
 
@@ -87,6 +94,15 @@ func (r *FuncRegistry) declareLinear(name string, factor, offset float64) {
 func (r *FuncRegistry) Linear(name string) (factor, offset float64, ok bool) {
 	c, ok := r.linear[name]
 	return c.factor, c.offset, ok
+}
+
+// Epoch returns the registry's mutation epoch, bumped by every successful
+// Register and RegisterLinear; a nil registry reads 0.
+func (r *FuncRegistry) Epoch() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.epoch.Load()
 }
 
 // Has reports whether name is registered.

@@ -86,3 +86,38 @@ func TestFuncRegistryLinearContract(t *testing.T) {
 		t.Errorf("tinyInv: infinite factor declared linear")
 	}
 }
+
+// TestFuncRegistryEpoch: every successful Register and RegisterLinear
+// moves the epoch, the same registration repeated included; a rejected
+// one (empty name, nil function, zero factor) does not. A nil registry
+// reads 0.
+func TestFuncRegistryEpoch(t *testing.T) {
+	if ep := (*FuncRegistry)(nil).Epoch(); ep != 0 {
+		t.Fatalf("nil registry epoch %d", ep)
+	}
+	half := func(v float64) (float64, error) { return v / 2, nil }
+	r := NewFuncRegistry()
+	for _, s := range []struct {
+		what string
+		do   func() error
+		ok   bool
+	}{
+		{"Register", func() error { return r.Register("half", half) }, true},
+		{"Register again", func() error { return r.Register("half", half) }, true},
+		{"RegisterLinear", func() error { return r.RegisterLinear("c2f", "f2c", 1.8, 32) }, true},
+		{"RegisterLinear without inverse", func() error { return r.RegisterLinear("c2f", "", 1.8, 32) }, true},
+		{"Register empty name", func() error { return r.Register("", half) }, false},
+		{"Register nil function", func() error { return r.Register("nil", nil) }, false},
+		{"RegisterLinear zero factor", func() error { return r.RegisterLinear("zero", "zeroInv", 0, 1) }, false},
+		{"RegisterLinear empty name", func() error { return r.RegisterLinear("", "inv", 2, 0) }, false},
+	} {
+		before := r.Epoch()
+		err := s.do()
+		if (err == nil) != s.ok {
+			t.Fatalf("%s: err %v", s.what, err)
+		}
+		if moved := r.Epoch() != before; moved != s.ok {
+			t.Errorf("%s: epoch %d → %d", s.what, before, r.Epoch())
+		}
+	}
+}

@@ -271,7 +271,9 @@ type RecoveredSource struct {
 // then baseline facts missing from it are re-added (and journaled) like
 // any fresh insert, so fixture growth across versions is not lost.
 // On-disk sources whose ontology is not registered are skipped, not
-// deleted. Call after the world is registered and before serving.
+// deleted. Call after the world is registered and before serving. On
+// error persistence stays closed: nothing journals, and the call may be
+// retried.
 func (s *System) OpenDir(root string) (RecoveryStats, error) {
 	return s.OpenDirFS(root, vfs.OS{})
 }
@@ -279,10 +281,9 @@ func (s *System) OpenDir(root string) (RecoveryStats, error) {
 // OpenDirFS is OpenDir over an injectable filesystem (internal/vfs) —
 // the seam the fault-injection suites use to script disk failures
 // against a whole durable system instead of one source.
-func (s *System) OpenDirFS(root string, fsys vfs.FS) (RecoveryStats, error) {
+func (s *System) OpenDirFS(root string, fsys vfs.FS) (stats RecoveryStats, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var stats RecoveryStats
 	if s.pdir != nil {
 		return stats, fmt.Errorf("core: persistence already open at %q", s.pdir.Root())
 	}
@@ -294,7 +295,22 @@ func (s *System) OpenDirFS(root string, fsys vfs.FS) (RecoveryStats, error) {
 	if err != nil {
 		return stats, err
 	}
+	// psrcs holds every source handle the call opened. A failed open
+	// leaves persistence closed: no store journals to a handle the System
+	// does not keep, and every handle is closed. The stores recovered
+	// before the failure stay bound, as plain in-memory stores.
 	psrcs := make(map[string]*persist.Source)
+	defer func() {
+		if err == nil {
+			return
+		}
+		for name, src := range psrcs {
+			if store := s.kbs[name]; store != nil {
+				store.SetJournal(nil)
+			}
+			src.Close()
+		}
+	}()
 	for _, name := range names {
 		if _, ok := s.ontologies[name]; !ok {
 			stats.Skipped = append(stats.Skipped, name)
@@ -304,6 +320,7 @@ func (s *System) OpenDirFS(root string, fsys vfs.FS) (RecoveryStats, error) {
 		if err != nil {
 			return stats, err
 		}
+		psrcs[name] = src
 		rec, err := src.Recover()
 		if err != nil {
 			return stats, err
@@ -316,7 +333,6 @@ func (s *System) OpenDirFS(root string, fsys vfs.FS) (RecoveryStats, error) {
 		baseline := s.kbs[name]
 		s.kbs[name] = store
 		s.bindLocked(name)
-		psrcs[name] = src
 		if baseline != nil {
 			var merr error
 			baseline.ForEach(func(f kb.Fact) bool {
@@ -359,11 +375,11 @@ func (s *System) OpenDirFS(root string, fsys vfs.FS) (RecoveryStats, error) {
 		if err != nil {
 			return stats, err
 		}
+		psrcs[name] = src
 		if err := src.Snapshot(store.Facts(), store.Epoch()); err != nil {
 			return stats, err
 		}
 		store.SetJournal(src)
-		psrcs[name] = src
 		stats.Bootstrapped = append(stats.Bootstrapped, name)
 	}
 	s.pdir = d

@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -94,5 +97,62 @@ func TestOpenDirFaultRebinds(t *testing.T) {
 	}
 	if len(after.Rows) != len(before.Rows)+1 {
 		t.Fatalf("rows = %d after adding a vehicle, want %d: the engine reads a replaced store", len(after.Rows), len(before.Rows)+1)
+	}
+}
+
+// TestOpenDirFaultDetachesJournals: an OpenDirFS that fails after
+// recovering carrier (ENOSPC on every factory path) leaves persistence
+// closed. Carrier's recovered store must not keep journaling to a handle
+// the System does not hold — its on-disk files stay as they were when
+// facts are added — and the next open, on a healthy disk, recovers and
+// journals as usual.
+func TestOpenDirFaultDetachesJournals(t *testing.T) {
+	root := t.TempDir()
+	restartedPaperSystem(t, root) // leaves disk state for both sources
+	carrierBytes := func() int64 {
+		var n int64
+		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.Contains(path, "carrier") {
+				info, ierr := d.Info()
+				if ierr == nil {
+					n += info.Size()
+				}
+			}
+			return nil
+		})
+		return n
+	}
+	s := paperSystem(t)
+	fsys := vfs.NewFaulty(vfs.OS{})
+	fsys.Inject(vfs.Rule{Op: vfs.OpAny, PathSubstr: "factory"})
+	if _, err := s.OpenDirFS(root, fsys); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("OpenDirFS err = %v, want ENOSPC", err)
+	}
+	if got := s.PersistRoot(); got != "" {
+		t.Fatalf("PersistRoot = %q after a failed open, want none", got)
+	}
+	before := carrierBytes()
+	if before == 0 {
+		t.Fatalf("no carrier state on disk")
+	}
+	if _, err := s.AddFacts("carrier", []kb.Fact{
+		{Subject: "NewCar", Predicate: "InstanceOf", Object: kb.Term("PassengerCar")},
+		{Subject: "NewCar", Predicate: "Price", Object: kb.Number(2500)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if after := carrierBytes(); after != before {
+		t.Fatalf("carrier's files grew %d → %d B behind an untracked handle", before, after)
+	}
+	if _, err := s.OpenDir(root); err != nil {
+		t.Fatalf("retry on a healthy disk: %v", err)
+	}
+	if _, err := s.AddFacts("carrier", []kb.Fact{
+		{Subject: "OtherCar", Predicate: "InstanceOf", Object: kb.Term("PassengerCar")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if carrierBytes() <= before {
+		t.Fatalf("carrier does not journal after the retried open")
 	}
 }

@@ -548,9 +548,9 @@ func resolveWorkers(opts Options) int {
 // per-source scans fanned out to a bounded worker pool, hash joins in
 // selectivity order streaming into each other, filters applied as soon
 // as their variable is bound, all charged to one per-query memory budget.
-func (e *Engine) executePlanned(ctx context.Context, q Query, opts Options) (*Result, error) {
+func (e *Engine) executePlanned(ctx context.Context, q Query, opts Options, tabs []*reformTable) (*Result, error) {
 	ps := opts.Trace.Child("plan")
-	plan, hit := e.cachedPlan(q)
+	plan, hit := e.cachedPlan(q, tabs)
 	if hit {
 		ps.SetAttr("cache", "hit")
 	} else {

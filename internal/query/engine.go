@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -200,9 +201,10 @@ func (r *Result) EqualRows(o *Result) bool {
 // reformulating each triple through the semantic bridges.
 //
 // An Engine is safe for concurrent Execute and Explain calls. It caches
-// compiled plans and reads each source's shared record of scan indexes
-// (Source); both are validated against the sources' state at every
-// query, so mutating a source underneath live engines is self-healing.
+// compiled plans and one reformulation table per source, and reads each
+// source's shared record of scan indexes (Source); all are validated
+// against the sources' and the function registry's state at every query,
+// so mutating either underneath live engines is self-healing.
 // Facts appended to a source's knowledge base extend its record from the
 // last-seen fact ordinal; any other change replaces the record whole. No
 // source may be mutated while any engine reading it executes.
@@ -217,7 +219,9 @@ type Engine struct {
 
 	mu         sync.RWMutex
 	plans      map[string]*execPlan
-	compiledAt []srcState // per source in names order, the record states plans were compiled at
+	compiledAt []srcState     // per source in names order, the record states plans were compiled at
+	reformAt   [2]uint64      // the articulation ontology's and the registry's epochs, likewise
+	tables     []*reformTable // per source in names order, built at compiledAt and reformAt
 }
 
 // srcState is what one source's record was built against: the ontology
@@ -393,16 +397,18 @@ func (e *Engine) EpochVector() []uint64 {
 	return out
 }
 
-// EpochKey renders the engine's identity plus the current epoch vector
-// as a compact opaque string — the cache-key component used by the
-// serving layer. The identity prefix makes keys engine-unique: after a
-// structural change rebuilds an engine (core.System drops the engines
-// that read a rebound source), the new engine's keys cannot collide with
-// entries cached under the old one, even if the replacement sources'
-// epoch counts coincide.
+// EpochKey renders the engine's identity, the function registry's epoch
+// and the current epoch vector as a compact opaque string — the cache-key
+// component used by the serving layer, so a re-registered conversion
+// function orphans the rows it converted. The identity prefix makes keys
+// engine-unique: after a structural change rebuilds an engine
+// (core.System drops the engines that read a rebound source), the new
+// engine's keys cannot collide with entries cached under the old one, even
+// if the replacement sources' epoch counts coincide.
 func (e *Engine) EpochKey() string {
-	buf := make([]byte, 0, 4+2*len(e.names))
+	buf := make([]byte, 0, 6+2*len(e.names))
 	buf = binary.AppendUvarint(buf, e.id)
+	buf = binary.AppendUvarint(buf, e.art.Funcs.Epoch())
 	for _, name := range e.names {
 		buf = binary.AppendUvarint(buf, sourceEpoch(e.sources[name]))
 	}
@@ -446,30 +452,120 @@ func (src *Source) heal(name string) srcState {
 	return cur
 }
 
-// validateEpochs heals every source's record and, when any record's state
-// differs from the one the cached plans were compiled at, flushes every
-// plan: compilation consults every source, so no plan can be proven
-// unaffected. It compares the engine's own compiled-at states, not the
-// record's staleness — another engine may already have healed a shared
-// record.
-func (e *Engine) validateEpochs() {
+// validateEpochs heals every source's record and returns the
+// reformulation tables this query compiles and scans against. When a
+// record, the articulation ontology or the function registry moved since
+// the plans were compiled, it flushes every plan (no plan can be proven
+// unaffected) and publishes new tables for the sources whose ontology
+// moved, or for all when the articulation or the registry did. It compares
+// its own compiled-at states: another engine may have healed a record.
+func (e *Engine) validateEpochs() []*reformTable {
 	var buf [4]srcState // keeps a typical engine's states off the heap
 	states := buf[:0]
 	for _, name := range e.names {
 		states = append(states, e.sources[name].heal(name))
 	}
+	at := [2]uint64{e.art.Ont.Epoch(), e.art.Funcs.Epoch()}
 	e.mu.RLock()
-	same := slices.Equal(e.compiledAt, states)
+	same, tabs := e.reformAt == at && slices.Equal(e.compiledAt, states), e.tables
 	e.mu.RUnlock()
 	if same {
-		return
+		return tabs
 	}
 	e.mu.Lock()
-	if !slices.Equal(e.compiledAt, states) {
+	defer e.mu.Unlock()
+	if e.reformAt != at || !slices.Equal(e.compiledAt, states) {
+		tabs := make([]*reformTable, len(e.names))
+		copy(tabs, e.tables)
+		for i, name := range e.names {
+			if tabs[i] == nil || e.reformAt != at ||
+				e.compiledAt[i].ont != states[i].ont || e.compiledAt[i].ontEp != states[i].ontEp {
+				tabs[i] = e.newReformTable(name, states[i].ont)
+			}
+		}
 		e.plans = make(map[string]*execPlan)
-		e.compiledAt = slices.Clone(states)
+		e.compiledAt, e.reformAt, e.tables = slices.Clone(states), at, tabs
 	}
-	e.mu.Unlock()
+	return e.tables
+}
+
+// reformTable is one source's reformulation through the articulation
+// (§4.1): built whole by newReformTable and never mutated once published,
+// so compiles and scans read it, and share its sets, without a lock.
+type reformTable struct {
+	// anchors maps an articulation term to the source terms it and its
+	// articulation subclasses are bridged with; pairs counts those (term,
+	// anchor) pairs before dedup, what an expansion adds to ExpandedTerms.
+	anchors map[string]map[string]bool
+	pairs   map[string]int
+	subs    map[string][]string   // source class → its subclasses (transitive), for InstanceOf objects
+	convs   map[string]conversion // source predicate → its conversion
+}
+
+// conversion is how the query processor "will utilize these normalization
+// functions" (§4.1): a number converts through the first of funcs, the
+// registered functions of its predicate's functional bridges into the
+// articulation in bridge order, that applies cleanly (raw when none does).
+// linear, factor and offset describe a funcs[0] that RegisterLinear
+// declared: it never fails, so pushdown is sound.
+type conversion struct {
+	funcs          []string
+	linear         bool
+	factor, offset float64
+}
+
+// newReformTable builds name's table over ont in one pass over the
+// bridges. A source's anchors are its semantic-implication bridges with
+// the articulation, either direction (Articulation.SourceAnchors), each
+// lifted to every articulation superclass of its term.
+func (e *Engine) newReformTable(name string, ont *ontology.Ontology) *reformTable {
+	tab := &reformTable{anchors: make(map[string]map[string]bool), pairs: make(map[string]int),
+		subs: make(map[string][]string), convs: make(map[string]conversion)}
+	art, funcs := e.art.Ont.Name(), e.art.Funcs
+	seen := make(map[[2]string]bool) // (articulation term, source term)
+	var fns []articulation.Bridge
+	for _, b := range e.art.Bridges {
+		var pair [2]string
+		switch {
+		case b.Functional():
+			if b.From.Ont == name && b.To.Ont == art && funcs != nil && funcs.Has(b.FuncName()) {
+				fns = append(fns, b)
+			}
+			continue
+		case b.From.Ont == art && b.To.Ont == name:
+			pair = [2]string{b.From.Term, b.To.Term}
+		case b.To.Ont == art && b.From.Ont == name:
+			pair = [2]string{b.To.Term, b.From.Term}
+		default:
+			continue
+		}
+		if seen[pair] {
+			continue
+		}
+		seen[pair] = true
+		for _, sup := range append(e.art.Ont.Superclasses(pair[0]), pair[0]) {
+			if tab.anchors[sup] == nil {
+				tab.anchors[sup] = make(map[string]bool)
+			}
+			tab.anchors[sup][pair[1]] = true
+			tab.pairs[sup]++
+		}
+	}
+	articulation.SortBridges(fns)
+	for _, b := range fns {
+		c := tab.convs[b.From.Term]
+		if c.funcs = append(c.funcs, b.FuncName()); len(c.funcs) == 1 {
+			c.factor, c.offset, c.linear = funcs.Linear(b.FuncName())
+		}
+		tab.convs[b.From.Term] = c
+	}
+	g := ont.Graph()
+	for _, edge := range g.Edges() {
+		if sup := g.Label(edge.To); edge.Label == ontology.SubclassOf && tab.subs[sup] == nil {
+			tab.subs[sup] = ont.Subclasses(sup)
+		}
+	}
+	return tab
 }
 
 // index returns name's record, which validateEpochs healed at this
@@ -509,14 +605,14 @@ func (e *Engine) Execute(ctx context.Context, q Query, opts Options) (*Result, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.validateEpochs()
+	tabs := e.validateEpochs()
 	vs.End()
 	var res *Result
 	var err error
 	if opts.Sequential {
-		res, err = e.executeSequential(ctx, q)
+		res, err = e.executeSequential(ctx, q, tabs)
 	} else {
-		res, err = e.executePlanned(ctx, q, opts)
+		res, err = e.executePlanned(ctx, q, opts, tabs)
 	}
 	if err != nil {
 		return nil, err
@@ -533,7 +629,7 @@ func (e *Engine) Execute(ctx context.Context, q Query, opts Options) (*Result, e
 // unindexed scans, no plan cache, no parallelism. The determinism tests
 // (bench.TestPlannedExecutionMatchesSequential) and
 // BenchmarkQuerySequentialPath compare the planned path against it.
-func (e *Engine) executeSequential(ctx context.Context, q Query) (*Result, error) {
+func (e *Engine) executeSequential(ctx context.Context, q Query, tabs []*reformTable) (*Result, error) {
 	res := &Result{Vars: q.Select}
 	res.Stats.Workers = 1
 	rows := []binding{{}}
@@ -541,11 +637,7 @@ func (e *Engine) executeSequential(ctx context.Context, q Query) (*Result, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		next, err := e.evalTriple(triple, &res.Stats)
-		if err != nil {
-			return nil, err
-		}
-		rows = joinBindings(rows, next)
+		rows = joinBindings(rows, e.evalTriple(tabs, triple, &res.Stats))
 		if len(rows) == 0 {
 			break
 		}
@@ -616,20 +708,37 @@ func sortKeyedRows(keep []keyedRow) [][]kb.Value {
 	return rows
 }
 
-// evalTriple evaluates one triple against every source, reformulating
-// constants through the bridges.
-func (e *Engine) evalTriple(t Triple, stats *Stats) ([]binding, error) {
-	var out []binding
-	for _, name := range e.names {
-		src := e.sources[name]
-		stats.SourceScans++
-		rows, err := e.scanSource(name, src, t, stats)
-		if err != nil {
-			return nil, err
+// evalTriple evaluates one triple against every source on the sequential
+// reference path: expansion through the source's table and an unindexed
+// full scan in one step, materialising binding-map rows. The planned
+// executor consumes scanMatch directly with a batch emitter.
+func (e *Engine) evalTriple(tabs []*reformTable, t Triple, stats *Stats) []binding {
+	// bindVar records a variable binding, enforcing equality when the
+	// triple repeats a variable (e.g. "?x Likes ?x").
+	bindVar := func(b binding, t Term, val kb.Value) bool {
+		if !t.IsVar() {
+			return true
 		}
-		out = append(out, rows...)
+		if old, ok := b[t.Var]; ok {
+			return old.Equal(val)
+		}
+		b[t.Var] = val
+		return true
 	}
-	return out, nil
+	var rows []binding
+	for i, name := range e.names {
+		stats.SourceScans++
+		v := e.compileView(tabs[i], name, t, stats)
+		e.scanMatch(name, e.sources[name], t, v, stats, false, func(s, p, o kb.Value) bool {
+			b := binding{}
+			if !bindVar(b, t.S, s) || !bindVar(b, t.P, p) || !bindVar(b, t.O, o) {
+				return false
+			}
+			rows = append(rows, b)
+			return true
+		})
+	}
+	return rows
 }
 
 // scanView is the reformulation of one triple for one source: the
@@ -641,7 +750,7 @@ type scanView struct {
 	subj     map[string]bool // nil = unconstrained (variable subject)
 	preds    map[string]bool
 	objTerms map[string]bool // set when the object is a constant term
-	objTerm  bool
+	tab      *reformTable    // the source's reformulation the view was compiled from
 	// objClasses is objTerms closed under the source's subclasses: the
 	// object labels an InstanceOf fact may carry to match (an instance of
 	// a subclass is an instance of the class). Closed once per view, so
@@ -664,76 +773,37 @@ type scanView struct {
 }
 
 // compileView expands the triple's constants into the source's term
-// space — the per-source reformulation step, shared by the sequential
-// scan, the planner and Explain.
-func (e *Engine) compileView(name string, t Triple, stats *Stats) scanView {
-	subj, okS := e.expandTerm(name, t.S, stats)
+// space through its reformulation table — the per-source reformulation
+// step, shared by the sequential scan, the planner and Explain.
+func (e *Engine) compileView(tab *reformTable, name string, t Triple, stats *Stats) scanView {
+	subj, okS := e.expandTerm(tab, name, t.S, stats)
 	if !okS {
 		return scanView{skip: true}
 	}
-	preds, okP := e.expandPred(name, t.P, stats)
+	preds, okP := e.expandPred(tab, name, t.P, stats)
 	if !okP {
 		return scanView{skip: true}
 	}
-	v := scanView{subj: subj, preds: preds}
+	v := scanView{subj: subj, preds: preds, tab: tab}
 	// Object constants: terms expand like subjects; literals pass through
 	// (with inverse conversion against each predicate at match time).
 	if !t.O.IsVar() && t.O.Value.IsTerm() {
-		set, ok := e.expandTerm(name, t.O, stats)
+		set, ok := e.expandTerm(tab, name, t.O, stats)
 		if !ok {
 			return scanView{skip: true}
 		}
 		v.objTerms = set
-		v.objTerm = true
 		if preds == nil || preds[ontology.InstanceOf] {
-			v.objClasses = subclassClosure(e.sources[name].Ont, set)
+			v.objClasses = make(map[string]bool, len(set))
+			for t := range set {
+				v.objClasses[t] = true
+				for _, sub := range tab.subs[t] {
+					v.objClasses[sub] = true
+				}
+			}
 		}
 	}
 	return v
-}
-
-// subclassClosure is terms plus each one's subclasses in ont: in a
-// consistent (uniquely labelled) ontology, exactly the labels l with
-// ont.IsA(l, t) for some t in terms.
-func subclassClosure(ont *ontology.Ontology, terms map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(terms))
-	for t := range terms {
-		out[t] = true
-		for _, sub := range ont.Subclasses(t) {
-			out[sub] = true
-		}
-	}
-	return out
-}
-
-// scanSource evaluates the triple in one source on the sequential
-// reference path: expansion and an unindexed full scan in one step,
-// materialising binding-map rows. The planned executor consumes scanMatch
-// directly with a batch emitter.
-func (e *Engine) scanSource(name string, src *Source, t Triple, stats *Stats) ([]binding, error) {
-	v := e.compileView(name, t, stats)
-	// bindVar records a variable binding, enforcing equality when the
-	// triple repeats a variable (e.g. "?x Likes ?x").
-	bindVar := func(b binding, t Term, val kb.Value) bool {
-		if !t.IsVar() {
-			return true
-		}
-		if old, ok := b[t.Var]; ok {
-			return old.Equal(val)
-		}
-		b[t.Var] = val
-		return true
-	}
-	var rows []binding
-	e.scanMatch(name, src, t, v, stats, false, func(s, p, o kb.Value) bool {
-		b := binding{}
-		if !bindVar(b, t.S, s) || !bindVar(b, t.P, p) || !bindVar(b, t.O, o) {
-			return false
-		}
-		rows = append(rows, b)
-		return true
-	})
-	return rows, nil
 }
 
 // scanMatch is the matching core shared by every execution path: it walks
@@ -779,7 +849,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		if v.subj != nil && !v.subj[sLabel] {
 			return
 		}
-		if v.objTerm && !v.objectMatches(edge.Label, oLabel) {
+		if v.objTerms != nil && !v.objectMatches(edge.Label, oLabel) {
 			return
 		}
 		if litObj {
@@ -810,17 +880,14 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		}
 	}
 
-	// Scan KB facts. matchFactQ takes the fact's pre-qualified subject
-	// and (term-)object values when the caller has them — the indexed
-	// predicate path reads both from the fact-ordinal cache, skipping
-	// the per-fact qualification-table probe entirely. That path also
-	// hoists the per-predicate work out of the fact loop: the predicate
-	// membership probe (every fact under byPred[p] carries p) and the
-	// functional-bridge resolution (nf, the conversion candidates for
-	// this predicate, resolved once instead of re-walking the bridge
-	// index per fact).
+	// Scan KB facts. A hoisted matchFactQ call comes from an ordinal walk:
+	// it carries the fact's pre-qualified subject and (term-)object values
+	// from the fact-ordinal cache, skipping the per-fact qualification
+	// probe, and the walk has already matched the predicate (every fact
+	// under byPred[p] carries p) and looked up its conversion candidates
+	// (nf) in the table.
 	if src.KB != nil && !isArt {
-		matchFactQ := func(f kb.Fact, subjQ, objQ kb.Value, haveQ bool, nf []string, hoisted bool) bool {
+		matchFactQ := func(f kb.Fact, subjQ, objQ kb.Value, nf []string, hoisted bool) bool {
 			if !hoisted && v.preds != nil && !v.preds[f.Predicate] {
 				return true
 			}
@@ -831,7 +898,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 			conv := false
 			if obj.IsNumber() {
 				if !hoisted {
-					nf = e.normFuncNames(name, f.Predicate)
+					nf = v.tab.convs[f.Predicate].funcs
 				}
 				for _, fname := range nf {
 					out, err := e.art.Funcs.Apply(fname, obj.Num)
@@ -859,17 +926,15 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 					}
 				}
 			}
-			objVal := obj
-			if obj.IsTerm() {
-				if haveQ {
-					objVal = objQ
-				} else {
+			subjVal, objVal := subjQ, obj
+			switch {
+			case !hoisted:
+				subjVal = qual(f.Subject)
+				if obj.IsTerm() {
 					objVal = qual(obj.Str)
 				}
-			}
-			subjVal := subjQ
-			if !haveQ {
-				subjVal = qual(f.Subject)
+			case obj.IsTerm():
+				objVal = objQ
 			}
 			if emit(subjVal, kb.Term(f.Predicate), objVal) {
 				stats.FactRows++
@@ -880,12 +945,12 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 			return true
 		}
 		matchFact := func(f kb.Fact) bool {
-			return matchFactQ(f, kb.Value{}, kb.Value{}, false, nil, false)
+			return matchFactQ(f, kb.Value{}, kb.Value{}, nil, false)
 		}
 		// heal extended the record to the store's length, so its
 		// fact-ordinal cache covers every ordinal the KB indexes hand out.
 		matchOrd := func(fq []factQual, i int, f kb.Fact, nf []string) bool {
-			return matchFactQ(f, fq[i].subj, fq[i].obj, true, nf, true)
+			return matchFactQ(f, fq[i].subj, fq[i].obj, nf, true)
 		}
 		switch {
 		case indexed && v.boundSubj != nil:
@@ -898,16 +963,12 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 			// the set's first-seen order, so the rows come out in the same
 			// order on every execution.
 			fq := rec.facts
-			nfs := make([][]string, len(v.predList))
-			for k, p := range v.predList {
-				nfs[k] = e.normFuncNames(name, p)
-			}
 			for _, ords := range v.boundSubj.ordinals(name, src.KB) {
 				for _, i := range ords {
 					f := src.KB.FactAt(i)
-					for k, p := range v.predList {
+					for _, p := range v.predList {
 						if f.Predicate == p {
-							matchOrd(fq, i, f, nfs[k])
+							matchOrd(fq, i, f, v.tab.convs[p].funcs)
 							break
 						}
 					}
@@ -916,8 +977,8 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 		case indexed && v.preds != nil:
 			fq := rec.facts
 			for k, p := range v.predList {
-				nf := e.normFuncNames(name, p)
-				if v.pushed != nil && v.pushed[k].live(nf, e.art.Funcs) {
+				nf := v.tab.convs[p].funcs
+				if v.pushed != nil {
 					// Only the facts whose source-unit value lies in the
 					// pushed range are read, and so converted.
 					ix := src.numIndex(p)
@@ -958,7 +1019,7 @@ func (v *scanView) objectMatches(pred, objLabel string) bool {
 // expandTerm maps a triple term constant into the given source's term
 // space. Variables expand to nil (wildcard, ok). A constant that cannot
 // denote anything in this source yields ok=false, skipping the source.
-func (e *Engine) expandTerm(srcName string, t Term, stats *Stats) (map[string]bool, bool) {
+func (e *Engine) expandTerm(tab *reformTable, srcName string, t Term, stats *Stats) (map[string]bool, bool) {
 	if t.IsVar() {
 		return nil, true
 	}
@@ -974,7 +1035,7 @@ func (e *Engine) expandTerm(srcName string, t Term, stats *Stats) (map[string]bo
 				return map[string]bool{ref.Term: true}, true
 			}
 			if ref.Ont == artName && srcName != artName {
-				set := e.anchorsFor(ref.Term, srcName, stats)
+				set := tab.anchorsOf(ref.Term, stats)
 				return set, len(set) > 0
 			}
 			return nil, false
@@ -991,9 +1052,7 @@ func (e *Engine) expandTerm(srcName string, t Term, stats *Stats) (map[string]bo
 		return set, len(set) > 0
 	}
 	if e.art.Ont.HasTerm(name) {
-		for a := range e.anchorsFor(name, srcName, stats) {
-			set[a] = true
-		}
+		maps.Copy(set, tab.anchorsOf(name, stats))
 	}
 	src := e.sources[srcName]
 	if src.Ont.HasTerm(name) {
@@ -1006,30 +1065,17 @@ func (e *Engine) expandTerm(srcName string, t Term, stats *Stats) (map[string]bo
 	return set, len(set) > 0
 }
 
-// anchorsFor returns the source terms the articulation term (and its
-// articulation-level subclasses) bridge to in the given source.
-func (e *Engine) anchorsFor(artTerm, srcName string, stats *Stats) map[string]bool {
-	set := make(map[string]bool)
-	terms := []string{artTerm}
-	for _, sub := range e.art.Ont.Subclasses(artTerm) {
-		terms = append(terms, sub)
-	}
-	for _, a := range terms {
-		for _, ref := range e.art.SourceAnchors(a) {
-			if ref.Ont == srcName {
-				set[ref.Term] = true
-				stats.ExpandedTerms++
-			}
-		}
-	}
-	return set
+// anchorsOf returns artTerm's anchors, the table's own set, and counts them.
+func (tab *reformTable) anchorsOf(artTerm string, stats *Stats) map[string]bool {
+	stats.ExpandedTerms += tab.pairs[artTerm]
+	return tab.anchors[artTerm]
 }
 
 // expandPred maps the predicate constant into the source's predicate
 // space: the predicate itself plus any source terms anchored to it when
 // the predicate names an articulation term (attribute terms like Price
 // double as predicates in KB facts).
-func (e *Engine) expandPred(srcName string, t Term, stats *Stats) (map[string]bool, bool) {
+func (e *Engine) expandPred(tab *reformTable, srcName string, t Term, stats *Stats) (map[string]bool, bool) {
 	if t.IsVar() {
 		return nil, true
 	}
@@ -1048,40 +1094,9 @@ func (e *Engine) expandPred(srcName string, t Term, stats *Stats) (map[string]bo
 		}
 	}
 	if srcName != artName && e.art.Ont.HasTerm(name) {
-		for a := range e.anchorsFor(name, srcName, stats) {
-			set[a] = true
-		}
+		maps.Copy(set, tab.anchorsOf(name, stats))
 	}
 	return set, true
-}
-
-// normFuncNames resolves the conversion candidates for one source
-// predicate: the registered function names of its functional bridges
-// into the articulation, in bridge order. This is how the query
-// processor "will utilize these normalization functions" (§4.1): a
-// numeric KB value converts through the first candidate whose conversion
-// applies cleanly, and passes through raw when none does. The resolution
-// is static per (source, predicate) — only Apply depends on the value —
-// so indexed scans hoist it out of their per-fact loop. The
-// first-applicable rule is what makes the pushdown sound: a linear
-// function never fails, so when the first candidate is linear it converts
-// every number of the predicate (pushdown.go).
-func (e *Engine) normFuncNames(srcName, pred string) []string {
-	if e.art.Funcs == nil {
-		return nil
-	}
-	from := ontology.MakeRef(srcName, pred)
-	var names []string
-	for _, b := range e.art.BridgesFrom(from) {
-		if !b.Functional() || b.To.Ont != e.art.Ont.Name() {
-			continue
-		}
-		if !e.art.Funcs.Has(b.FuncName()) {
-			continue
-		}
-		names = append(names, b.FuncName())
-	}
-	return names
 }
 
 func qualify(ont, term string) string {

@@ -188,8 +188,7 @@ func (e *Engine) Explain(ctx context.Context, q Query, opts Options, analyze boo
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
 	}
-	e.validateEpochs()
-	ep, _ := e.cachedPlan(q)
+	ep, _ := e.cachedPlan(q, e.validateEpochs())
 	workers := resolveWorkers(opts)
 	plan := &Plan{
 		Query:       q.String(),

@@ -143,7 +143,7 @@ func TestExplainShowsPipelineEdges(t *testing.T) {
 		if p2.Triples[0].StreamsInto != 1 || p2.Triples[1].StreamsInto != -1 {
 			t.Fatalf("workers %d: two-triple plan edges %+v", p2.Workers, p2.Triples)
 		}
-		ep, _ := e.cachedPlan(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"))
+		ep, _ := e.cachedPlan(MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p"), e.validateEpochs())
 		if want := ep.stepPartCount(1, opts, p2.Workers); p2.Triples[1].Partitions != want || p2.Partitions != want {
 			t.Fatalf("workers %d: partitions %d/%d, want stepPartCount %d",
 				p2.Workers, p2.Triples[1].Partitions, p2.Partitions, want)

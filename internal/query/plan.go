@@ -164,8 +164,9 @@ func planKey(q Query) string {
 }
 
 // cachedPlan returns the compiled plan for q, building and caching it on
-// first use. The bool reports a cache hit.
-func (e *Engine) cachedPlan(q Query) (*execPlan, bool) {
+// first use against tabs, the reformulation tables validateEpochs
+// published for this query. The bool reports a cache hit.
+func (e *Engine) cachedPlan(q Query, tabs []*reformTable) (*execPlan, bool) {
 	key := planKey(q)
 	e.mu.RLock()
 	p := e.plans[key]
@@ -173,7 +174,7 @@ func (e *Engine) cachedPlan(q Query) (*execPlan, bool) {
 	if p != nil {
 		return p, true
 	}
-	built := e.compile(q)
+	built := e.compile(q, tabs)
 	e.mu.Lock()
 	if p = e.plans[key]; p == nil {
 		if len(e.plans) >= maxCachedPlans {
@@ -201,7 +202,7 @@ func qualTerm(qt map[string]string, name, term string) kb.Value {
 // estimate is its exact range count), orders the joins smallest-first,
 // binds later scans to step 0's subjects where that is cheaper, and wires
 // the slot assignment the executor runs on.
-func (e *Engine) compile(q Query) *execPlan {
+func (e *Engine) compile(q Query, tabs []*reformTable) *execPlan {
 	p := &execPlan{slotOf: make(map[string]int)}
 	// Assign slots in textual first-occurrence order, so the assignment
 	// is a pure function of the WHERE clause (the plan cache key).
@@ -236,9 +237,9 @@ func (e *Engine) compile(q Query) *execPlan {
 				occupied[sl] = true
 			}
 		}
-		for _, name := range e.names {
+		for j, name := range e.names {
 			src := e.sources[name]
-			sc := sourceScan{name: name, src: src, view: e.compileView(name, t, &p.expand)}
+			sc := sourceScan{name: name, src: src, view: e.compileView(tabs[j], name, t, &p.expand)}
 			if sc.view.skip {
 				sc.why = "no denotation"
 			}
@@ -246,7 +247,7 @@ func (e *Engine) compile(q Query) *execPlan {
 			// them on every execution.
 			sc.view.predList = sortedSet(sc.view.preds)
 			sc.view.subjList = sortedSet(sc.view.subj)
-			if sc.view.pushed = e.pushScan(name, sc.view, pushed); sc.view.pushed != nil {
+			if sc.view.pushed = e.pushScan(sc.view, pushed); sc.view.pushed != nil {
 				sc.est = e.pushedCount(name, sc.view)
 			} else {
 				sc.est = e.estimateScan(name, src, sc.view)

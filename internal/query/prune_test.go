@@ -78,8 +78,7 @@ var deadQueries = []string{
 // prunedScans counts the scans of source that q's plan prunes because
 // their rows cannot join.
 func prunedScans(eng *Engine, q Query, source string) int {
-	eng.validateEpochs()
-	p, _ := eng.cachedPlan(q)
+	p, _ := eng.cachedPlan(q, eng.validateEpochs())
 	n := 0
 	for _, st := range p.steps {
 		for _, sc := range st.scans {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/articulation"
 	"repro/internal/kb"
 )
 
@@ -22,8 +21,8 @@ import (
 // per-(source, predicate) numeric index:
 //
 //   - Monotone conversion. A range is pushed through a predicate only when
-//     its first conversion candidate (normFuncNames) is declared linear by
-//     RegisterLinear, or when it has no conversion at all. A linear
+//     its first conversion candidate is declared linear by RegisterLinear
+//     (conversion.linear), or when it has no conversion at all. A linear
 //     function never fails, so it converts every number of the predicate,
 //     and v*factor + offset with finite coefficients is monotone in
 //     floating point too: increasing for a positive factor, decreasing
@@ -106,27 +105,12 @@ func (r numRange) format(pred string) string {
 
 // pushedPred is one predicate of a pushed scan: the forward conversion
 // the scan applies to its numbers and the source-unit range the pushed
-// filters map back to.
+// filters map back to. A registry edit flushes the plan that holds it
+// (validateEpochs), so the conversion is always the one the scan applies.
 type pushedPred struct {
-	pred           string
-	fname          string // first conversion candidate; "" = no conversion
-	factor, offset float64
-	rng            numRange
-}
-
-// live reports whether the conversion the range was derived for is still
-// the one the scan applies: nf are the predicate's current candidates. A
-// plan outlives registry edits (they bump no epoch), so a re-registered
-// function falls back to the full predicate walk.
-func (pp *pushedPred) live(nf []string, funcs *articulation.FuncRegistry) bool {
-	if pp.fname == "" {
-		return len(nf) == 0
-	}
-	if len(nf) == 0 || nf[0] != pp.fname {
-		return false
-	}
-	f, o, ok := funcs.Linear(pp.fname)
-	return ok && f == pp.factor && o == pp.offset
+	pred  string
+	fname string // first conversion candidate; "" = no conversion
+	rng   numRange
 }
 
 // String renders the pushed range and the function it came through, e.g.
@@ -153,27 +137,27 @@ func pushedString(pps []pushedPred) string {
 // scan keeps post-conversion filtering — when there is nothing to push or
 // when any predicate converts through an opaque function or a bound that
 // does not settle.
-func (e *Engine) pushScan(name string, v scanView, fs []Filter) []pushedPred {
+func (e *Engine) pushScan(v scanView, fs []Filter) []pushedPred {
 	if len(fs) == 0 || v.skip || v.preds == nil {
 		return nil
 	}
 	out := make([]pushedPred, 0, len(v.predList))
 	for _, p := range v.predList {
-		pp := pushedPred{pred: p, factor: 1}
+		pp := pushedPred{pred: p}
+		factor, offset := 1.0, 0.0
 		conv := func(x float64) (float64, bool) { return x, true }
-		if nf := e.normFuncNames(name, p); len(nf) > 0 {
-			factor, offset, ok := e.art.Funcs.Linear(nf[0])
-			if !ok {
+		if c := v.tab.convs[p]; len(c.funcs) > 0 {
+			if !c.linear {
 				return nil
 			}
-			fname := nf[0]
-			pp.fname, pp.factor, pp.offset = fname, factor, offset
+			fname := c.funcs[0]
+			pp.fname, factor, offset = fname, c.factor, c.offset
 			conv = func(x float64) (float64, bool) {
 				y, err := e.art.Funcs.Apply(fname, x)
 				return y, err == nil
 			}
 		}
-		rng, ok := sourceRange(fs, pp.factor, pp.offset, conv)
+		rng, ok := sourceRange(fs, factor, offset, conv)
 		if !ok {
 			return nil
 		}

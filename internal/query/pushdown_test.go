@@ -338,7 +338,7 @@ func TestPushdownSemiJoinMatchesSequential(t *testing.T) {
 				q := MustParse("SELECT ?x ?p ?t WHERE " + where)
 				q.Filters = []Filter{{"p", OpLE, num(th)}, {"p", OpGT, num(-th - 1)}}
 				checkPushdownMatchesSequential(t, eng, q)
-				if p, _ := eng.cachedPlan(q); p.semiJoin {
+				if p, _ := eng.cachedPlan(q, eng.validateEpochs()); p.semiJoin {
 					bound++
 				}
 			}
@@ -432,8 +432,7 @@ func TestSemiJoinPresizeRefusedFallsBack(t *testing.T) {
 
 	eng, _ := scaledFig2Engine(t, 400)
 	q := MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500")
-	eng.validateEpochs()
-	if p, _ := eng.cachedPlan(q); !p.semiJoin {
+	if p, _ := eng.cachedPlan(q, eng.validateEpochs()); !p.semiJoin {
 		t.Fatalf("query does not bind a scan to step 0's subjects")
 	}
 	want, err := runQuery(eng, q, Options{Sequential: true})
@@ -459,8 +458,7 @@ func TestSemiJoinPresizeRefusedFallsBack(t *testing.T) {
 func TestSemiJoinPresizeReleased(t *testing.T) {
 	eng, _ := scaledFig2Engine(t, 400)
 	q := MustParse("SELECT ?x ?p ?o WHERE ?x InstanceOf Cars . ?x Price ?p . ?x Owner ?o . ?x Model ?m . FILTER ?p < 1500")
-	eng.validateEpochs()
-	plan, _ := eng.cachedPlan(q)
+	plan, _ := eng.cachedPlan(q, eng.validateEpochs())
 	exact := 0
 	for _, sc := range plan.steps[0].scans {
 		if sc.view.pushed != nil {
@@ -531,7 +529,7 @@ func FuzzPushdownMatchesSequential(f *testing.F) {
 				return 1.6
 			}
 			y := v.Num
-			for _, fn := range eng.normFuncNames(fmt.Sprintf("pd%d", src+1), "Val") {
+			for _, fn := range tableOf(eng, fmt.Sprintf("pd%d", src+1)).convs["Val"].funcs {
 				if out, err := eng.art.Funcs.Apply(fn, y); err == nil {
 					y = out
 					break

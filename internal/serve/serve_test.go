@@ -100,6 +100,46 @@ func TestCacheHitMissAndEpochInvalidation(t *testing.T) {
 	}
 }
 
+// TestRegistryEditMissesCache: re-registering a conversion function is a
+// state change like an append. The next answer is a miss carrying the
+// rows the new function converts, not the cached rows of the old one.
+func TestRegistryEditMissesCache(t *testing.T) {
+	s := paperService(t, Options{})
+	ctx := context.Background()
+	myCar := func(res *query.Result) string {
+		for _, r := range res.Rows {
+			if r[0].Format() == "carrier.MyCar" && r[1].IsNumber() {
+				return r[1].Format()
+			}
+		}
+		return ""
+	}
+	r1, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
+	if err != nil || out != OutcomeMiss {
+		t.Fatalf("first query: outcome %v err %v, want miss", out, err)
+	}
+	if myCar(r1) != "3200" {
+		t.Fatalf("MyCar's 2000 pounds are not 3200 euros: %v", r1.Rows)
+	}
+	if _, out, err = answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil); err != nil || out != OutcomeHit {
+		t.Fatalf("second query: outcome %v err %v, want hit", out, err)
+	}
+	art, _ := s.System().Articulation(fixtures.ArtName)
+	if err := art.Funcs.Register("PSToEuroFn", func(v float64) (float64, error) { return v / 2, nil }); err != nil {
+		t.Fatal(err)
+	}
+	r3, out, err := answerText(ctx, s, fixtures.ArtName, vehiclePriceQ, Limits{}, nil)
+	if err != nil || out != OutcomeMiss {
+		t.Fatalf("query after the re-registration: outcome %v err %v, want miss", out, err)
+	}
+	if myCar(r3) != "1000" {
+		t.Fatalf("MyCar's price does not go through the new function: %v", r3.Rows)
+	}
+	if len(r3.Rows) != len(r1.Rows) {
+		t.Fatalf("rows = %d, want %d", len(r3.Rows), len(r1.Rows))
+	}
+}
+
 func TestCacheDisabledAndEvictions(t *testing.T) {
 	ctx := context.Background()
 
